@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +49,6 @@ class RunConfig:
     output_format: str = "csv"
     plot: bool = False
     out: str | None = None
-    jobs: int = 1
 
     def tol(self, name: str) -> float:
         if name in self.tolerances:
@@ -65,7 +63,7 @@ class RunConfig:
 
 def _parse_config_file(path: str) -> dict:
     values = {}
-    known = {"resolution", "tol", "format", "cache_dir", "plot", "eps_schedule", "jobs", "out"}
+    known = {"resolution", "tol", "format", "cache_dir", "plot", "eps_schedule", "out"}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -93,8 +91,6 @@ def _config_from(args) -> RunConfig:
         cfg.cache_dir = raw["cache_dir"]
     if "plot" in raw:
         cfg.plot = raw["plot"].lower() in ("1", "true", "yes")
-    if "jobs" in raw:
-        cfg.jobs = int(raw["jobs"])
     if "out" in raw:
         cfg.out = raw["out"]
     if "eps_schedule" in raw:
@@ -115,8 +111,6 @@ def _config_from(args) -> RunConfig:
         cfg.plot = True
     if getattr(args, "out", None) is not None:
         cfg.out = args.out
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
     if getattr(args, "tol", None) is not None:
         cfg.tolerances["default"] = args.tol
     if cfg.output_format not in ("csv", "json"):
@@ -184,11 +178,7 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         if lo is None:
             lo = atlas.find_beta_star(tol=cfg.tol("beta-star"), **common)
         betas = np.linspace(lo, args.beta_max, args.steps)
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                results = list(pool.map(lambda b: atlas.alpha_beta(b, **common), betas))
-        else:
-            results = [atlas.alpha_beta(b, **common) for b in betas]
+        results = [atlas.alpha_beta(b, **common) for b in betas]
         table = CurveTable(
             name="alpha-beta-curve",
             columns=["beta", "alpha_beta", "error_estimate"],
@@ -273,7 +263,8 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
         )
         for g in gammas:
             params = modified_flow.ModifiedFlowParams(args.beta, g, args.a)
-            pair = modified_flow.lambda_n_modified(params, 1)
+            resolution = max(cfg.resolution, modified_flow.suggested_resolution(g))
+            pair = modified_flow.lambda_n_modified(params, 1, resolution)
             table.add_row(g, pair.value, pair.error_estimate, bound)
         return table
     params = modified_flow.ModifiedFlowParams(args.beta, args.gamma, args.a)
@@ -288,8 +279,9 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
             "asymptote_bound": 3.0 + 1.5 * b0 * args.a,
         },
     )
+    resolution = max(cfg.resolution, modified_flow.suggested_resolution(args.gamma))
     for n in range(1, args.n_max + 1):
-        pair = modified_flow.lambda_n_modified(params, n)
+        pair = modified_flow.lambda_n_modified(params, n, resolution)
         table.add_row(n, pair.value, pair.error_estimate)
     return table
 
@@ -376,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", default=sup, help="directory for the on-disk curve cache")
     common.add_argument("--resolution", type=int, default=sup, help="base grid resolution (>= 64)")
     common.add_argument("--tol", type=float, default=sup, help="default tolerance for root finding")
-    common.add_argument("--jobs", type=int, default=sup, help="worker threads for parameter sweeps")
 
     parser = argparse.ArgumentParser(
         prog="betaplane",

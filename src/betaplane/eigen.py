@@ -1,20 +1,20 @@
-"""Eigenvalues of symmetric tridiagonal matrices by Sturm-sequence bisection.
+"""Eigenvalues of symmetric tridiagonal matrices, and their eigenvectors.
 
-The negative-inertia count of A - x I is computed from the signs of the
-LDL^T pivots, which is the number of eigenvalues strictly below x.  The n-th
-eigenvalue is located by multisection of the Gershgorin interval (a batch of
-Sturm counts per pass, so the Python-level cost stays at one pass over the
-matrix per refinement round).  Eigenvectors come from inverse iteration with
-a deterministic start vector, and grid sequences are Richardson-extrapolated
-to the continuum limit assuming second-order convergence.
+The n-th eigenvalue comes from LAPACK's ``stebz`` bisection (through
+``scipy.linalg.eigh_tridiagonal``), after the matrix is put in a canonical
+orientation so that a problem and its mirror image (rows reversed) give
+bit-identical values.  ``sturm_count``, the negative-inertia count of
+A - x I from the signs of the LDL^T pivots, is kept as the certificate the
+tests check those values against.  Eigenvectors are built on demand by
+inverse iteration with a deterministic start vector, and grid sequences are
+Richardson-extrapolated to the continuum limit assuming second-order
+convergence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import NoConvergenceError, ValidationError
 from .grid import Grid1D, TridiagOperator
@@ -28,26 +28,54 @@ __all__ = [
     "extrapolate",
 ]
 
-_MULTISECTION_POINTS = 64
 
-
-@dataclass
 class EigenPair:
     """One eigenvalue of the discretized problem with its certificate data.
 
     ``vector`` is normalized to unit discrete L2 norm with a nonnegative
     first extremum; ``residual`` is ||(A - lambda I) v|| / ||A||;
     ``error_estimate`` combines extrapolation residuals when
-    ``extrapolated`` is set.
+    ``extrapolated`` is set.  Instead of ``vector`` and ``residual`` a pair
+    may carry ``source``, a callable returning both; it is called on the
+    first read of either, so a pair whose vector is never read never builds
+    one.
     """
 
-    index: int
-    value: float
-    vector: np.ndarray
-    residual: float
-    extrapolated: bool
-    error_estimate: float
-    grid: Grid1D | None = None
+    def __init__(
+        self,
+        index: int,
+        value: float,
+        vector: np.ndarray | None = None,
+        residual: float | None = None,
+        extrapolated: bool = False,
+        error_estimate: float = 0.0,
+        grid: Grid1D | None = None,
+        *,
+        source=None,
+    ):
+        self.index = index
+        self.value = value
+        self.extrapolated = extrapolated
+        self.error_estimate = error_estimate
+        self.grid = grid
+        self._vector = vector
+        self._residual = residual
+        self._source = source
+
+    def _build(self) -> None:
+        if self._source is not None:
+            self._vector, self._residual = self._source()
+            self._source = None
+
+    @property
+    def vector(self) -> np.ndarray:
+        self._build()
+        return self._vector
+
+    @property
+    def residual(self) -> float:
+        self._build()
+        return self._residual
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, x) -> np.ndarray:
@@ -55,7 +83,7 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, x) -> np.ndarray:
 
     Vectorized over an array of shifts; the recurrence over matrix rows is
     sequential, so the cost is one pass over the matrix regardless of how
-    many shifts are evaluated.
+    many shifts are evaluated.  It certifies the values of ``nth_eigenvalue``.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     off2 = np.asarray(off, dtype=float) ** 2
@@ -81,32 +109,43 @@ def gershgorin_interval(op: TridiagOperator) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _canonical_orientation(diag: np.ndarray, off: np.ndarray):
+    """(diag, off) or their reversal, whichever is lexicographically smaller.
+
+    A matrix and its reversal have the same spectrum, but LAPACK's rounding
+    depends on the row order; solving both in one orientation makes the
+    mirror problems (beta, c) and (-beta, -c) give identical bits.
+    """
+    for a in (diag, off):
+        differ = np.flatnonzero(a != a[::-1])
+        if differ.size:
+            i = differ[0]
+            return (diag[::-1], off[::-1]) if a[::-1][i] < a[i] else (diag, off)
+    return diag, off
+
+
 def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12) -> float:
     """n-th smallest eigenvalue (1-based) to absolute tolerance ``tol``.
 
-    Multisection keeps the bracket [lo, hi] with count(lo) < n <= count(hi),
-    starting from the Gershgorin bounds, so the result lambda satisfies
-    count(lambda - tol) < n <= count(lambda + tol).
+    LAPACK ``stebz`` bisects with Sturm counts, so the result lambda
+    satisfies count(lambda - d) < n <= count(lambda + d) for
+    d = max(tol, a few eps * ||A||), the floor of backward stability.
     """
     if not 1 <= n <= op.dim:
         raise ValidationError(f"index-out-of-range: n={n} for dimension {op.dim}")
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
-    lo, hi = gershgorin_interval(op)
-    eps = np.finfo(float).eps
-    # representable-width floor follows the current bracket, not the
-    # Gershgorin scale, so small eigenvalues of large matrices stay sharp
-    while hi - lo > max(tol, 4.0 * eps * max(abs(lo), abs(hi), 1e-30)):
-        xs = np.linspace(lo, hi, _MULTISECTION_POINTS + 2)[1:-1]
-        counts = sturm_count(op.diag, op.off, xs)
-        j = int(np.searchsorted(counts, n, side="left"))
-        if j >= xs.size:
-            lo = xs[-1]
-        elif j == 0:
-            hi = xs[0]
-        else:
-            lo, hi = xs[j - 1], xs[j]
-    return 0.5 * (lo + hi)
+    diag, off = _canonical_orientation(op.diag, op.off)
+    values = eigh_tridiagonal(
+        diag,
+        off,
+        eigvals_only=True,
+        select="i",
+        select_range=(n - 1, n - 1),
+        lapack_driver="stebz",
+        tol=tol,
+    )
+    return float(values[0])
 
 
 def _apply_sign_convention(v: np.ndarray) -> np.ndarray:

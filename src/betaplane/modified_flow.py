@@ -13,9 +13,8 @@ principal eigenvalue down as its amplitude a grows, at the asymptotic rate
 3 + (3/2) b0 a with b0 < 0 a universal constant.
 
 The cutoff integral is precomputed once on a dense table and interpolated
-monotone-cubically; its derivatives are analytic.  erf is evaluated by a
-split Taylor series / continued fraction with 1e-12 relative accuracy, so
-the module carries no special-function dependency.
+monotone-cubically; its derivatives are analytic.  erf is
+``scipy.special.erf``, re-exported here as ``erf``.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
+from scipy.special import erf
 
 from .errors import NoBracketError, ValidationError
 from .eigen import EigenPair
@@ -48,60 +48,6 @@ __all__ = [
 ]
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
-_ERF_TAYLOR_CUT = 2.5
-_ERF_SATURATE = 6.0
-_ERF_TAYLOR_TERMS = 48
-
-
-def _erf_taylor(x):
-    x2 = x * x
-    term = x.copy()
-    acc = x.copy()
-    for n in range(1, _ERF_TAYLOR_TERMS):
-        term = term * (-x2) / n
-        acc = acc + term / (2 * n + 1)
-    return _TWO_OVER_SQRT_PI * acc
-
-
-def _erfc_cf(x: float) -> float:
-    # Lentz evaluation of erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + 1/2/(x + 1/(x + 3/2/(x + ...))))
-    tiny = 1e-300
-    b = x
-    c = 1e308
-    d = 1.0 / b
-    f = d
-    for n in range(1, 200):
-        a_n = n / 2.0
-        d = 1.0 / (x + a_n * d)
-        c = x + a_n / c
-        if c == 0.0:
-            c = tiny
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return np.exp(-x * x) / np.sqrt(np.pi) * f
-
-
-def erf(x):
-    """Gauss error function, (2/sqrt(pi)) * integral of exp(-s^2) from 0 to x.
-
-    Odd; relative accuracy 1e-12 for |x| <= 6, saturating to +-1 beyond.
-    Accepts scalars or arrays.
-    """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    a = np.abs(np.atleast_1d(arr))
-    out = np.ones_like(a)
-    taylor = a <= _ERF_TAYLOR_CUT
-    if np.any(taylor):
-        out[taylor] = _erf_taylor(a[taylor])
-    mid = (~taylor) & (a <= _ERF_SATURATE)
-    for idx in np.nonzero(mid)[0]:
-        out[idx] = 1.0 - _erfc_cf(float(a[idx]))
-    out = np.where(np.atleast_1d(arr) < 0, -out, out)
-    out[np.atleast_1d(arr) == 0.0] = 0.0
-    return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def erf_prime(x):

@@ -147,16 +147,20 @@ def _solve_extrapolated(Q, n: int, resolution: int):
     return value, h_err, grid, op, lam_h
 
 
-def _pair_from_solution(n, value, err, grid, op, lam_h, lower_vectors=()):
-    vec = eigenvector(op, lam_h, orthogonalize_against=lower_vectors)
+def _pair_from_solution(n, value, err, grid, op, lam_h):
+    """EigenPair whose vector is built by inverse iteration on first read."""
+
+    def source():
+        vec = eigenvector(op, lam_h, orthogonalize_against=_lower_vectors(op, n))
+        return vec, eigen_residual(op, lam_h, vec)
+
     return EigenPair(
         index=n,
         value=value,
-        vector=vec,
-        residual=eigen_residual(op, lam_h, vec),
         extrapolated=True,
         error_estimate=max(err, 1e-16),
         grid=grid,
+        source=source,
     )
 
 
@@ -183,8 +187,7 @@ def lambda_n_regular(spec: RayleighKuoSpec, n: int, resolution: int = 256) -> Ei
         return (prof.d2u(y) - beta) / (prof.u(y) - c)
 
     value, err, grid, op, lam_h = _solve_extrapolated(Q, n, resolution)
-    lower = _lower_vectors(op, n) if n > 1 else ()
-    return _pair_from_solution(n, value, err, grid, op, lam_h, lower)
+    return _pair_from_solution(n, value, err, grid, op, lam_h)
 
 
 def _neville_to_zero(xs, ys):
@@ -259,11 +262,10 @@ def lambda_1_singular(
     return EigenPair(
         index=1,
         value=value,
-        vector=finest.vector,
-        residual=finest.residual,
         extrapolated=True,
         error_estimate=max(eps_err, max(herrs), 1e-16),
         grid=finest.grid,
+        source=lambda: (finest.vector, finest.residual),
     )
 
 
@@ -307,5 +309,4 @@ def lambda_n_general(
         return out
 
     value, err, grid, op, lam_h = _solve_extrapolated(Q, n, resolution)
-    lower = _lower_vectors(op, n) if n > 1 else ()
-    return _pair_from_solution(n, value, err, grid, op, lam_h, lower)
+    return _pair_from_solution(n, value, err, grid, op, lam_h)

@@ -171,3 +171,17 @@ def test_disk_cache_round_trip(tmp_path):
     assert cache.misses == 1
     v2, e2 = atlas.lambda1_wall(0.75, cache=CurveCache(tmp_path))
     assert (v1, e1) == (v2, e2)
+
+
+def test_atlas_builds_no_vectors(monkeypatch):
+    import betaplane.rayleigh_kuo as rk
+
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("atlas must not build eigenvectors")
+
+    atlas._lambda1_wall_mem.cache_clear()
+    atlas._lambda1_regular_mem.cache_clear()
+    monkeypatch.setattr(rk, "eigenvector", no_vectors)
+    atlas.lambda1_wall(3.0)
+    atlas.lambda1_regular(3.0, -2.0)
+    atlas.speed_for_eigenvalue(3.0, 0.0)

@@ -43,10 +43,9 @@ class TestEigenCommand:
 
 
 class TestAtlasCurveCommand:
-    def test_monotone_alpha_column_with_jobs(self):
+    def test_monotone_alpha_column(self):
         out = run_cli(
             "atlas", "curve", "--beta-min", "3", "--beta-max", "6", "--steps", "3",
-            "--jobs", "2",
         ).stdout
         rows = [l.split(",") for l in out.strip().splitlines() if not l.startswith("#")][1:]
         alphas = [float(r[1]) for r in rows]
@@ -61,6 +60,13 @@ class TestModifiedFlowCommand:
         ).stdout
         lam1 = float(out.strip().splitlines()[-1].split(",")[1])
         assert lam1 > 0
+
+    def test_resolution_flag_honoured(self):
+        args = ("modified-flow", "--beta", "2", "--gamma", "0.02", "--a", "0", "--n-max", "1")
+        fine = float(run_cli(*args, "--resolution", "4096").stdout.strip().splitlines()[-1].split(",")[1])
+        assert fine == pytest.approx(-2.9251364, abs=1e-6)
+        default = run_cli(*args).stdout.strip().splitlines()[-1].split(",")[1]
+        assert default.startswith("-2.93085692")
 
     def test_invariant_violation_named(self):
         proc = run_cli("modified-flow", "--beta", "4", "--gamma", "0.2", "--a", "0", expect=2)

@@ -110,6 +110,35 @@ class TestNthEigenvalue:
             assert sturm_count(op.diag, op.off, lam + 2 * tol) >= n
 
 
+def couette_op(m, beta=2.0, c=-1.5):
+    return assemble(build_grid(m, "uniform"), lambda y: -beta / (y - c))
+
+
+class TestLapackKernel:
+    @pytest.mark.parametrize("m", [256, 1024, 4096])
+    def test_reversal_bit_identical(self, m):
+        # LAPACK's rounding depends on the row order for some of these
+        # operators, e.g. (0.5, -1.05) at 256 rows and (1, -1.1) at 1024
+        for beta in (0.5, 1.0, 2.0, 4.0):
+            for c in (-1.05, -1.1, -1.5, -3.0):
+                op = couette_op(m, beta, c)
+                rev = TridiagOperator(diag=op.diag[::-1], off=op.off[::-1], grid=op.grid)
+                assert nth_eigenvalue(op, 1) == nth_eigenvalue(rev, 1)
+
+    @pytest.mark.parametrize("m", [1024, 4096])
+    def test_sturm_certifies_lapack_value(self, m):
+        op = couette_op(m)
+        tol = 1e-12
+        row_sums = np.abs(op.diag)
+        row_sums[:-1] += np.abs(op.off)
+        row_sums[1:] += np.abs(op.off)
+        delta = max(2 * tol, 8 * np.finfo(float).eps * row_sums.max())
+        for n in (1, 2, 5):
+            lam = nth_eigenvalue(op, n, tol=tol)
+            assert sturm_count(op.diag, op.off, lam - delta) < n
+            assert sturm_count(op.diag, op.off, lam + delta) >= n
+
+
 class TestEigenvector:
     def test_ground_state_is_sine(self):
         op = laplacian_op(63)
