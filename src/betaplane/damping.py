@@ -16,6 +16,20 @@ whose L2 norms decay algebraically like 1/t and 1/t^2 (the Orr mechanism);
 the norms depend on the moduli |fhat| only, so Coriolis rotation leaves the
 decay untouched.  A classical RK4 integrator is provided to exhibit the
 conservation law and the closed form numerically.
+
+The RK4 step runs in real arithmetic.  With x = dt a(tau) real, each stage
+increment z = i x is purely imaginary, so every product in the tableau has
+one purely imaginary factor and the step multiplier is, exactly,
+
+    Re M = 1 - (x1 x2 + x2^2 + x2 x4 (1 - x1 x2 / 4)) / 6
+         = 1 - x2 (x1 + x2 + x4 - x1 x2 x4 / 4) / 6
+    Im M = ((x1 + x4)(1 - x2^2 / 2) + 4 x2) / 6,
+
+with x1, x2, x4 taken at t, t + dt/2 and t + dt.  The step's endpoint t + dt
+is the same float as the next step's t, so x4 is kept as the next x1 and
+each endpoint is evaluated once: two rate evaluations per step, not three,
+made in one pass over a two-row buffer.  All of it runs in preallocated
+float64 buffers; only the amplitude update is complex.
 """
 
 from __future__ import annotations
@@ -81,6 +95,10 @@ class ModeEnsemble:
         """
         if any(k == 0 for k in k_set):
             raise ValidationError("zero-wavenumber: k = 0 modes are excluded")
+        if not (np.isfinite(d_eta) and d_eta > 0):
+            raise ValidationError(f"d_eta must be finite and positive, got {d_eta}")
+        if not (np.isfinite(eta_max) and eta_max > 0):
+            raise ValidationError(f"eta_max must be finite and positive, got {eta_max}")
         n = int(round(eta_max / d_eta))
         eta_line = d_eta * np.arange(-n, n + 1)
         ks = np.repeat(np.asarray(k_set, dtype=int), eta_line.size)
@@ -108,38 +126,94 @@ def phase_closed_form(k: int, eta: float, beta: float, t: float) -> float:
     return float(beta / k * (np.arctan(eta / k) - np.arctan((eta - k * t) / k)))
 
 
-def _rk4_multiplier(ks, etas, beta, t, dt):
-    """One classical RK4 step multiplier for d/dt f = i a(t) f, vectorized."""
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
-    def a(tau):
-        return beta * ks / (ks**2 + (etas - ks * tau) ** 2)
 
-    z1 = 1j * dt * a(t)
-    z2 = 1j * dt * a(t + 0.5 * dt)
-    z4 = 1j * dt * a(t + dt)
-    k1 = z1
-    k2 = z2 * (1.0 + 0.5 * k1)
-    k3 = z2 * (1.0 + 0.5 * k2)
-    k4 = z4 * (1.0 + k3)
-    return 1.0 + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+class _Kernel:
+    """The rate a(tau) of one mode vector, and float64 buffers for its RK4 steps."""
+
+    def __init__(self, ks, etas, beta: float):
+        self.k = np.asarray(ks, dtype=float)
+        self.eta = np.asarray(etas, dtype=float)
+        self.k2 = self.k * self.k
+        self.bk = beta * self.k
+        self.x1, self.p, self.q, self.r = (np.empty_like(self.k) for _ in range(4))
+        self.x24 = np.empty((2,) + self.k.shape)
+        self.tau24 = np.empty((2, 1))
+        self.m = np.empty(self.k.shape, dtype=complex)
+
+    def scaled_rate(self, tau, dt: float, out: np.ndarray) -> np.ndarray:
+        """out = dt a(tau) = dt beta k / (k^2 + (eta - k tau)^2).
+
+        ``tau`` is a float, or a column of times that gives ``out`` one row each.
+        """
+        np.multiply(self.k, tau, out)
+        np.subtract(self.eta, out, out)
+        np.square(out, out)
+        np.add(self.k2, out, out)
+        np.divide(self.bk, out, out)
+        return np.multiply(out, dt, out)
+
+
+def _rk4_multiplier(x1, kern: _Kernel, t: float, dt: float) -> np.ndarray:
+    """One classical RK4 step multiplier M for d/dt f = i a(t) f, in real arithmetic.
+
+    Takes x1 = dt a(t), evaluates x2 = dt a(t + dt/2) and x4 = dt a(t + dt)
+    in one pass as the rows of ``kern.x24``, and returns M in ``kern.m``.
+    Every ufunc writes into its third argument, one of ``kern``'s buffers,
+    so a step allocates nothing.
+    """
+    tau = kern.tau24
+    tau[0, 0] = t + 0.5 * dt
+    tau[1, 0] = t + dt
+    x2, x4 = kern.scaled_rate(tau, dt, kern.x24)
+    p, q, r = kern.p, kern.q, kern.r
+    # 6 Im M = (x1 + x4)(1 - x2^2/2) + 4 x2
+    np.add(x1, x4, p)
+    np.square(x2, q)
+    np.multiply(q, 0.5, r)
+    np.subtract(1.0, r, r)
+    np.multiply(p, r, r)
+    np.multiply(x2, 4.0, q)
+    np.add(r, q, r)
+    np.divide(r, 6.0, kern.m.imag)
+    # 6 (1 - Re M) = x2 (x1 + x2 + x4 - x1 x2 x4 / 4)
+    np.add(p, x2, p)
+    np.multiply(x1, x4, q)
+    np.multiply(q, x2, q)
+    np.multiply(q, 0.25, q)
+    np.subtract(p, q, p)
+    np.multiply(p, x2, p)
+    np.divide(p, 6.0, p)
+    np.subtract(1.0, p, kern.m.real)
+    return kern.m
+
+
+def _advance(amps: np.ndarray, kern: _Kernel, t0: float, t1: float, dt: float) -> None:
+    """Advance amps in place from t0 to t1 in max(1, round((t1 - t0)/dt)) equal RK4 steps."""
+    n = max(1, int(round((t1 - t0) / dt)))
+    step = (t1 - t0) / n
+    x1 = kern.scaled_rate(t0, step, kern.x1)
+    t = t0
+    for _ in range(n):
+        amps *= _rk4_multiplier(x1, kern, t, step)
+        np.copyto(x1, kern.x24[1])  # x4 was evaluated at the next step's t
+        t += step
 
 
 def evolve_rk4(state: ModeState, beta: float, t0: float, t1: float, dt: float) -> ModeState:
     """Advance one mode from t0 to t1 with classical fourth-order steps."""
+    _require_finite(beta=beta, t0=t0, t1=t1, dt=dt)
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if t1 <= t0:
         raise ValidationError(f"t1 must exceed t0, got {t0} -> {t1}")
-    ks = np.array([state.k], dtype=float)
-    etas = np.array([state.eta], dtype=float)
-    amp = complex(state.amp)
-    n = max(1, int(round((t1 - t0) / dt)))
-    step = (t1 - t0) / n
-    t = t0
-    for _ in range(n):
-        amp *= complex(_rk4_multiplier(ks, etas, beta, t, step)[0])
-        t += step
-    return replace(state, amp=amp)
+    amps = np.array([state.amp], dtype=complex)
+    _advance(amps, _Kernel([state.k], [state.eta], beta), t0, t1, dt)
+    return replace(state, amp=complex(amps[0]))
 
 
 def velocity_norms(ens: ModeEnsemble) -> tuple[float, float]:
@@ -170,15 +244,23 @@ def run_damping_experiment(
     log-log decay exponents over sample times >= 10 (past the Orr window)
     are attached as metadata.
     """
-    if sample_times is None:
-        sample_times = np.arange(0.0, t_end + 1e-12, 5.0)
-    sample_times = sorted(float(s) for s in sample_times)
-    if sample_times and t_end < sample_times[-1]:
-        raise ValidationError(f"t_end={t_end} is before the last sample time {sample_times[-1]}")
+    _require_finite(beta=beta, t_end=t_end, dt=dt)
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
+    if t_end < init.t:
+        raise ValidationError(f"t_end={t_end} is before the ensemble's time {init.t}")
+    if sample_times is None:
+        sample_times = np.arange(init.t, t_end + 1e-12, 5.0)
+    sample_times = sorted(float(s) for s in sample_times)
+    for ts in sample_times:
+        _require_finite(sample_time=ts)
+    if sample_times and sample_times[0] < init.t:
+        raise ValidationError(f"sample time {sample_times[0]} is before the ensemble's time {init.t}")
+    if sample_times and t_end < sample_times[-1]:
+        raise ValidationError(f"t_end={t_end} is before the last sample time {sample_times[-1]}")
 
     ens = init.copy()
+    kern = _Kernel(ens.ks, ens.etas, beta)
     mod0 = np.abs(ens.amps)
     table = CurveTable(
         name="damping-experiment",
@@ -187,11 +269,7 @@ def run_damping_experiment(
     )
     for ts in sample_times:
         if ts > ens.t:
-            n = max(1, int(round((ts - ens.t) / dt)))
-            step = (ts - ens.t) / n
-            for _ in range(n):
-                ens.amps *= _rk4_multiplier(ens.ks, ens.etas, beta, ens.t, step)
-                ens.t += step
+            _advance(ens.amps, kern, ens.t, ts, dt)
         ens.t = ts
         ux, uy = velocity_norms(ens)
         drift = float(np.max(np.abs(np.abs(ens.amps) - mod0)))

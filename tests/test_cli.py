@@ -106,6 +106,20 @@ class TestDampingCommand:
         assert -1.3 <= float(meta["fit_exponent_ux_nonzero"]) <= -0.7
         assert -2.3 <= float(meta["fit_exponent_uy"]) <= -1.7
 
+    @pytest.mark.parametrize("argv", [
+        ["--beta", "1", "--t-end", "2", "--dt", "nan", "--samples", "0,1"],
+        ["--beta", "1", "--t-end", "nan", "--samples", "0,1"],
+        ["--beta", "1", "--t-end", "2", "--samples=-5,0,1"],
+        ["--beta", "1", "--t-end", "-5"],
+    ])
+    def test_bad_times_exit_2(self, argv, capsys):
+        from betaplane.cli import main
+
+        assert main(["damping", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestConfigAndOutputs:
     def test_config_file_and_flag_override(self, tmp_path):

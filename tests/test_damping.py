@@ -3,6 +3,7 @@ import pytest
 
 from betaplane import damping as dp
 from betaplane.errors import ValidationError
+from oracles import rk4_evolve_textbook
 
 
 def small_ensemble(profile="gaussian"):
@@ -87,6 +88,10 @@ class TestRK4:
             dp.evolve_rk4(st, 1.0, 0.0, 1.0, -0.1)
         with pytest.raises(ValidationError):
             dp.evolve_rk4(st, 1.0, 1.0, 0.5, 0.1)
+        for beta, t0, t1, dt in [(1.0, np.nan, 1.0, 0.1), (1.0, 0.0, np.inf, 0.1),
+                                 (1.0, 0.0, 1.0, np.nan), (np.nan, 0.0, 1.0, 0.1)]:
+            with pytest.raises(ValidationError, match="finite"):
+                dp.evolve_rk4(st, beta, t0, t1, dt)
         with pytest.raises(ValidationError, match="zero-wavenumber"):
             dp.ModeState(0, 1.0, 1.0 + 0.0j)
 
@@ -173,3 +178,90 @@ class TestExperiment:
     def test_zero_wavenumber_excluded(self):
         with pytest.raises(ValidationError, match="zero-wavenumber"):
             dp.ModeEnsemble.from_profile("gaussian", k_set=(0, 1))
+
+    @pytest.mark.parametrize("d_eta", [0.0, -0.1, np.nan, np.inf])
+    def test_bad_lattice_spacing_rejected(self, d_eta):
+        with pytest.raises(ValidationError, match="d_eta"):
+            dp.ModeEnsemble.from_profile("gaussian", d_eta=d_eta)
+
+    @pytest.mark.parametrize("eta_max", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_lattice_extent_rejected(self, eta_max):
+        with pytest.raises(ValidationError, match="eta_max"):
+            dp.ModeEnsemble.from_profile("gaussian", eta_max=eta_max)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": np.nan}, {"dt": np.inf}, {"t_end": np.nan}, {"t_end": np.inf},
+        {"beta": np.nan}, {"sample_times": [0.0, np.nan, 1.0]}, {"sample_times": [0.0, -np.inf]},
+    ])
+    def test_non_finite_inputs_rejected(self, kwargs):
+        args = {"beta": 1.0, "t_end": 2.0, "dt": 1e-2, "sample_times": [0.0, 1.0], **kwargs}
+        with pytest.raises(ValidationError, match="finite"):
+            dp.run_damping_experiment(small_ensemble(), **args)
+
+    def test_sample_before_ensemble_time_rejected(self):
+        with pytest.raises(ValidationError, match="before the ensemble's time"):
+            dp.run_damping_experiment(small_ensemble(), 1.0, 1.0, sample_times=[-5, 0, 1])
+        ens = small_ensemble()
+        ens.t = 2.0
+        with pytest.raises(ValidationError, match="before the ensemble's time"):
+            dp.run_damping_experiment(ens, 1.0, 3.0, sample_times=[1, 3])
+        with pytest.raises(ValidationError, match="before the ensemble's time"):
+            dp.run_damping_experiment(small_ensemble(), 1.0, -5.0)
+
+    def test_default_samples_start_at_ensemble_time(self):
+        ens = small_ensemble()
+        ens.t = 2.0
+        table = dp.run_damping_experiment(ens, 1.0, 12.0, dt=1e-2)
+        assert [row[0] for row in table.rows] == [2.0, 7.0, 12.0]
+        assert table.rows[0][1:3] == dp.velocity_norms(ens)
+
+
+class TestRealKernel:
+    """The real-arithmetic step against the complex textbook tableau."""
+
+    @pytest.mark.parametrize("beta", [1.7, -1.7])
+    def test_experiment_matches_textbook(self, beta):
+        ens = small_ensemble()
+        samples = [0.0, 5.0, 10.0, 20.0, 30.0, 40.0]
+        table = dp.run_damping_experiment(ens, beta, 40.0, dt=5e-3, sample_times=samples)
+        amps, t = ens.amps, ens.t
+        mod0 = np.abs(amps)
+        for ts, row in zip(samples, table.rows):
+            if ts > t:
+                amps = rk4_evolve_textbook(ens.ks, ens.etas, amps, beta, t, ts, 5e-3)
+            t = ts
+            ux, uy = dp.velocity_norms(dp.ModeEnsemble(ens.ks, ens.etas, amps, ens.d_eta, ts))
+            drift = float(np.max(np.abs(np.abs(amps) - mod0)))
+            assert row[0] == ts
+            assert row[1] == pytest.approx(ux, rel=1e-13, abs=0.0)
+            assert row[2] == pytest.approx(uy, rel=1e-13, abs=0.0)
+            assert abs(row[3] - drift) <= 1e-13
+
+    def test_evolve_matches_textbook(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            k = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            eta = float(rng.uniform(-10, 10))
+            beta = float(rng.uniform(-5, 5))
+            t0 = float(rng.uniform(0, 5))
+            t1 = t0 + float(rng.uniform(0.5, 3))
+            amp = complex(rng.normal(), rng.normal())
+            out = dp.evolve_rk4(dp.ModeState(k, eta, amp), beta, t0, t1, 1e-2)
+            ref = rk4_evolve_textbook([k], [eta], [amp], beta, t0, t1, 1e-2)[0]
+            assert abs(out.amp - ref) <= 1e-13
+
+    def test_multiplier_called_once_per_step_per_mode_vector(self, monkeypatch):
+        sizes = []
+        kernel = dp._rk4_multiplier
+
+        def counting(*args, **kwargs):
+            sizes.append(len(args[0]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "_rk4_multiplier", counting)
+        ens = small_ensemble()
+        dp.run_damping_experiment(ens, 1.0, 2.5, dt=1e-2, sample_times=[0.0, 1.0, 2.5])
+        assert sizes == [ens.amps.size] * (100 + 150)
+        sizes.clear()
+        dp.evolve_rk4(dp.ModeState(1, 0.5, 1.0 + 0.0j), 1.0, 0.0, 3.0, 1e-2)
+        assert sizes == [1] * 300
