@@ -17,6 +17,7 @@ Computations are memoized in process and, when a cache is supplied, on disk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,6 +65,11 @@ PI2_OVER_4 = np.pi**2 / 4.0
 
 _MAX_BRACKET_DOUBLINGS = 60
 _MAX_BISECT = 200
+
+
+def _require_tol(tol):
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,7 @@ def find_beta_star(tol=1e-5, resolution=256, eps_schedule=None, cache=None):
     lam1(., -1) is strictly decreasing, so the root is bracketed by doubling
     or halving from beta = 1 and then bisected.
     """
+    _require_tol(tol)
     if tol < 1e-6:
         raise ValidationError(f"tol must be >= 1e-6, got {tol}")
 
@@ -209,6 +216,7 @@ def beta_T(T, tol=1e-5, resolution=256, eps_schedule=None, cache=None):
     """The unique beta_T > 0 with lam1(beta_T, -1) = -4 pi^2 / T^2."""
     if T <= 0:
         raise ValidationError(f"period T must be positive, got {T}")
+    _require_tol(tol)
     target = -4.0 * np.pi**2 / T**2
 
     def g(b):
@@ -253,6 +261,7 @@ def classify(alpha, beta, tol=1e-4, resolution=256, eps_schedule=None, cache=Non
     beta = float(beta)
     if alpha <= 0:
         raise ValidationError(f"wavenumber alpha must be positive, got {alpha}")
+    _require_tol(tol)
     bstar = find_beta_star(resolution=resolution, eps_schedule=eps_schedule, cache=cache)
     if abs(beta) <= bstar:
         return RegionVerdict(REGION_O, bstar, None, tol)
@@ -275,6 +284,7 @@ def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, eps_schedule=N
     """
     beta = float(beta)
     lambda0 = float(lambda0)
+    _require_tol(tol)
     lam_wall, wall_err = lambda1_wall(beta, resolution, eps_schedule, cache)
     if not lam_wall < lambda0 < PI2_OVER_4:
         raise OutOfRangeLambdaError(

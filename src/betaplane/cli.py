@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +62,15 @@ class RunConfig:
         return CurveCache(self.cache_dir) if self.cache_dir else None
 
 
+# value parser per config key (before any "."); keys absent here stay strings
+_CONFIG_VALUES = {
+    "resolution": int,
+    "tol": float,
+    "plot": lambda v: v.lower() in ("1", "true", "yes"),
+    "eps_schedule": lambda v: tuple(float(x) for x in v.split(",")),
+}
+
+
 def _parse_config_file(path: str) -> dict:
     values = {}
     known = {"resolution", "tol", "format", "cache_dir", "plot", "eps_schedule", "out"}
@@ -75,7 +85,10 @@ def _parse_config_file(path: str) -> dict:
         base = key.split(".", 1)[0]
         if base not in known:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = val
+        try:
+            values[key] = _CONFIG_VALUES.get(base, str)(val)
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from None
     return values
 
 
@@ -84,22 +97,22 @@ def _config_from(args) -> RunConfig:
     config_path = getattr(args, "config", None)
     raw = _parse_config_file(config_path) if config_path else {}
     if "resolution" in raw:
-        cfg.resolution = int(raw["resolution"])
+        cfg.resolution = raw["resolution"]
     if "format" in raw:
         cfg.output_format = raw["format"]
     if "cache_dir" in raw:
         cfg.cache_dir = raw["cache_dir"]
     if "plot" in raw:
-        cfg.plot = raw["plot"].lower() in ("1", "true", "yes")
+        cfg.plot = raw["plot"]
     if "out" in raw:
         cfg.out = raw["out"]
     if "eps_schedule" in raw:
-        cfg.eps_schedule = tuple(float(v) for v in raw["eps_schedule"].split(","))
+        cfg.eps_schedule = raw["eps_schedule"]
     for key, val in raw.items():
         if key == "tol":
-            cfg.tolerances["default"] = float(val)
+            cfg.tolerances["default"] = val
         elif key.startswith("tol."):
-            cfg.tolerances[key[4:]] = float(val)
+            cfg.tolerances[key[4:]] = val
     # flags override config (SUPPRESS defaults: attribute absent unless given)
     if getattr(args, "resolution", None) is not None:
         cfg.resolution = args.resolution
@@ -118,8 +131,10 @@ def _config_from(args) -> RunConfig:
     if cfg.resolution < 64:
         raise ValidationError(f"resolution must be >= 64, got {cfg.resolution}")
     for name, value in cfg.tolerances.items():
-        if value <= 0:
-            raise ValidationError(f"tolerance {name} must be positive, got {value}")
+        if not (value > 0 and math.isfinite(value)):
+            raise ValidationError(f"tolerance {name} must be finite and positive, got {value}")
+    if cfg.plot and not cfg.out:
+        raise ValidationError("--plot requires --out to name the SVG file")
     return cfg
 
 
@@ -130,8 +145,6 @@ def _emit(table: CurveTable, cfg: RunConfig) -> None:
     else:
         sys.stdout.write(text)
     if cfg.plot:
-        if not cfg.out:
-            raise ValidationError("--plot requires --out to name the SVG file")
         svg_path = Path(cfg.out).with_suffix(".svg")
         svg_path.write_text(table_to_svg(table), encoding="utf-8", newline="\n")
 
@@ -174,6 +187,8 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         )
         table.add_row(bstar, residual, err)
     elif args.atlas_cmd == "curve":
+        if args.steps < 1:
+            raise ValidationError(f"--steps must be >= 1, got {args.steps}")
         lo = args.beta_min
         if lo is None:
             lo = atlas.find_beta_star(tol=cfg.tol("beta-star"), **common)
@@ -233,8 +248,9 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
 
 
 def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
-    b0 = modified_flow.b0()
     if args.emit == "profile":
+        if args.samples < 1:
+            raise ValidationError(f"--samples must be >= 1, got {args.samples}")
         params = modified_flow.ModifiedFlowParams(args.beta, args.gamma, args.a)
         prof = modified_flow.profile(params)
         ys = np.linspace(-1.0, 1.0, args.samples)
@@ -255,6 +271,7 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
         if not args.gamma_sweep:
             raise ValidationError("--emit sweep requires --gamma-sweep g1,g2,...")
         gammas = _parse_floats(args.gamma_sweep)
+        b0 = modified_flow.b0()
         bound = 3.0 + 1.5 * b0 * args.a
         table = CurveTable(
             name="modified-flow-gamma-sweep",
@@ -268,6 +285,7 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
             table.add_row(g, pair.value, pair.error_estimate, bound)
         return table
     params = modified_flow.ModifiedFlowParams(args.beta, args.gamma, args.a)
+    b0 = modified_flow.b0()
     table = CurveTable(
         name="modified-flow-eigenvalues",
         columns=["n", "lambda_n", "error_estimate"],

@@ -14,7 +14,9 @@ principal eigenvalue down as its amplitude a grows, at the asymptotic rate
 
 The cutoff integral is precomputed once on a dense table and interpolated
 monotone-cubically; its derivatives are analytic.  erf is
-``scipy.special.erf``, re-exported here as ``erf``.
+``scipy.special.erf``, re-exported here as ``erf``.  scipy.integrate and
+scipy.interpolate are imported inside the two cached set-up functions that
+use them (``b0`` and the cutoff table), so importing the package skips them.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 from scipy.special import erf
 
 from .errors import NoBracketError, ValidationError
@@ -85,6 +85,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 @lru_cache(maxsize=1)
 def _cutoff_table():
     """PCHIP interpolant of G(u) = integral of eta over [u, 2], and G(1)."""
+    from scipy.interpolate import PchipInterpolator
+
     us = np.linspace(1.0, 2.0, _TABLE_POINTS)
     half = 0.5 * (us[1] - us[0])
     mids = 0.5 * (us[:-1] + us[1:])
@@ -242,6 +244,7 @@ def b0() -> float:
     Controls the small-gamma asymptote 3 + (3/2) b0 a of the principal
     eigenvalue; evaluated by adaptive quadrature to 1e-12 absolute.
     """
+    from scipy.integrate import quad
 
     def integrand(x):
         return ((x + 5.0) ** -3 - (5.0 - x) ** -3) * erf(x) * cutoff_I(x)
@@ -290,6 +293,8 @@ def level_set_a(
         a_max = default_a_max(d)
     if a_max <= 0:
         raise ValidationError(f"a_max must be positive, got {a_max}")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     if resolution is None:
         resolution = suggested_resolution(gamma)
 

@@ -89,6 +89,18 @@ class TestBetaT:
             atlas.beta_T(-2.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-3])
+@pytest.mark.parametrize("call", [
+    lambda tol: atlas.find_beta_star(tol=tol),
+    lambda tol: atlas.beta_T(2.0, tol=tol),
+    lambda tol: atlas.classify(1.0, 3.0, tol=tol),
+    lambda tol: atlas.speed_for_eigenvalue(3.0, -1.0, tol=tol),
+], ids=["beta_star", "beta_T", "classify", "speed"])
+def test_tolerance_must_be_finite_positive(call, tol):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        call(tol)
+
+
 class TestClassify:
     def test_low_beta_band_is_O(self):
         assert atlas.classify(1.0, 0.0).label == atlas.REGION_O

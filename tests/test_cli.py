@@ -158,3 +158,73 @@ class TestConfigAndOutputs:
     def test_version_flag(self):
         proc = run_cli("--version")
         assert "betaplane" in proc.stdout
+
+    def test_plot_without_out_rejected_before_solve(self, monkeypatch, capsys):
+        from betaplane import cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting --plot")
+
+        monkeypatch.setattr(cli, "lambda_n_regular", no_solve)
+        assert cli.main(["eigen", "--beta", "1", "--c", "2", "--plot"]) == 2
+        captured = capsys.readouterr()
+        assert "--plot requires --out" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("line", [
+        "resolution=abc", "tol=x", "tol.speed=x", "eps_schedule=a,b",
+    ])
+    def test_malformed_config_value_names_line(self, line, tmp_path, capsys):
+        from betaplane.cli import main
+
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        assert main(["eigen", "--beta", "0.5", "--c", "-2", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        key = line.split("=", 1)[0]
+        assert captured.err.startswith(f"error: {cfg}:2: bad value for {key!r}")
+        assert captured.out == ""
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--tol=-1e-5"],
+        ["--tol", "0"],
+    ])
+    def test_tolerance_flag_finite_positive(self, argv, capsys):
+        from betaplane.cli import main
+
+        assert main(["atlas", "speed", "--beta", "3", "--lambda0", "-1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "must be finite and positive" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("line", ["tol=inf", "tol.speed=nan", "tol.speed=-1"])
+    def test_tolerance_config_finite_positive(self, line, tmp_path, capsys):
+        from betaplane.cli import main
+
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(line + "\n")
+        argv = ["atlas", "speed", "--beta", "3", "--lambda0", "-1", "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be finite and positive" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--emit", "profile",
+         "--samples", "0"],
+        ["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--emit", "profile",
+         "--samples=-3"],
+        ["atlas", "curve", "--beta-min", "3", "--beta-max", "6", "--steps", "0"],
+        ["atlas", "curve", "--beta-max", "6", "--steps=-1"],
+    ])
+    def test_counts_at_least_one(self, argv, capsys):
+        from betaplane.cli import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be >= 1" in captured.err
+        assert captured.out == ""

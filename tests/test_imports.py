@@ -1,0 +1,74 @@
+"""The package imports only the scipy modules that every command needs.
+
+scipy.integrate and scipy.interpolate (which pull in scipy.optimize and
+scipy.sparse) are imported inside ``modified_flow.b0`` and the cutoff table,
+so a cold ``import betaplane`` and every command that never evaluates them
+start without them.  Each check runs in a fresh interpreter.
+"""
+
+import json
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+DEFERRED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
+
+
+def loaded_after(body):
+    """The DEFERRED modules present in sys.modules after running body in a fresh process."""
+    code = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        {body}
+        print(json.dumps(sorted(m for m in {deferred!r} if m in sys.modules)))
+        """
+    ).format(body=body, deferred=DEFERRED)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def cli(argv):
+    """Body that runs ``betaplane ARGV`` in-process with its stdout discarded."""
+    return (
+        "from betaplane.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "assert code == 0, code\n"
+    )
+
+
+def test_import_loads_none_of_the_deferred_modules():
+    assert loaded_after("import betaplane") == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["damping", "--beta", "1", "--t-end", "1", "--dt", "0.05", "--samples", "0,1"],
+    ["eigen", "--beta", "0.5", "--c", "-2"],
+], ids=["version", "damping", "eigen"])
+def test_commands_without_modified_flows_load_none(argv):
+    assert loaded_after(cli(argv)) == set()
+
+
+def test_profile_emission_skips_quadrature():
+    argv = ["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--a", "1",
+            "--emit", "profile", "--samples", "5"]
+    loaded = loaded_after(cli(argv))
+    assert "scipy.interpolate" in loaded
+    assert "scipy.integrate" not in loaded
+
+
+def test_modified_flow_set_up_loads_both():
+    body = (
+        "from betaplane import modified_flow\n"
+        "modified_flow.cutoff_constants()\n"
+        "modified_flow.b0()\n"
+    )
+    loaded = loaded_after(body)
+    assert {"scipy.integrate", "scipy.interpolate"} <= loaded

@@ -228,3 +228,8 @@ class TestLevelSet:
         beta, g = 0.5, 1e-2
         with pytest.raises(NoBracketError, match="no-bracket"):
             mf.level_set_a(beta, g, -50.0, a_max=10.0, resolution=512, scan_steps=4)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+    def test_tolerance_must_be_finite_positive(self, tol):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            mf.level_set_a(0.5, 1e-2, -1.0, a_max=10.0, tol=tol, resolution=512)
