@@ -9,7 +9,6 @@ rates of the linearized vorticity dynamics in sheared coordinates.
 from .grid import Grid1D, TridiagOperator, assemble, build_grid, rayleigh_quotient
 from .eigen import EigenPair, eigenvector, extrapolate, nth_eigenvalue, sturm_count
 from .rayleigh_kuo import (
-    DEFAULT_EPS_SCHEDULE,
     RayleighKuoSpec,
     ShearProfile,
     couette,
@@ -62,7 +61,6 @@ __all__ = [
     "extrapolate",
     "nth_eigenvalue",
     "sturm_count",
-    "DEFAULT_EPS_SCHEDULE",
     "RayleighKuoSpec",
     "ShearProfile",
     "couette",

@@ -10,9 +10,12 @@ alpha_beta = sqrt(-lam1(|beta|, -1)) with critical period T_beta =
     I+, I-  traveling waves         (|beta| > beta_star, alpha < alpha_beta)
     Gamma+, Gamma-                  the borderline curves alpha = alpha_beta
 
-Everything here reduces to monotone root finding on eigenvalue curves, so
-results carry the eigenvalue error estimates they were derived from.
-Computations are memoized in process and, when a cache is supplied, on disk.
+beta_star and beta_T are principal eigenvalues of the weighted problem
+-phi'' + alpha^2 phi = beta phi / (1 + y) (``rayleigh_kuo.wall_beta``), so
+they take one direct solve per grid; only the speed inversion is a root
+search.  Results carry the eigenvalue error estimates they were derived
+from.  Computations are memoized in process and, when a cache is supplied,
+wall and regular eigenvalues are also kept on disk.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cache import CurveCache, cache_key
+from .cache import cache_key
 from .errors import (
     BracketFailureError,
     NoConvergenceError,
@@ -31,10 +34,10 @@ from .errors import (
     ValidationError,
 )
 from .rayleigh_kuo import (
-    DEFAULT_EPS_SCHEDULE,
     RayleighKuoSpec,
     lambda_1_singular,
     lambda_n_regular,
+    wall_beta,
 )
 from .tables import CurveTable
 
@@ -83,10 +86,13 @@ class RegionVerdict:
 
 
 @lru_cache(maxsize=4096)
-def _lambda1_wall_mem(beta: float, resolution: int, schedule: tuple) -> tuple:
+def _lambda1_wall_mem(beta: float, resolution: int) -> tuple:
     side = "left" if beta >= 0 else "right"
-    pair = lambda_1_singular(beta, side, schedule, resolution)
+    pair = lambda_1_singular(beta, side, resolution)
     return pair.value, pair.error_estimate
+
+
+_wall_beta_mem = lru_cache(maxsize=256)(wall_beta)
 
 
 @lru_cache(maxsize=65536)
@@ -95,100 +101,74 @@ def _lambda1_regular_mem(beta: float, c: float, resolution: int) -> tuple:
     return pair.value, pair.error_estimate
 
 
-def lambda1_wall(beta, resolution=256, eps_schedule=None, cache=None):
+def _disk_cached(cache, name, args, resolution, compute):
+    """compute() -> (value, error), read from and written to ``cache`` when one is given.
+
+    ``args`` maps the curve's arguments to their values, in column order.
+    """
+    if cache is None:
+        return compute()
+    key = cache_key(name, resolution=resolution, **args)
+    hit = cache.get(key)
+    if hit is not None:
+        return tuple(hit.rows[0][-2:])
+    value, err = compute()
+    table = CurveTable(
+        name=name,
+        columns=[*args, "lambda1", "error_estimate"],
+        metadata={"resolution": resolution},
+    )
+    table.add_row(*args.values(), value, err)
+    cache.put(key, table)
+    return value, err
+
+
+def lambda1_wall(beta, resolution=256, cache=None):
     """lam1(beta, -1) for beta >= 0 (resp. lam1(beta, +1) for beta < 0).
 
     Returns (value, error_estimate); cached in memory and optionally on disk.
     """
-    schedule = tuple(eps_schedule) if eps_schedule is not None else DEFAULT_EPS_SCHEDULE
     beta = float(beta)
-    if cache is not None:
-        key = cache_key("lambda1-wall", beta=beta, resolution=resolution, schedule=schedule)
-        hit = cache.get(key)
-        if hit is not None:
-            _, value, err = hit.rows[0]
-            return value, err
-    value, err = _lambda1_wall_mem(beta, int(resolution), schedule)
-    if cache is not None:
-        table = CurveTable(
-            name="lambda1-wall",
-            columns=["beta", "lambda1", "error_estimate"],
-            metadata={"resolution": resolution, "eps_schedule": list(schedule)},
-        )
-        table.add_row(beta, value, err)
-        cache.put(key, table)
-    return value, err
+    return _disk_cached(cache, "lambda1-wall-direct", {"beta": beta}, resolution,
+                        lambda: _lambda1_wall_mem(beta, int(resolution)))
 
 
 def lambda1_regular(beta, c, resolution=256, cache=None):
     """lam1(beta, c) for a speed c strictly outside [-1, 1]; (value, error)."""
     beta, c = float(beta), float(c)
-    if cache is not None:
-        key = cache_key("lambda1-regular", beta=beta, c=c, resolution=resolution)
-        hit = cache.get(key)
-        if hit is not None:
-            _, _, value, err = hit.rows[0]
-            return value, err
-    value, err = _lambda1_regular_mem(beta, c, int(resolution))
-    if cache is not None:
-        table = CurveTable(
-            name="lambda1-regular",
-            columns=["beta", "c", "lambda1", "error_estimate"],
-            metadata={"resolution": resolution},
+    return _disk_cached(cache, "lambda1-regular", {"beta": beta, "c": c}, resolution,
+                        lambda: _lambda1_regular_mem(beta, c, int(resolution)))
+
+
+def _certified(alpha, tol, resolution, what):
+    value, err = _wall_beta_mem(float(alpha), int(resolution))
+    if err > tol:
+        raise NoConvergenceError(
+            f"no-convergence: {what} error estimate {err:.3g} exceeds tol {tol:.3g}"
         )
-        table.add_row(beta, c, value, err)
-        cache.put(key, table)
-    return value, err
+    return value
 
 
-def find_beta_star(tol=1e-5, resolution=256, eps_schedule=None, cache=None):
-    """The unique beta > 0 with lam1(beta, -1) = 0, to |lam1| <= tol.
+def find_beta_star(tol=1e-5, resolution=256):
+    """The unique beta > 0 with lam1(beta, -1) = 0.
 
-    lam1(., -1) is strictly decreasing, so the root is bracketed by doubling
-    or halving from beta = 1 and then bisected.
+    It is the principal eigenvalue of -phi'' = beta phi / (1 + y)
+    (``wall_beta`` at alpha = 0).  Raises NoConvergenceError when its error
+    estimate exceeds tol.
     """
     _require_tol(tol)
     if tol < 1e-6:
         raise ValidationError(f"tol must be >= 1e-6, got {tol}")
-
-    def f(b):
-        return lambda1_wall(b, resolution, eps_schedule, cache)[0]
-
-    lo = hi = 1.0
-    flo = f(1.0)
-    if flo > 0:
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            hi *= 2.0
-            if f(hi) < 0:
-                break
-        else:
-            raise BracketFailureError("bracket-failure: lam1(beta,-1) never became negative")
-    else:
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            lo *= 0.5
-            if f(lo) > 0:
-                break
-        else:
-            raise BracketFailureError("bracket-failure: lam1(beta,-1) never became positive")
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        if fm > 0:
-            lo = mid
-        else:
-            hi = mid
-    raise NoConvergenceError("beta-star bisection did not reach the residual tolerance")
+    return _certified(0.0, tol, resolution, "beta-star")
 
 
-def alpha_beta(beta, resolution=256, eps_schedule=None, cache=None):
+def alpha_beta(beta, resolution=256, cache=None):
     """Borderline wavenumber alpha_beta = sqrt(-lam1(|beta|, -1)).
 
     Returns (alpha, error_estimate); requires lam1(|beta|, -1) <= 0, i.e.
     |beta| >= beta_star up to the eigenvalue error.
     """
-    lam, err = lambda1_wall(abs(float(beta)), resolution, eps_schedule, cache)
+    lam, err = lambda1_wall(abs(float(beta)), resolution, cache)
     if lam > err:
         raise ValidationError(
             f"below-threshold: lam1({abs(beta)}, -1) = {lam} > 0, |beta| < beta_star"
@@ -198,58 +178,33 @@ def alpha_beta(beta, resolution=256, eps_schedule=None, cache=None):
     return alpha, alpha_err
 
 
-def alpha_beta_curve(betas, resolution=256, eps_schedule=None, cache=None) -> CurveTable:
+def alpha_beta_curve(betas, resolution=256, cache=None) -> CurveTable:
     """Rows (beta, alpha_beta, error) of the borderline curve, sorted by beta."""
-    schedule = tuple(eps_schedule) if eps_schedule is not None else DEFAULT_EPS_SCHEDULE
     table = CurveTable(
         name="alpha-beta-curve",
         columns=["beta", "alpha_beta", "error_estimate"],
-        metadata={"resolution": resolution, "eps_schedule": list(schedule)},
+        metadata={"resolution": resolution},
     )
     for beta in sorted(float(b) for b in betas):
-        alpha, err = alpha_beta(beta, resolution, schedule, cache)
+        alpha, err = alpha_beta(beta, resolution, cache)
         table.add_row(beta, alpha, max(err, 1e-16))
     return table
 
 
-def beta_T(T, tol=1e-5, resolution=256, eps_schedule=None, cache=None):
-    """The unique beta_T > 0 with lam1(beta_T, -1) = -4 pi^2 / T^2."""
-    if T <= 0:
+def beta_T(T, tol=1e-5, resolution=256):
+    """The unique beta_T > 0 with lam1(beta_T, -1) = -4 pi^2 / T^2.
+
+    It is the principal eigenvalue of -phi'' + alpha^2 phi = beta phi / (1 + y)
+    with alpha = 2 pi / T (``wall_beta``).  Raises NoConvergenceError when
+    its error estimate exceeds tol.
+    """
+    if not T > 0:
         raise ValidationError(f"period T must be positive, got {T}")
     _require_tol(tol)
-    target = -4.0 * np.pi**2 / T**2
-
-    def g(b):
-        return lambda1_wall(b, resolution, eps_schedule, cache)[0] - target
-
-    lo = hi = 1.0
-    if g(1.0) > 0:
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            hi *= 2.0
-            if g(hi) < 0:
-                break
-        else:
-            raise BracketFailureError("bracket-failure: lam1(beta,-1) never crossed the target")
-    else:
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            lo *= 0.5
-            if g(lo) > 0:
-                break
-        else:
-            raise BracketFailureError("bracket-failure: lam1(beta,-1) never crossed the target")
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= tol:
-            return mid
-        if gm > 0:
-            lo = mid
-        else:
-            hi = mid
-    raise NoConvergenceError("beta_T bisection did not reach the residual tolerance")
+    return _certified(2.0 * np.pi / T, tol, resolution, "beta_T")
 
 
-def classify(alpha, beta, tol=1e-4, resolution=256, eps_schedule=None, cache=None) -> RegionVerdict:
+def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict:
     """Place (alpha, beta) into one of O, Gamma+/-, I+/-.
 
     The borderline verdicts Gamma+/- are assigned on the strip
@@ -262,10 +217,10 @@ def classify(alpha, beta, tol=1e-4, resolution=256, eps_schedule=None, cache=Non
     if alpha <= 0:
         raise ValidationError(f"wavenumber alpha must be positive, got {alpha}")
     _require_tol(tol)
-    bstar = find_beta_star(resolution=resolution, eps_schedule=eps_schedule, cache=cache)
+    bstar = find_beta_star(resolution=resolution)
     if abs(beta) <= bstar:
         return RegionVerdict(REGION_O, bstar, None, tol)
-    ab, _ = alpha_beta(beta, resolution, eps_schedule, cache)
+    ab, _ = alpha_beta(beta, resolution, cache)
     if abs(alpha - ab) <= tol:
         label = REGION_GAMMA_PLUS if beta > 0 else REGION_GAMMA_MINUS
     elif alpha < ab - tol:
@@ -275,7 +230,7 @@ def classify(alpha, beta, tol=1e-4, resolution=256, eps_schedule=None, cache=Non
     return RegionVerdict(label, bstar, ab, tol)
 
 
-def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, eps_schedule=None, cache=None):
+def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, cache=None):
     """The unique c0 < -1 with lam1(beta, c0) = lambda0, for beta > beta_star.
 
     lam1(beta, .) decreases from pi^2/4 (c -> -inf) to lam1(beta, -1)
@@ -285,7 +240,7 @@ def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, eps_schedule=N
     beta = float(beta)
     lambda0 = float(lambda0)
     _require_tol(tol)
-    lam_wall, wall_err = lambda1_wall(beta, resolution, eps_schedule, cache)
+    lam_wall, _ = lambda1_wall(beta, resolution, cache)
     if not lam_wall < lambda0 < PI2_OVER_4:
         raise OutOfRangeLambdaError(
             f"out-of-range-lambda: lambda0={lambda0} outside "

@@ -145,17 +145,13 @@ def boundary_velocity_max(wave: WaveApproximation, nx: int = 128) -> float:
     return float(max(np.max(np.abs(v2d[:, 0])), np.max(np.abs(v2d[:, -1]))))
 
 
-def period_estimate(profile: ShearProfile, beta: float, c: float, resolution: int = 256,
-                    eps_schedule=None) -> float:
+def period_estimate(profile: ShearProfile, beta: float, c: float, resolution: int = 256) -> float:
     """Limiting x-period 2 pi / sqrt(-lambda_1) of the bifurcating branch."""
     if c in (profile.range_lo, profile.range_hi):
         if not (abs(profile.range_lo + 1.0) < 1e-12 and abs(profile.range_hi - 1.0) < 1e-12):
             raise ValidationError("endpoint speeds are supported for the unit Couette range only")
         side = "left" if c == profile.range_lo else "right"
-        kwargs = {"resolution": resolution}
-        if eps_schedule is not None:
-            kwargs["eps_schedule"] = eps_schedule
-        lam = lambda_1_singular(beta, side, **kwargs).value
+        lam = lambda_1_singular(beta, side, resolution).value
     else:
         lam = lambda_n_general(profile, beta, c, 1, resolution).value
     if lam >= 0:

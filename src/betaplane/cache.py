@@ -1,7 +1,7 @@
 """On-disk cache for curve computations.
 
 Entries are CSV CurveTables keyed by a stable hash of the operation name and
-every numeric parameter (schedules and resolutions included), so identical
+every numeric parameter (resolutions included), so identical
 requests are served from disk and the files double as golden outputs.
 Writes go through a temporary file plus atomic replace: concurrent readers
 are safe, writers are expected to arrive one at a time.

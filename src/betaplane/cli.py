@@ -23,7 +23,6 @@ from . import __version__, atlas, bifurcation, damping, modified_flow
 from .cache import CurveCache
 from .errors import BracketFailureError, NoConvergenceError, ValidationError
 from .rayleigh_kuo import (
-    DEFAULT_EPS_SCHEDULE,
     RayleighKuoSpec,
     lambda_1_singular,
     lambda_n_regular,
@@ -44,7 +43,6 @@ _BUILTIN_TOLS = {
 @dataclass
 class RunConfig:
     resolution: int = 256
-    eps_schedule: tuple = DEFAULT_EPS_SCHEDULE
     tolerances: dict = field(default_factory=dict)
     cache_dir: str | None = None
     output_format: str = "csv"
@@ -62,18 +60,19 @@ class RunConfig:
         return CurveCache(self.cache_dir) if self.cache_dir else None
 
 
-# value parser per config key (before any "."); keys absent here stay strings
+# value parser per config key (before any ".")
 _CONFIG_VALUES = {
     "resolution": int,
     "tol": float,
     "plot": lambda v: v.lower() in ("1", "true", "yes"),
-    "eps_schedule": lambda v: tuple(float(x) for x in v.split(",")),
+    "format": str,
+    "cache_dir": str,
+    "out": str,
 }
 
 
 def _parse_config_file(path: str) -> dict:
     values = {}
-    known = {"resolution", "tol", "format", "cache_dir", "plot", "eps_schedule", "out"}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -83,10 +82,13 @@ def _parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         base = key.split(".", 1)[0]
-        if base not in known:
+        if base not in _CONFIG_VALUES:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+        if base == "tol" and key != "tol" and key[4:] not in _BUILTIN_TOLS:
+            known = ", ".join(f"tol.{name}" for name in _BUILTIN_TOLS)
+            raise ValidationError(f"{path}:{lineno}: unknown tolerance {key!r} (known: {known})")
         try:
-            values[key] = _CONFIG_VALUES.get(base, str)(val)
+            values[key] = _CONFIG_VALUES[base](val)
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from None
     return values
@@ -106,8 +108,6 @@ def _config_from(args) -> RunConfig:
         cfg.plot = raw["plot"]
     if "out" in raw:
         cfg.out = raw["out"]
-    if "eps_schedule" in raw:
-        cfg.eps_schedule = raw["eps_schedule"]
     for key, val in raw.items():
         if key == "tol":
             cfg.tolerances["default"] = val
@@ -164,8 +164,7 @@ def cmd_eigen(args, cfg: RunConfig) -> CurveTable:
         if n != 1:
             raise ValidationError("endpoint speeds support the principal eigenvalue only (n=1)")
         side = "left" if c == -1.0 else "right"
-        pair = lambda_1_singular(beta, side, cfg.eps_schedule, cfg.resolution)
-        table.metadata["eps_schedule"] = list(cfg.eps_schedule)
+        pair = lambda_1_singular(beta, side, cfg.resolution)
     else:
         spec = RayleighKuoSpec.for_couette(beta, c)
         pair = lambda_n_regular(spec, n, cfg.resolution)
@@ -175,10 +174,10 @@ def cmd_eigen(args, cfg: RunConfig) -> CurveTable:
 
 def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
     cache = cfg.cache()
-    common = dict(resolution=cfg.resolution, eps_schedule=cfg.eps_schedule, cache=cache)
+    common = dict(resolution=cfg.resolution, cache=cache)
     if args.atlas_cmd == "beta-star":
         tol = cfg.tol("beta-star")
-        bstar = atlas.find_beta_star(tol=tol, **common)
+        bstar = atlas.find_beta_star(tol=tol, resolution=cfg.resolution)
         residual, err = atlas.lambda1_wall(bstar, **common)
         table = CurveTable(
             name="atlas-beta-star",
@@ -191,16 +190,8 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
             raise ValidationError(f"--steps must be >= 1, got {args.steps}")
         lo = args.beta_min
         if lo is None:
-            lo = atlas.find_beta_star(tol=cfg.tol("beta-star"), **common)
-        betas = np.linspace(lo, args.beta_max, args.steps)
-        results = [atlas.alpha_beta(b, **common) for b in betas]
-        table = CurveTable(
-            name="alpha-beta-curve",
-            columns=["beta", "alpha_beta", "error_estimate"],
-            metadata={"resolution": cfg.resolution, "eps_schedule": list(cfg.eps_schedule)},
-        )
-        for b, (alpha, err) in zip(betas, results):
-            table.add_row(float(b), alpha, max(err, 1e-16))
+            lo = atlas.find_beta_star(tol=cfg.tol("beta-star"), resolution=cfg.resolution)
+        table = atlas.alpha_beta_curve(np.linspace(lo, args.beta_max, args.steps), **common)
     elif args.atlas_cmd == "region":
         verdict = atlas.classify(args.alpha, args.beta, tol=cfg.tol("region"), **common)
         if verdict.alpha_beta is not None:
@@ -224,7 +215,7 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         )
     elif args.atlas_cmd == "beta-T":
         tol = cfg.tol("beta-T")
-        bt = atlas.beta_T(args.period, tol=tol, **common)
+        bt = atlas.beta_T(args.period, tol=tol, resolution=cfg.resolution)
         lam, err = atlas.lambda1_wall(bt, **common)
         table = CurveTable(
             name="atlas-beta-T",

@@ -8,7 +8,7 @@ A - x I from the signs of the LDL^T pivots, is kept as the certificate the
 tests check those values against.  Eigenvectors are built on demand by
 inverse iteration with a deterministic start vector, and grid sequences are
 Richardson-extrapolated to the continuum limit assuming second-order
-convergence.
+convergence, with the kernel's rounding floor carried into the error.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "sturm_count",
     "gershgorin_interval",
     "nth_eigenvalue",
+    "eigenvalue_floor",
     "eigenvector",
     "extrapolate",
 ]
@@ -148,6 +149,17 @@ def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12) -> float:
     return float(values[0])
 
 
+def eigenvalue_floor(op: TridiagOperator, tol: float = 1e-12) -> float:
+    """Bound max(2 tol, 8 eps ||A||) on the error of ``nth_eigenvalue(op, n, tol)``.
+
+    ||A|| is taken as max |a_ii| + 2 max |a_i,i+1| >= ||A||_inf.  Sturm counts
+    are backward stable only to a few eps ||A||, so on fine grids
+    (||A|| ~ 4 / h^2) this floor, not ``tol``, limits the accuracy.
+    """
+    norm = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off), initial=0.0)
+    return max(2.0 * tol, 8.0 * np.finfo(float).eps * float(norm))
+
+
 def _apply_sign_convention(v: np.ndarray) -> np.ndarray:
     dv = np.diff(v)
     ext = np.nonzero(dv[:-1] * dv[1:] <= 0)[0]
@@ -233,13 +245,15 @@ def eigen_residual(op: TridiagOperator, lam: float, v: np.ndarray) -> float:
     return float(np.linalg.norm(op.matvec(v) - lam * v) / norm_a)
 
 
-def extrapolate(values) -> tuple[float, float]:
+def extrapolate(values, floors=None) -> tuple[float, float]:
     """Richardson-extrapolate a grid sequence (h_i, lambda(h_i)) to h -> 0.
 
     Assumes lambda(h) = lambda + c h^2 + O(h^4) on a (near-)halving sequence
     of spacings.  Implemented as polynomial extrapolation in h^2 with the
     exact spacings, so doubling the node count (h ratio slightly under 2) is
-    handled without bias.  Returns (extrapolated value, |last correction|).
+    handled without bias.  Returns (extrapolated value, error): the last
+    correction, plus, when ``floors`` bounds the error of each entry, those
+    bounds carried through the tableau by the absolute values of its weights.
     """
     values = list(values)
     if len(values) < 3:
@@ -253,9 +267,12 @@ def extrapolate(values) -> tuple[float, float]:
     xs = hs**2
     p = np.array([float(lam) for _, lam in values])
     m = p.size
+    bound = np.zeros(m) if floors is None else np.array(floors, dtype=float)
     tail = [p[-1]]
     for level in range(1, m):
         for i in range(m - level):
-            p[i] = (xs[i + level] * p[i] - xs[i] * p[i + 1]) / (xs[i + level] - xs[i])
+            span = xs[i] - xs[i + level]
+            p[i] = (xs[i] * p[i + 1] - xs[i + level] * p[i]) / span
+            bound[i] = (xs[i] * bound[i + 1] + xs[i + level] * bound[i]) / span
         tail.append(p[m - level - 1])
-    return float(tail[-1]), abs(float(tail[-1] - tail[-2]))
+    return float(tail[-1]), abs(float(tail[-1] - tail[-2])) + float(bound[0])

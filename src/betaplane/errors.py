@@ -34,14 +34,6 @@ class NoConvergenceError(RuntimeError):
     """An iterative solver failed to converge within its iteration budget."""
 
 
-class NonMonotoneSequenceError(NoConvergenceError):
-    """Endpoint-regularized eigenvalues fail the monotonicity certificate.
-
-    Signals that the grid resolution is too coarse for the smallest
-    regularization parameter; the caller must refine.
-    """
-
-
 class BracketFailureError(RuntimeError):
     """A sign-change bracket could not be established for root finding."""
 

@@ -5,16 +5,14 @@ assembled operator is the symmetric tridiagonal matrix of
 
     -phi'' + Q(y) phi
 
-under second-order central differences.  On uniform grids the lumped mass
-matrix is h times the identity, so the matrix eigenproblem is already in
-standard symmetric form.  Graded grids (geometric refinement toward y = -1)
-are kept for singular-endpoint cross checks and use the symmetrized
-finite-element form instead.
+under second-order central differences.  Grids are uniform, so the lumped
+mass matrix is h times the identity and the matrix eigenproblem is already
+in standard symmetric form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +23,16 @@ __all__ = ["Grid1D", "TridiagOperator", "build_grid", "assemble", "rayleigh_quot
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Interior nodes of a partition of [-1, 1].
+    """Interior nodes -1 + (i+1) h of a uniform partition of [-1, 1].
 
-    For ``kind == "uniform"`` the nodes are -1 + (i+1) h with
-    h = 2 / (n_interior + 1).  For ``kind == "graded"`` the gaps grow
-    geometrically away from y = -1 with the declared ratio in (0, 1).
+    h = 2 / (n_interior + 1).  The nodes are exactly antisymmetric, so the
+    mirror images (beta, c) and (-beta, -c) of a Couette problem give
+    exactly reversed matrices.
     """
 
     n_interior: int
-    kind: str
     nodes: np.ndarray
-    h: float | None = None
-    grade_ratio: float | None = None
+    h: float
 
     def __post_init__(self):
         if self.n_interior < 3:
@@ -44,11 +40,6 @@ class Grid1D:
         d = np.diff(np.concatenate(([-1.0], self.nodes, [1.0])))
         if not np.all(d > 0):
             raise ValidationError("nodes must be strictly increasing inside (-1, 1)")
-
-    @property
-    def gaps(self) -> np.ndarray:
-        """All n_interior + 1 gaps, including the two endpoint gaps."""
-        return np.diff(np.concatenate(([-1.0], self.nodes, [1.0])))
 
 
 @dataclass(frozen=True)
@@ -58,8 +49,6 @@ class TridiagOperator:
     diag: np.ndarray
     off: np.ndarray
     grid: Grid1D
-    # Lumped mass weights (graded assembly only); None means h * identity.
-    mass: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -72,37 +61,19 @@ class TridiagOperator:
         return out
 
 
-def build_grid(n_interior: int, kind: str = "uniform", grade_ratio: float | None = None) -> Grid1D:
-    """Build interior nodes on (-1, 1).
-
-    Graded grids refine geometrically toward y = -1: the j-th gap from the
-    left is ``C * grade_ratio**(n_interior - j)``, so at least a quarter of
-    the nodes land in the left tenth of the interval for the ratios of
-    practical interest.
-    """
+def build_grid(n_interior: int) -> Grid1D:
+    """The uniform grid with ``n_interior`` nodes inside (-1, 1)."""
     if n_interior < 3:
         raise ValidationError(f"invalid-count: n_interior must be >= 3, got {n_interior}")
-    if kind == "uniform":
-        h = 2.0 / (n_interior + 1)
-        nodes = -1.0 + h * np.arange(1, n_interior + 1)
-        return Grid1D(n_interior=n_interior, kind=kind, nodes=nodes, h=h)
-    if kind == "graded":
-        if grade_ratio is None or not (0.0 < grade_ratio < 1.0):
-            raise ValidationError(f"invalid-ratio: grade_ratio must lie in (0, 1), got {grade_ratio}")
-        m = n_interior + 1
-        gaps = grade_ratio ** np.arange(m, 0, -1, dtype=float)
-        gaps *= 2.0 / gaps.sum()
-        nodes = -1.0 + np.cumsum(gaps)[:-1]
-        return Grid1D(n_interior=n_interior, kind=kind, nodes=nodes, grade_ratio=grade_ratio)
-    raise ValidationError(f"unknown grid kind: {kind!r}")
+    h = 2.0 / (n_interior + 1)
+    nodes = (2.0 * np.arange(1, n_interior + 1) - (n_interior + 1)) / (n_interior + 1)
+    return Grid1D(n_interior=n_interior, nodes=nodes, h=h)
 
 
 def assemble(grid: Grid1D, Q) -> TridiagOperator:
     """Discretize -d2/dy2 + Q(y) with Dirichlet conditions on the grid.
 
-    Uniform grids use the classic stencil diag_i = 2/h^2 + Q(y_i),
-    off_i = -1/h^2.  Graded grids use the mass-symmetrized FEM form
-    M^{-1/2} (K + M Q) M^{-1/2}, which stays symmetric tridiagonal.
+    The classic stencil: diag_i = 2/h^2 + Q(y_i), off_i = -1/h^2.
     """
     q = np.asarray(Q(grid.nodes), dtype=float)
     if q.shape != grid.nodes.shape:
@@ -110,25 +81,18 @@ def assemble(grid: Grid1D, Q) -> TridiagOperator:
     if not np.all(np.isfinite(q)):
         bad = grid.nodes[~np.isfinite(q)][0]
         raise ValidationError(f"non-finite-potential: Q({bad}) is not finite")
-    if grid.kind == "uniform":
-        h = grid.h
-        diag = 2.0 / h**2 + q
-        off = np.full(grid.n_interior - 1, -1.0 / h**2)
-        return TridiagOperator(diag=diag, off=off, grid=grid)
-    g = grid.gaps
-    mass = 0.5 * (g[:-1] + g[1:])
-    stiff = 1.0 / g[:-1] + 1.0 / g[1:]
-    diag = stiff / mass + q
-    off = -1.0 / (g[1:-1] * np.sqrt(mass[:-1] * mass[1:]))
-    return TridiagOperator(diag=diag, off=off, grid=grid, mass=mass)
+    h = grid.h
+    diag = 2.0 / h**2 + q
+    off = np.full(grid.n_interior - 1, -1.0 / h**2)
+    return TridiagOperator(diag=diag, off=off, grid=grid)
 
 
 def rayleigh_quotient(grid: Grid1D, Q, v: np.ndarray) -> float:
     """Discrete variational quotient of -phi'' + Q phi for node samples v.
 
     Equals (v^T A v) / (v^T v) in the standard symmetric form, i.e. the
-    quadrature form (h v^T A v) / (v^T M v) with the lumped mass M = h I on
-    uniform grids.  Always >= the smallest discrete eigenvalue.
+    quadrature form (h v^T A v) / (v^T M v) with the lumped mass M = h I.
+    Always >= the smallest discrete eigenvalue.
     """
     v = np.asarray(v, dtype=float)
     nrm2 = float(v @ v)

@@ -9,13 +9,16 @@ for a shear profile u.  Three routes are provided:
 * ``lambda_n_regular`` -- Couette flow with the speed c outside the closed
   flow range, where the potential -beta/(y-c) is smooth.
 * ``lambda_1_singular`` -- the endpoint speeds c = -1 (beta >= 0) and
-  c = +1 (beta <= 0) for Couette flow.  The singular problem is approached
-  through the regular one at c = -1-eps (resp. 1+eps) along a decreasing
-  eps schedule, the monotonicity of the resulting values is certified, and
-  the sequence is extrapolated to eps = 0.
+  c = +1 (beta <= 0) for Couette flow.  The potential -beta/(y-c) is finite
+  at every interior node and the eigenfunction is (y-c) times a power
+  series, so the uniform-grid eigenvalue converges at second order like
+  the regular one, and is solved the same way.
 * ``lambda_n_general`` -- arbitrary monotone profiles, including those whose
   potential has a removable singularity on an interval where u'' - beta
   vanishes identically (the modified flows).
+
+``wall_beta`` inverts the wall curve: the beta with lambda_1(beta, -1) =
+-alpha^2 is itself the principal eigenvalue of a weighted problem.
 
 Every eigenvalue is Richardson-extrapolated over grids of size
 {resolution, 2*resolution, 4*resolution}.
@@ -28,28 +31,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    NonMonotoneSequenceError,
     SingularPotentialError,
     SingularSpeedError,
     ValidationError,
     WrongSignBetaError,
 )
-from .eigen import EigenPair, eigen_residual, eigenvector, extrapolate, nth_eigenvalue
-from .grid import assemble, build_grid
+from .eigen import (
+    EigenPair,
+    eigen_residual,
+    eigenvalue_floor,
+    eigenvector,
+    extrapolate,
+    nth_eigenvalue,
+)
+from .grid import TridiagOperator, assemble, build_grid
 
 __all__ = [
     "ShearProfile",
     "RayleighKuoSpec",
     "couette",
     "scaled_couette",
-    "DEFAULT_EPS_SCHEDULE",
     "lambda_n_regular",
     "lambda_1_singular",
+    "wall_beta",
     "lambda_n_general",
 ]
 
-#: eps values for the endpoint regularization: 0.1 halved seven times.
-DEFAULT_EPS_SCHEDULE = tuple(0.1 * 0.5**i for i in range(8))
+# bisection tolerance of every discrete eigenvalue
+_EIG_TOL = 1e-12
 
 # |u(node) - c| below this with a non-vanishing numerator is treated as a
 # genuine critical layer; between the two thresholds the quotient is formed
@@ -134,17 +143,23 @@ class RayleighKuoSpec:
         return cls(profile=prof, beta=beta, c=c, singular=c in (-1.0, 1.0))
 
 
-def _solve_extrapolated(Q, n: int, resolution: int):
-    """Eigenvalue n of -d2/dy2 + Q over grids {r, 2r, 4r}, extrapolated."""
-    seq = []
-    grid = op = lam_h = None
+def _solve_extrapolated(operator, n: int, resolution: int):
+    """Eigenvalue n of operator(grid) over uniform grids {r, 2r, 4r}, extrapolated.
+
+    The error estimate is the last Richardson correction plus the kernel's
+    rounding floor on each grid carried through the tableau.
+    """
+    if resolution < 64:
+        raise ValidationError(f"resolution must be >= 64, got {resolution}")
+    seq, floors = [], []
     for m in (resolution, 2 * resolution, 4 * resolution):
-        grid = build_grid(m, "uniform")
-        op = assemble(grid, Q)
-        lam_h = nth_eigenvalue(op, n, tol=1e-12)
+        grid = build_grid(m)
+        op = operator(grid)
+        lam_h = nth_eigenvalue(op, n, tol=_EIG_TOL)
         seq.append((grid.h, lam_h))
-    value, h_err = extrapolate(seq)
-    return value, h_err, grid, op, lam_h
+        floors.append(eigenvalue_floor(op, _EIG_TOL))
+    value, err = extrapolate(seq, floors)
+    return value, err, grid, op, lam_h
 
 
 def _pair_from_solution(n, value, err, grid, op, lam_h):
@@ -168,7 +183,7 @@ def _lower_vectors(op, n):
     """Eigenvectors of indices < n on the same operator, for re-orthogonalization."""
     vecs = []
     for k in range(1, n):
-        lam_k = nth_eigenvalue(op, k, tol=1e-12)
+        lam_k = nth_eigenvalue(op, k, tol=_EIG_TOL)
         vecs.append(eigenvector(op, lam_k, orthogonalize_against=tuple(vecs)))
     return tuple(vecs)
 
@@ -179,56 +194,15 @@ def lambda_n_regular(spec: RayleighKuoSpec, n: int, resolution: int = 256) -> Ei
         raise SingularSpeedError(
             "singular-speed: use lambda_1_singular for endpoint speeds"
         )
-    if resolution < 64:
-        raise ValidationError(f"resolution must be >= 64, got {resolution}")
-    prof, beta, c = spec.profile, spec.beta, spec.c
-
-    def Q(y):
-        return (prof.d2u(y) - beta) / (prof.u(y) - c)
-
-    value, err, grid, op, lam_h = _solve_extrapolated(Q, n, resolution)
-    return _pair_from_solution(n, value, err, grid, op, lam_h)
+    return lambda_n_general(spec.profile, spec.beta, spec.c, n, resolution)
 
 
-def _neville_to_zero(xs, ys):
-    """Polynomial extrapolation of (xs, ys) to x = 0.
-
-    Returns (value, error): the full-depth tableau entry, and a conservative
-    error bound.  The observed endpoint convergence is first order in eps
-    with a slowly decaying (logarithmic) second-order residue, so the last
-    tableau correction alone underestimates the bias; the spread between the
-    full-depth entry and the three-point entry tracks the true error with a
-    factor-of-a-few margin and is used instead.
-    """
-    xs = np.asarray(xs, dtype=float)
-    m = xs.size
-    # After round `level`, p[i] holds the interpolant through nodes
-    # i..i+level evaluated at 0; ascending i reads p[i+1] before overwrite.
-    p = np.asarray(ys, dtype=float).copy()
-    tail = [p[-1]]
-    for level in range(1, m):
-        for i in range(m - level):
-            p[i] = (xs[i + level] * p[i] - xs[i] * p[i + 1]) / (xs[i + level] - xs[i])
-        tail.append(p[m - level - 1])
-    err = abs(tail[-1] - tail[-2])
-    if m >= 4:
-        err = max(err, abs(tail[-1] - tail[2]))
-    return tail[-1], float(err)
-
-
-def lambda_1_singular(
-    beta: float,
-    side: str,
-    eps_schedule=DEFAULT_EPS_SCHEDULE,
-    resolution: int = 256,
-) -> EigenPair:
+def lambda_1_singular(beta: float, side: str, resolution: int = 256) -> EigenPair:
     """Principal eigenvalue at the singular endpoint speeds c = -1 or c = +1.
 
     ``side="left"`` solves the c = -1 problem (requires beta >= 0),
-    ``side="right"`` the c = +1 problem (requires beta <= 0).  Values along
-    the eps schedule must decrease monotonically (within the grid error
-    budget); violation raises NonMonotoneSequenceError, meaning the
-    resolution is too coarse for the smallest eps.
+    ``side="right"`` the c = +1 problem (requires beta <= 0).  The two are
+    mirror images, and give identical bits for (beta, -1) and (-beta, +1).
     """
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
@@ -236,37 +210,31 @@ def lambda_1_singular(
         raise WrongSignBetaError("wrong-sign-beta: left endpoint requires beta >= 0")
     if side == "right" and beta > 0:
         raise WrongSignBetaError("wrong-sign-beta: right endpoint requires beta <= 0")
-    eps = [float(e) for e in eps_schedule]
-    if len(eps) < 4:
-        raise ValidationError(f"eps_schedule needs >= 4 entries, got {len(eps)}")
-    if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValidationError("eps_schedule must be strictly decreasing and positive")
+    return lambda_n_general(couette(), beta, -1.0 if side == "left" else 1.0, 1, resolution)
 
-    sign = -1.0 if side == "left" else 1.0
-    lams, herrs = [], []
-    finest = None
-    for e in eps:
-        spec = RayleighKuoSpec.for_couette(beta, sign * (1.0 + e))
-        pair = lambda_n_regular(spec, 1, resolution)
-        lams.append(pair.value)
-        herrs.append(pair.error_estimate)
-        finest = pair
-    slack = max(1e-10, 10.0 * max(herrs))
-    for a, b in zip(lams, lams[1:]):
-        if b > a + slack:
-            raise NonMonotoneSequenceError(
-                "non-monotone-sequence: endpoint regularization is not decreasing; "
-                f"refine the resolution (values {a} -> {b} at resolution {resolution})"
-            )
-    value, eps_err = _neville_to_zero(eps, lams)
-    return EigenPair(
-        index=1,
-        value=value,
-        extrapolated=True,
-        error_estimate=max(eps_err, max(herrs), 1e-16),
-        grid=finest.grid,
-        source=lambda: (finest.vector, finest.residual),
-    )
+
+def wall_beta(alpha: float, resolution: int = 256) -> tuple[float, float]:
+    """The beta >= 0 with lambda_1(beta, -1) = -alpha^2, and its error estimate.
+
+    On the grid, lambda_1(beta, -1) is the smallest eigenvalue of K - beta D,
+    with K the Dirichlet second difference and D = diag(1 / (1 + y_i)).  It
+    equals -alpha^2 exactly when beta is the smallest eigenvalue of
+    W^(1/2) (K + alpha^2 I) W^(1/2) with W = diag(1 + y_i): the discrete
+    form of beta = min (int phi'^2 + alpha^2 phi^2) / (int phi^2 / (1 + y)).
+    So one solve per grid replaces a root search on the wall curve.
+    """
+
+    def weighted(grid):
+        w = grid.nodes + 1.0
+        inv_h2 = 1.0 / grid.h**2
+        return TridiagOperator(
+            diag=w * (2.0 * inv_h2 + alpha**2),
+            off=-inv_h2 * np.sqrt(w[:-1] * w[1:]),
+            grid=grid,
+        )
+
+    value, err, *_ = _solve_extrapolated(weighted, 1, resolution)
+    return value, err
 
 
 def lambda_n_general(
@@ -278,13 +246,12 @@ def lambda_n_general(
 ) -> EigenPair:
     """n-th eigenvalue for a general profile, handling removable layers.
 
-    The speed must lie outside the closed flow range, or the critical layer
+    The speed must lie outside the open flow range, or the critical layer
     must fall inside the profile's flat zone with u'' identically equal to
     beta there, in which case the potential is set to its removable value 0
-    on that zone.
+    on that zone.  At an endpoint speed the potential is finite at every
+    interior node.
     """
-    if resolution < 64:
-        raise ValidationError(f"resolution must be >= 64, got {resolution}")
     zone = profile.flat_zone
     removable = zone is not None and profile.flat_d2u == beta
 
@@ -308,5 +275,5 @@ def lambda_n_general(
         out[zone_mask] = 0.0
         return out
 
-    value, err, grid, op, lam_h = _solve_extrapolated(Q, n, resolution)
+    value, err, grid, op, lam_h = _solve_extrapolated(lambda g: assemble(g, Q), n, resolution)
     return _pair_from_solution(n, value, err, grid, op, lam_h)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from betaplane import atlas
-from betaplane.errors import OutOfRangeLambdaError, ValidationError
+from betaplane.errors import NoConvergenceError, OutOfRangeLambdaError, ValidationError
+from betaplane.rayleigh_kuo import wall_beta
 
 PI2_4 = np.pi**2 / 4
 
@@ -28,6 +30,15 @@ class TestBetaStar:
     def test_tol_validation(self):
         with pytest.raises(ValidationError):
             atlas.find_beta_star(tol=1e-9)
+
+    def test_within_estimate_of_shooting_root(self, beta_star):
+        value, err = wall_beta(0.0)
+        assert beta_star == value
+        assert abs(value - oracles.wall_shooting_beta_star()) <= err
+
+    def test_mirror_bit_identical(self):
+        for beta in (0.5, 1.0, 3.0, 4.0, 8.0):
+            assert atlas.lambda1_wall(beta) == atlas.lambda1_wall(-beta)
 
 
 class TestAlphaBetaCurve:
@@ -87,6 +98,11 @@ class TestBetaT:
     def test_period_validation(self):
         with pytest.raises(ValidationError):
             atlas.beta_T(-2.0)
+
+    def test_tol_below_error_estimate_raises(self):
+        _, err = wall_beta(2 * np.pi / 6.0)
+        with pytest.raises(NoConvergenceError, match="exceeds tol"):
+            atlas.beta_T(6.0, tol=err / 2)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-3])

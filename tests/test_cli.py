@@ -171,10 +171,14 @@ class TestConfigAndOutputs:
         assert "--plot requires --out" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("line", [
-        "resolution=abc", "tol=x", "tol.speed=x", "eps_schedule=a,b",
+    @pytest.mark.parametrize("line, reason", [
+        pytest.param("resolution=abc", "bad value for", id="resolution=abc"),
+        pytest.param("tol=x", "bad value for", id="tol=x"),
+        pytest.param("tol.speed=x", "bad value for", id="tol.speed=x"),
+        # the eps schedule of the old endpoint route is gone with it
+        pytest.param("eps_schedule=a,b", "unknown config key", id="eps_schedule=a,b"),
     ])
-    def test_malformed_config_value_names_line(self, line, tmp_path, capsys):
+    def test_malformed_config_value_names_line(self, line, reason, tmp_path, capsys):
         from betaplane.cli import main
 
         cfg = tmp_path / "bad.cfg"
@@ -182,7 +186,18 @@ class TestConfigAndOutputs:
         assert main(["eigen", "--beta", "0.5", "--c", "-2", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         key = line.split("=", 1)[0]
-        assert captured.err.startswith(f"error: {cfg}:2: bad value for {key!r}")
+        assert captured.err.startswith(f"error: {cfg}:2: {reason} {key!r}")
+        assert captured.out == ""
+
+    def test_unknown_tolerance_name_rejected(self, tmp_path, capsys):
+        from betaplane.cli import main
+
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("tol.speed=1e-6\ntol.sped=1e-9\n")
+        argv = ["atlas", "speed", "--beta", "3", "--lambda0", "-1", "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cfg}:2: unknown tolerance 'tol.sped'")
         assert captured.out == ""
 
 

@@ -15,13 +15,13 @@ from betaplane.grid import Grid1D, TridiagOperator, assemble, build_grid
 
 
 def laplacian_op(n):
-    return assemble(build_grid(n, "uniform"), lambda y: np.zeros_like(y))
+    return assemble(build_grid(n), lambda y: np.zeros_like(y))
 
 
 def random_tridiag(rng, n):
     diag = rng.uniform(-5, 5, n)
     off = rng.uniform(-3, 3, n - 1)
-    grid = build_grid(n, "uniform") if n >= 3 else None
+    grid = build_grid(n) if n >= 3 else None
     return diag, off, grid
 
 
@@ -78,7 +78,7 @@ class TestNthEigenvalue:
             diag, off, _ = random_tridiag(rng, n)
             a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             eigs = np.linalg.eigvalsh(a)
-            grid = build_grid(max(n, 3), "uniform")
+            grid = build_grid(max(n, 3))
             op = TridiagOperator(diag=diag, off=off, grid=grid)
             for k in (1, n // 2 + 1, n):
                 assert nth_eigenvalue(op, k, tol=1e-12) == pytest.approx(
@@ -111,7 +111,7 @@ class TestNthEigenvalue:
 
 
 def couette_op(m, beta=2.0, c=-1.5):
-    return assemble(build_grid(m, "uniform"), lambda y: -beta / (y - c))
+    return assemble(build_grid(m), lambda y: -beta / (y - c))
 
 
 class TestLapackKernel:
@@ -150,7 +150,7 @@ class TestEigenvector:
         np.testing.assert_allclose(v, ref, atol=1e-8)
 
     def test_ground_state_one_signed(self):
-        op = assemble(build_grid(80, "uniform"), lambda y: np.sin(3 * y))
+        op = assemble(build_grid(80), lambda y: np.sin(3 * y))
         v = eigenvector(op, nth_eigenvalue(op, 1))
         assert np.all(v > 0)
 
@@ -160,7 +160,7 @@ class TestEigenvector:
         assert np.sum(np.diff(np.sign(v)) != 0) == 1
 
     def test_residual_certificate(self):
-        op = assemble(build_grid(128, "uniform"), lambda y: -1.0 / (y + 3.0))
+        op = assemble(build_grid(128), lambda y: -1.0 / (y + 3.0))
         lam = nth_eigenvalue(op, 1)
         v = eigenvector(op, lam)
         norm_a = np.max(np.abs(op.diag)) + 2 * np.max(np.abs(op.off))
@@ -191,7 +191,7 @@ class TestExtrapolate:
         seq = []
         for h in (2**-4, 2**-5, 2**-6):
             n = int(round(2 / h)) - 1
-            g = build_grid(n, "uniform")
+            g = build_grid(n)
             op = assemble(g, lambda y: np.zeros_like(y))
             seq.append((g.h, nth_eigenvalue(op, 1, tol=1e-13)))
         lam, err = extrapolate(seq)

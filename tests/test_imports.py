@@ -51,7 +51,10 @@ def test_import_loads_none_of_the_deferred_modules():
     ["--version"],
     ["damping", "--beta", "1", "--t-end", "1", "--dt", "0.05", "--samples", "0,1"],
     ["eigen", "--beta", "0.5", "--c", "-2"],
-], ids=["version", "damping", "eigen"])
+    ["eigen", "--beta", "2", "--c", "-1"],
+    ["atlas", "beta-star"],
+    ["atlas", "beta-T", "--period", "6"],
+], ids=["version", "damping", "eigen", "eigen-wall", "beta-star", "beta-T"])
 def test_commands_without_modified_flows_load_none(argv):
     assert loaded_after(cli(argv)) == set()
 

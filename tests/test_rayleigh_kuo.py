@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from betaplane.eigen import nth_eigenvalue
+import oracles
 from betaplane.errors import (
-    NonMonotoneSequenceError,
     SingularPotentialError,
     SingularSpeedError,
     ValidationError,
     WrongSignBetaError,
 )
-from betaplane.grid import assemble, build_grid
+from betaplane.grid import build_grid
 from betaplane.rayleigh_kuo import (
-    DEFAULT_EPS_SCHEDULE,
     RayleighKuoSpec,
     couette,
     lambda_1_singular,
@@ -91,10 +89,26 @@ class TestLambdaSingular:
         # mesh, an independent route to the same limit
         for beta in (1.0, 4.0):
             reg = lambda_1_singular(beta, "left").value
-            g = build_grid(2048, "graded", 0.998)
-            op = assemble(g, lambda y, b=beta: -b / (y + 1.0))
-            direct = nth_eigenvalue(op, 1)
+            direct = oracles.graded_wall_eigenvalue(beta, 2048, 0.998)
             assert direct == pytest.approx(reg, abs=2e-4)
+
+    @pytest.mark.parametrize("beta", [1.0, 4.0, 8.0])
+    def test_within_estimate_of_shooting_oracle(self, beta):
+        pair = lambda_1_singular(beta, "left")
+        assert abs(pair.value - oracles.wall_shooting_eigenvalue(beta)) <= pair.error_estimate
+
+    def test_hydrogen_closed_form(self):
+        # at beta = 2, x (1 - x/2) exp(-x/2) (x = y + 1) is positive on
+        # (0, 2), vanishes at both walls and solves the c = -1 problem with
+        # lambda = -1/4: the 2s state of -phi'' - (2/x) phi
+        pair = lambda_1_singular(2.0, "left")
+        assert abs(pair.value + 0.25) <= pair.error_estimate
+
+    def test_eps_route_cross_check(self):
+        # the eps-regularized limit lands within its own estimate of the direct value
+        for beta in (1.0, 4.0):
+            value, err = oracles.eps_route_wall_eigenvalue(beta, "left")
+            assert abs(value - lambda_1_singular(beta, "left").value) <= err
 
     def test_left_right_symmetry(self):
         for beta in (0.5, 2.0):
@@ -110,13 +124,13 @@ class TestLambdaSingular:
 
     def test_schedule_validation(self):
         with pytest.raises(ValidationError):
-            lambda_1_singular(1.0, "left", (0.1, 0.05, 0.025))
+            oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.05, 0.025))
         with pytest.raises(ValidationError):
-            lambda_1_singular(1.0, "left", (0.1, 0.2, 0.05, 0.025))
+            oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.2, 0.05, 0.025))
 
     def test_error_estimate_is_honest(self):
-        # reference from a deeper schedule at doubled resolution
-        ref = lambda_1_singular(1.0, "left", tuple(0.1 * 0.5**i for i in range(11)), 1024)
+        # reference from the same route at four times the resolution
+        ref = lambda_1_singular(1.0, "left", 1024)
         std = lambda_1_singular(1.0, "left")
         assert abs(std.value - ref.value) <= 3 * std.error_estimate
 
@@ -144,7 +158,7 @@ class TestLambdaGeneral:
 
     def test_singular_potential_detected(self):
         # Couette with c = a node value and a non-vanishing numerator
-        g = build_grid(64, "uniform")
+        g = build_grid(64)
         c = float(g.nodes[10])
         with pytest.raises((SingularPotentialError, SingularSpeedError)):
             lambda_n_general(couette(), 1.0, c, 1, 64)
@@ -202,14 +216,14 @@ class TestSection3Properties:
 
 
 def test_monotone_certificate_trips(monkeypatch):
-    # feed the endpoint route eigenvalues with an upward jump far beyond the
+    # feed the eps route eigenvalues with an upward jump far beyond the
     # grid error budget; the certificate must refuse to extrapolate
     import betaplane.rayleigh_kuo as rk
 
     canned = iter([1.0, 0.9, 0.95, 0.8])
 
     def fake_regular(spec, n, resolution=256):
-        grid = build_grid(8, "uniform")
+        grid = build_grid(8)
         return rk.EigenPair(
             index=1,
             value=next(canned),
@@ -221,5 +235,5 @@ def test_monotone_certificate_trips(monkeypatch):
         )
 
     monkeypatch.setattr(rk, "lambda_n_regular", fake_regular)
-    with pytest.raises(NonMonotoneSequenceError, match="non-monotone-sequence"):
-        rk.lambda_1_singular(1.0, "left", (0.1, 0.05, 0.025, 0.0125))
+    with pytest.raises(oracles.NonMonotoneSequenceError, match="non-monotone-sequence"):
+        oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.05, 0.025, 0.0125))
