@@ -165,17 +165,24 @@ def find_beta_star(tol=1e-5, resolution=256):
 def alpha_beta(beta, resolution=256, cache=None):
     """Borderline wavenumber alpha_beta = sqrt(-lam1(|beta|, -1)).
 
-    Returns (alpha, error_estimate); requires lam1(|beta|, -1) <= 0, i.e.
-    |beta| >= beta_star up to the eigenvalue error.
+    Returns (alpha, error_estimate), the estimate an exact bound on alpha's
+    error when lam1's estimate bounds lam1's; requires lam1(|beta|, -1) <= 0,
+    i.e. |beta| >= beta_star up to the eigenvalue error.
     """
     lam, err = lambda1_wall(abs(float(beta)), resolution, cache)
     if lam > err:
         raise ValidationError(
             f"below-threshold: lam1({abs(beta)}, -1) = {lam} > 0, |beta| < beta_star"
         )
-    alpha = float(np.sqrt(max(-lam, 0.0)))
-    alpha_err = err / (2.0 * alpha) if alpha > 0 else float(np.sqrt(err))
-    return alpha, alpha_err
+    a2 = max(-lam, 0.0)
+    alpha = float(np.sqrt(a2))
+    # |lam_true - lam| <= err puts alpha_true in [sqrt(max(a2 - err, 0)), sqrt(a2 + err)];
+    # the larger distance to alpha, written without cancellation
+    if a2 > err:
+        alpha_err = err / (alpha + np.sqrt(a2 - err))
+    else:
+        alpha_err = max(alpha, np.sqrt(a2 + err) - alpha)
+    return alpha, float(alpha_err)
 
 
 def alpha_beta_curve(betas, resolution=256, cache=None) -> CurveTable:

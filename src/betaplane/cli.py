@@ -36,7 +36,6 @@ _BUILTIN_TOLS = {
     "beta-T": 1e-5,
     "speed": 1e-5,
     "region": 1e-4,
-    "level-set": 1e-4,
 }
 
 

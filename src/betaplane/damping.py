@@ -27,9 +27,23 @@ one purely imaginary factor and the step multiplier is, exactly,
 
 with x1, x2, x4 taken at t, t + dt/2 and t + dt.  The step's endpoint t + dt
 is the same float as the next step's t, so x4 is kept as the next x1 and
-each endpoint is evaluated once: two rate evaluations per step, not three,
-made in one pass over a two-row buffer.  All of it runs in preallocated
-float64 buffers; only the amplitude update is complex.
+each endpoint is evaluated once: two rate evaluations per step, not three.
+All of it runs in preallocated float64 buffers; only the amplitude update
+is complex.
+
+Steps go in blocks of B = max(1, 4096 // modes), B set by the size of the
+lattice: one rate pass evaluates the 2B times t + (dt/2) [1..2B] of a
+block, and t advances by B dt between blocks.  B = 1, the case of every
+lattice of more than 2048 modes, is the plain t + dt/2, t + dt; a few-mode
+run such as ``evolve_rk4`` makes one pass per 4096 steps instead of one per
+step.  The multipliers are applied step by step, in order.
+
+The vorticity is real, so its modes are Hermitian:
+fhat(-k, -eta) = conj fhat(k, eta).  Under (k, eta) -> (-k, -eta) every
+rate x changes sign exactly in IEEE arithmetic, so the multiplier is
+exactly conj M, and a conjugate pair stays one bitwise.  The experiment
+steps one mode of each pair and rebuilds its partner by conjugation at the
+sample times; modes without an exact partner are stepped as they are.
 """
 
 from __future__ import annotations
@@ -132,18 +146,24 @@ def _require_finite(**values) -> None:
             raise ValidationError(f"{name} must be finite, got {value}")
 
 
-class _Kernel:
-    """The rate a(tau) of one mode vector, and float64 buffers for its RK4 steps."""
+def _block_steps(modes: int) -> int:
+    """B = max(1, 4096 // modes): steps per rate pass, about 4096 mode-steps a block."""
+    return max(1, 4096 // max(modes, 1))
 
-    def __init__(self, ks, etas, beta: float):
+
+class _Kernel:
+    """The rate a(tau) of one mode vector, and float64 buffers for blocks of its RK4 steps."""
+
+    def __init__(self, ks, etas, beta: float, block: int):
         self.k = np.asarray(ks, dtype=float)
         self.eta = np.asarray(etas, dtype=float)
         self.k2 = self.k * self.k
         self.bk = beta * self.k
-        self.x1, self.p, self.q, self.r = (np.empty_like(self.k) for _ in range(4))
-        self.x24 = np.empty((2,) + self.k.shape)
-        self.tau24 = np.empty((2, 1))
-        self.m = np.empty(self.k.shape, dtype=complex)
+        self.block = block
+        self.rows = np.empty((2 * block + 1, self.k.size))
+        self.tau = np.empty((2 * block, 1))
+        self.pqr = np.empty((3, block * self.k.size))
+        self.m = np.empty(block * self.k.size, dtype=complex)
 
     def scaled_rate(self, tau, dt: float, out: np.ndarray) -> np.ndarray:
         """out = dt a(tau) = dt beta k / (k^2 + (eta - k tau)^2).
@@ -158,19 +178,45 @@ class _Kernel:
         return np.multiply(out, dt, out)
 
 
-def _rk4_multiplier(x1, kern: _Kernel, t: float, dt: float) -> np.ndarray:
-    """One classical RK4 step multiplier M for d/dt f = i a(t) f, in real arithmetic.
+class _Block:
+    """Views of a _Kernel's buffers for a block of b steps of length ``step``.
 
-    Takes x1 = dt a(t), evaluates x2 = dt a(t + dt/2) and x4 = dt a(t + dt)
-    in one pass as the rows of ``kern.x24``, and returns M in ``kern.m``.
-    Every ufunc writes into its third argument, one of ``kern``'s buffers,
-    so a step allocates nothing.
+    ``rows[:b]`` holds x1 at the steps' starts, ``rows[1:b+1]`` x4 at their
+    ends and ``rows[b+1:2b+1]`` x2 at their midpoints, so x1, x2 and x4 are
+    each one flat, contiguous run, and ``rates = rows[1:2b+1]`` is filled in
+    one pass at the times ``tau``: the block's start plus ``offsets``,
+    (step/2) [2, 4, .., 2b, 1, 3, .., 2b-1].  Row b, the block's last x4, is
+    the next block's first x1.  ``steps`` are the rows of M, one per step.
     """
-    tau = kern.tau24
-    tau[0, 0] = t + 0.5 * dt
-    tau[1, 0] = t + dt
-    x2, x4 = kern.scaled_rate(tau, dt, kern.x24)
-    p, q, r = kern.p, kern.q, kern.r
+
+    def __init__(self, kern: _Kernel, b: int, step: float):
+        size = b * kern.k.size
+        rows = kern.rows
+        self.rate = kern.scaled_rate
+        j = np.concatenate((np.arange(2, 2 * b + 1, 2), np.arange(1, 2 * b, 2)))
+        self.offsets = (0.5 * step * j)[:, None]
+        self.x1 = rows[:b].reshape(size)
+        self.x4 = rows[1 : b + 1].reshape(size)
+        self.x2 = rows[b + 1 : 2 * b + 1].reshape(size)
+        self.rates = rows[1 : 2 * b + 1]
+        self.first_x1, self.last_x4 = rows[0], rows[b]
+        self.tau = kern.tau[: 2 * b]
+        self.p, self.q, self.r = kern.pqr[:, :size]
+        self.m = kern.m[:size]
+        self.m_re, self.m_im = self.m.real, self.m.imag
+        self.steps = self.m.reshape(b, kern.k.size)
+
+
+def _rk4_multiplier(x1, blk: _Block, dt: float) -> np.ndarray:
+    """Classical RK4 step multipliers M for d/dt f = i a(t) f, in real arithmetic.
+
+    Takes x1 = dt a(t_j) at the starts of a block of steps (``blk.x1``),
+    evaluates x4 and x2 at the times ``blk.tau`` in one pass, and returns M,
+    one run of modes per step, in ``blk.m``.  Every ufunc writes into its
+    third argument, one of ``blk``'s views, so a block allocates nothing.
+    """
+    blk.rate(blk.tau, dt, blk.rates)
+    x2, x4, p, q, r = blk.x2, blk.x4, blk.p, blk.q, blk.r
     # 6 Im M = (x1 + x4)(1 - x2^2/2) + 4 x2
     np.add(x1, x4, p)
     np.square(x2, q)
@@ -179,7 +225,7 @@ def _rk4_multiplier(x1, kern: _Kernel, t: float, dt: float) -> np.ndarray:
     np.multiply(p, r, r)
     np.multiply(x2, 4.0, q)
     np.add(r, q, r)
-    np.divide(r, 6.0, kern.m.imag)
+    np.divide(r, 6.0, blk.m_im)
     # 6 (1 - Re M) = x2 (x1 + x2 + x4 - x1 x2 x4 / 4)
     np.add(p, x2, p)
     np.multiply(x1, x4, q)
@@ -188,20 +234,32 @@ def _rk4_multiplier(x1, kern: _Kernel, t: float, dt: float) -> np.ndarray:
     np.subtract(p, q, p)
     np.multiply(p, x2, p)
     np.divide(p, 6.0, p)
-    np.subtract(1.0, p, kern.m.real)
-    return kern.m
+    np.subtract(1.0, p, blk.m_re)
+    return blk.m
 
 
 def _advance(amps: np.ndarray, kern: _Kernel, t0: float, t1: float, dt: float) -> None:
-    """Advance amps in place from t0 to t1 in max(1, round((t1 - t0)/dt)) equal RK4 steps."""
+    """Advance amps in place from t0 to t1 in max(1, round((t1 - t0)/dt)) equal RK4 steps.
+
+    The steps go in blocks of ``kern.block``; a block of b steps from t
+    evaluates the rate at t + (step/2) [1..2b], and t advances by
+    ``kern.block`` steps between blocks.  The multipliers are applied one
+    step at a time, in order.
+    """
     n = max(1, int(round((t1 - t0) / dt)))
     step = (t1 - t0) / n
-    x1 = kern.scaled_rate(t0, step, kern.x1)
+    full = _Block(kern, kern.block, step)
+    kern.scaled_rate(t0, step, kern.rows[0])
     t = t0
-    for _ in range(n):
-        amps *= _rk4_multiplier(x1, kern, t, step)
-        np.copyto(x1, kern.x24[1])  # x4 was evaluated at the next step's t
-        t += step
+    for start in range(0, n, kern.block):
+        b = min(kern.block, n - start)
+        blk = full if b == kern.block else _Block(kern, b, step)
+        np.add(t, blk.offsets, blk.tau)
+        _rk4_multiplier(blk.x1, blk, step)
+        for m in blk.steps:
+            amps *= m
+        np.copyto(blk.first_x1, blk.last_x4)
+        t += kern.block * step
 
 
 def evolve_rk4(state: ModeState, beta: float, t0: float, t1: float, dt: float) -> ModeState:
@@ -212,7 +270,7 @@ def evolve_rk4(state: ModeState, beta: float, t0: float, t1: float, dt: float) -
     if t1 <= t0:
         raise ValidationError(f"t1 must exceed t0, got {t0} -> {t1}")
     amps = np.array([state.amp], dtype=complex)
-    _advance(amps, _Kernel([state.k], [state.eta], beta), t0, t1, dt)
+    _advance(amps, _Kernel([state.k], [state.eta], beta, _block_steps(1)), t0, t1, dt)
     return replace(state, amp=complex(amps[0]))
 
 
@@ -231,6 +289,31 @@ def velocity_norms(ens: ModeEnsemble) -> tuple[float, float]:
     return float(np.sqrt(ux2)), float(np.sqrt(uy2))
 
 
+def _conjugate_pairs(ks, etas, amps) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (reps, partners), reps < partners, of the conjugate-paired modes.
+
+    A pair has exactly mirrored keys, (k, eta) and (-k, -eta), that no
+    other mode shares, and amplitudes with amps[partner] == conj(amps[rep])
+    exactly.  Every other mode (NaN, a shared key, no mirror, amplitudes
+    not conjugate) stays unpaired.
+    """
+    key = np.asarray(ks, dtype=float) + 0j
+    key.imag = etas
+    order = np.argsort(key)
+    ordered = key[order]
+    shared = np.zeros(key.size, dtype=bool)
+    same = ordered[1:] == ordered[:-1]
+    shared[order[1:]] |= same
+    shared[order[:-1]] |= same
+    mirror = order[np.minimum(np.searchsorted(ordered, -key), max(key.size - 1, 0))]
+    i = np.arange(key.size)
+    paired = (
+        (i < mirror) & (key[mirror] == -key) & ~shared & ~shared[mirror]
+        & (amps[mirror] == np.conj(amps))
+    )
+    return i[paired], mirror[paired]
+
+
 def run_damping_experiment(
     init: ModeEnsemble,
     beta: float,
@@ -239,6 +322,9 @@ def run_damping_experiment(
     sample_times=None,
 ) -> CurveTable:
     """Evolve the ensemble with RK4 and tabulate norms and modulus drift.
+
+    One mode of each conjugate pair is stepped, and its partner is rebuilt
+    by conjugation at the sample times: bitwise the same as stepping both.
 
     Rows are (t, ux_nonzero_norm, uy_norm, modulus_drift); the fitted
     log-log decay exponents over sample times >= 10 (past the Orr window)
@@ -260,7 +346,11 @@ def run_damping_experiment(
         raise ValidationError(f"t_end={t_end} is before the last sample time {sample_times[-1]}")
 
     ens = init.copy()
-    kern = _Kernel(ens.ks, ens.etas, beta)
+    reps, partners = _conjugate_pairs(ens.ks, ens.etas, ens.amps)
+    stepped = np.delete(np.arange(ens.amps.size), partners)
+    rep_at = np.searchsorted(stepped, reps)  # where each representative sits in `amps`
+    amps = ens.amps[stepped]
+    kern = _Kernel(ens.ks[stepped], ens.etas[stepped], beta, _block_steps(ens.amps.size))
     mod0 = np.abs(ens.amps)
     table = CurveTable(
         name="damping-experiment",
@@ -269,7 +359,9 @@ def run_damping_experiment(
     )
     for ts in sample_times:
         if ts > ens.t:
-            _advance(ens.amps, kern, ens.t, ts, dt)
+            _advance(amps, kern, ens.t, ts, dt)
+            ens.amps[stepped] = amps
+            ens.amps[partners] = np.conj(amps[rep_at])
         ens.t = ts
         ux, uy = velocity_norms(ens)
         drift = float(np.max(np.abs(np.abs(ens.amps) - mod0)))

@@ -66,6 +66,18 @@ class TestAlphaBetaCurve:
         with pytest.raises(ValidationError, match="below-threshold"):
             atlas.alpha_beta(beta_star / 2)
 
+    def test_error_bounds_near_beta_star(self, beta_star):
+        # the rows of `atlas curve --beta-max 6 --steps 3`; the first sits at
+        # beta*, where alpha (about 5.75e-6) squared is below lam1's estimate
+        table = atlas.alpha_beta_curve(np.linspace(beta_star, 6.0, 3))
+        for row_index, (beta, alpha, est) in enumerate(table.rows):
+            _, err = atlas.lambda1_wall(beta)
+            alpha_ref = np.sqrt(max(-oracles.wall_shooting_eigenvalue(beta), 0.0))
+            assert abs(alpha - alpha_ref) <= est
+            if row_index == 0:
+                assert alpha**2 < err
+                assert est <= np.sqrt(err)
+
     def test_alpha_squared_plus_lambda_identity(self, beta_star):
         for beta in (1.5 * beta_star, 2 * beta_star):
             lam, err = atlas.lambda1_wall(beta)

@@ -200,6 +200,21 @@ class TestConfigAndOutputs:
         assert captured.err.startswith(f"error: {cfg}:2: unknown tolerance 'tol.sped'")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["atlas", "speed", "--beta", "3", "--lambda0", "-1"],
+        ["modified-flow", "--beta", "0.5", "--gamma", "0.01"],
+    ])
+    def test_level_set_tolerance_rejected(self, argv, tmp_path, capsys):
+        # no command reads a level-set tolerance, so the key is unknown
+        from betaplane.cli import main
+
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("tol.region=1e-4\ntol.level-set=1e-9\n")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cfg}:2: unknown tolerance 'tol.level-set'")
+        assert captured.out == ""
+
 
 class TestArgumentRanges:
     @pytest.mark.parametrize("argv", [

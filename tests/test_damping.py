@@ -216,26 +216,43 @@ class TestExperiment:
         assert table.rows[0][1:3] == dp.velocity_norms(ens)
 
 
+def assert_experiment_matches_textbook(ens, beta):
+    dt = 5e-3
+    samples = [0.0, 5.0, 10.0, 20.0, 30.0, 40.0]
+    table = dp.run_damping_experiment(ens, beta, 40.0, dt=dt, sample_times=samples)
+    amps, t = ens.amps, ens.t
+    mod0 = np.abs(amps)
+    for ts, row in zip(samples, table.rows):
+        if ts > t:
+            amps = rk4_evolve_textbook(ens.ks, ens.etas, amps, beta, t, ts, dt)
+        t = ts
+        ux, uy = dp.velocity_norms(dp.ModeEnsemble(ens.ks, ens.etas, amps, ens.d_eta, ts))
+        drift = float(np.max(np.abs(np.abs(amps) - mod0)))
+        assert row[0] == ts
+        assert row[1] == pytest.approx(ux, rel=1e-13, abs=0.0)
+        assert row[2] == pytest.approx(uy, rel=1e-13, abs=0.0)
+        assert abs(row[3] - drift) <= 1e-13
+
+
 class TestRealKernel:
     """The real-arithmetic step against the complex textbook tableau."""
 
     @pytest.mark.parametrize("beta", [1.7, -1.7])
     def test_experiment_matches_textbook(self, beta):
+        assert_experiment_matches_textbook(small_ensemble(), beta)
+
+    def test_unpaired_asymmetric_lattice_matches_textbook(self):
+        # k = 2 has no k = -2 partner: its modes are stepped, k = +-1 are paired
+        ens = dp.ModeEnsemble.from_profile("gaussian", k_set=(1, 2, -1), eta_max=10.0, d_eta=0.1)
+        reps, partners = dp._conjugate_pairs(ens.ks, ens.etas, ens.amps)
+        assert reps.size == 201 and set(ens.ks[reps]) | set(ens.ks[partners]) == {-1, 1}
+        assert_experiment_matches_textbook(ens, 1.7)
+
+    def test_unpaired_random_phases_match_textbook(self, rng):
         ens = small_ensemble()
-        samples = [0.0, 5.0, 10.0, 20.0, 30.0, 40.0]
-        table = dp.run_damping_experiment(ens, beta, 40.0, dt=5e-3, sample_times=samples)
-        amps, t = ens.amps, ens.t
-        mod0 = np.abs(amps)
-        for ts, row in zip(samples, table.rows):
-            if ts > t:
-                amps = rk4_evolve_textbook(ens.ks, ens.etas, amps, beta, t, ts, 5e-3)
-            t = ts
-            ux, uy = dp.velocity_norms(dp.ModeEnsemble(ens.ks, ens.etas, amps, ens.d_eta, ts))
-            drift = float(np.max(np.abs(np.abs(amps) - mod0)))
-            assert row[0] == ts
-            assert row[1] == pytest.approx(ux, rel=1e-13, abs=0.0)
-            assert row[2] == pytest.approx(uy, rel=1e-13, abs=0.0)
-            assert abs(row[3] - drift) <= 1e-13
+        ens.amps = ens.amps * np.exp(1j * rng.uniform(0, 2 * np.pi, ens.amps.size))
+        assert dp._conjugate_pairs(ens.ks, ens.etas, ens.amps)[0].size == 0
+        assert_experiment_matches_textbook(ens, -1.7)
 
     def test_evolve_matches_textbook(self):
         rng = np.random.default_rng(29)
@@ -250,7 +267,7 @@ class TestRealKernel:
             ref = rk4_evolve_textbook([k], [eta], [amp], beta, t0, t1, 1e-2)[0]
             assert abs(out.amp - ref) <= 1e-13
 
-    def test_multiplier_called_once_per_step_per_mode_vector(self, monkeypatch):
+    def test_multiplier_called_once_per_block(self, monkeypatch):
         sizes = []
         kernel = dp._rk4_multiplier
 
@@ -261,7 +278,62 @@ class TestRealKernel:
         monkeypatch.setattr(dp, "_rk4_multiplier", counting)
         ens = small_ensemble()
         dp.run_damping_experiment(ens, 1.0, 2.5, dt=1e-2, sample_times=[0.0, 1.0, 2.5])
-        assert sizes == [ens.amps.size] * (100 + 150)
+        # 100 + 150 steps of one mode per conjugate pair, in blocks of 4096 // 804 = 5 steps
+        block = 4096 // ens.amps.size
+        assert block == 5
+        assert sizes == [block * (ens.amps.size // 2)] * ((100 + 150) // block)
         sizes.clear()
         dp.evolve_rk4(dp.ModeState(1, 0.5, 1.0 + 0.0j), 1.0, 0.0, 3.0, 1e-2)
-        assert sizes == [1] * 300
+        assert sizes == [300]  # 300 mode-steps in ceil(300 / 4096) = 1 block
+
+    def test_evolve_across_two_blocks_matches_textbook(self):
+        st = dp.ModeState(-2, 3.7, 0.6 - 0.8j)
+        out = dp.evolve_rk4(st, 1.3, 0.5, 6.5, 1e-3)  # 6000 steps: blocks of 4096 and 1904
+        ref = rk4_evolve_textbook([st.k], [st.eta], [st.amp], 1.3, 0.5, 6.5, 1e-3)[0]
+        assert abs(out.amp - ref) <= 1e-13
+
+
+class TestConjugatePairs:
+    """One mode per conjugate pair is stepped; the rest are stepped as they are."""
+
+    @pytest.mark.parametrize("beta", [1.7, -1.7, 0.0])
+    def test_paired_bitwise_equal_to_full_lattice(self, beta, monkeypatch):
+        # the table reads moduli only, so the amplitudes are compared too
+        seen = []
+        norms = dp.velocity_norms
+
+        def recording(ens):
+            seen.append(ens.amps.copy())
+            return norms(ens)
+
+        monkeypatch.setattr(dp, "velocity_norms", recording)
+        ens = small_ensemble()
+        samples = [0.0, 5.0, 12.5, 30.0]
+        paired = dp.run_damping_experiment(ens, beta, 30.0, dt=5e-3, sample_times=samples)
+        paired_amps, seen[:] = seen[:], []
+        none = (np.array([], dtype=int), np.array([], dtype=int))
+        monkeypatch.setattr(dp, "_conjugate_pairs", lambda ks, etas, amps: none)
+        full = dp.run_damping_experiment(ens, beta, 30.0, dt=5e-3, sample_times=samples)
+        assert paired.rows == full.rows
+        assert paired.metadata == full.metadata
+        assert len(seen) == len(paired_amps) == len(samples)
+        for a, b in zip(paired_amps, seen):
+            assert np.array_equal(a, b)
+
+    def test_default_lattice_fully_paired(self):
+        ens = dp.ModeEnsemble.from_profile("bump")
+        reps, partners = dp._conjugate_pairs(ens.ks, ens.etas, ens.amps)
+        assert reps.size == ens.amps.size // 2
+        assert np.all(reps < partners)
+        assert np.array_equal(ens.ks[partners], -ens.ks[reps])
+        assert np.array_equal(ens.etas[partners], -ens.etas[reps])
+        assert np.array_equal(ens.amps[partners], np.conj(ens.amps[reps]))
+
+    def test_only_exact_unique_mirrors_pair(self):
+        ks = np.array([1, -1, 2, -2, 3, -3, -3, 0, 1, -1])
+        etas = np.array([0.5, -0.5, np.nan, np.nan, 1.0, -1.0, -1.0, 0.0, 2.0, -2.0])
+        amps = np.array([1 + 2j, 1 - 2j, 1, 1, 1, 1, 1, 1, 1j, 1j])
+        reps, partners = dp._conjugate_pairs(ks, etas, amps)
+        # NaN keys, a shared mirror key, the self-mirror (0, 0) and amplitudes
+        # that are not conjugate are all left unpaired
+        assert reps.tolist() == [0] and partners.tolist() == [1]
