@@ -12,10 +12,11 @@ alpha_beta = sqrt(-lam1(|beta|, -1)) with critical period T_beta =
 
 beta_star and beta_T are principal eigenvalues of the weighted problem
 -phi'' + alpha^2 phi = beta phi / (1 + y) (``rayleigh_kuo.wall_beta``), so
-they take one direct solve per grid; only the speed inversion is a root
-search.  Results carry the eigenvalue error estimates they were derived
-from.  Computations are memoized in process and, when a cache is supplied,
-wall and regular eigenvalues are also kept on disk.
+they take one direct solve per grid.  The one root search is the speed
+inversion lam1(beta, c0) = lambda0, bracketed by the wall and refined by
+``eigen.monotone_root``.  Results carry the eigenvalue error estimates they
+were derived from.  Computations are memoized in process and, when a cache
+is supplied, wall and regular eigenvalues are also kept on disk.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .errors import (
     NoConvergenceError,
     OutOfRangeLambdaError,
     ValidationError,
+    WrongSignBetaError,
 )
+from .eigen import monotone_root
 from .rayleigh_kuo import (
     RayleighKuoSpec,
     lambda_1_singular,
@@ -67,7 +70,6 @@ REGION_I_MINUS = "I-"
 PI2_OVER_4 = np.pi**2 / 4.0
 
 _MAX_BRACKET_DOUBLINGS = 60
-_MAX_BISECT = 200
 
 
 def _require_tol(tol):
@@ -242,11 +244,15 @@ def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, cache=None):
 
     lam1(beta, .) decreases from pi^2/4 (c -> -inf) to lam1(beta, -1)
     (c -> -1), so any lambda0 strictly between those values is attained
-    exactly once; lambda0 = 0 returns the crossing speed c_beta.
+    exactly once; lambda0 = 0 returns the crossing speed c_beta.  On every
+    grid lam1(beta, c) tends to the wall value as c -> -1, so the bracket
+    runs from -R (R doubling from 8) to the wall.
     """
     beta = float(beta)
     lambda0 = float(lambda0)
     _require_tol(tol)
+    if beta < 0:
+        raise WrongSignBetaError(f"wrong-sign-beta: speed inversion requires beta >= 0, got {beta}")
     lam_wall, _ = lambda1_wall(beta, resolution, cache)
     if not lam_wall < lambda0 < PI2_OVER_4:
         raise OutOfRangeLambdaError(
@@ -257,30 +263,12 @@ def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, cache=None):
     def f(c):
         return lambda1_regular(beta, c, resolution, cache)[0] - lambda0
 
-    # f < 0 near the wall, f > 0 far out; shrink delta / double R as needed.
-    delta = 1e-3
+    hi, f_hi = -1.0, lam_wall - lambda0
+    lo = -8.0
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if f(-1.0 - delta) < 0:
-            break
-        delta *= 0.5
-        if delta < 1e-9:
-            raise BracketFailureError("bracket-failure: no sign change approaching the wall")
-    hi = -1.0 - delta
-    R = 8.0
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if f(-R) > 0:
-            break
-        R *= 2.0
-    else:
-        raise BracketFailureError("bracket-failure: lam1(beta,c) never exceeded lambda0")
-    lo = -R
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        if fm > 0:
-            lo = mid
-        else:
-            hi = mid
-    raise NoConvergenceError("speed bisection did not reach the residual tolerance")
+        f_lo = f(lo)
+        if f_lo > 0:
+            return monotone_root(f, lo, hi, f_lo, f_hi, tol)
+        hi, f_hi = lo, f_lo
+        lo *= 2.0
+    raise BracketFailureError("bracket-failure: lam1(beta,c) never exceeded lambda0")

@@ -1,4 +1,4 @@
-"""Eigenvalues of symmetric tridiagonal matrices, and their eigenvectors.
+"""Eigenvalues and eigenvectors of symmetric tridiagonal matrices, and roots.
 
 The n-th eigenvalue comes from LAPACK's ``stebz`` bisection (through
 ``scipy.linalg.eigh_tridiagonal``), after the matrix is put in a canonical
@@ -6,15 +6,18 @@ orientation so that a problem and its mirror image (rows reversed) give
 bit-identical values.  ``sturm_count``, the negative-inertia count of
 A - x I from the signs of the LDL^T pivots, is kept as the certificate the
 tests check those values against.  Eigenvectors are built on demand by
-inverse iteration with a deterministic start vector, and grid sequences are
-Richardson-extrapolated to the continuum limit assuming second-order
-convergence, with the kernel's rounding floor carried into the error.
+LAPACK's ``stein``, the inverse iteration paired with ``stebz``.  Grid
+sequences are Richardson-extrapolated to the continuum limit assuming
+second-order convergence, with the kernel's rounding floor carried into the
+error.  ``monotone_root`` is the one bracketing root search, shared by the
+speed inversion and the modified-flow level set.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 
 from .errors import NoConvergenceError, ValidationError
 from .grid import Grid1D, TridiagOperator
@@ -27,6 +30,7 @@ __all__ = [
     "eigenvalue_floor",
     "eigenvector",
     "extrapolate",
+    "monotone_root",
 ]
 
 
@@ -169,75 +173,25 @@ def _apply_sign_convention(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def eigenvector(
-    op: TridiagOperator,
-    lam: float,
-    orthogonalize_against: tuple[np.ndarray, ...] = (),
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> np.ndarray:
-    """Inverse iteration for the eigenvector at an approximate eigenvalue.
+def eigenvector(op: TridiagOperator, lam: float) -> np.ndarray:
+    """Unit eigenvector of ``op`` at its eigenvalue ``lam``, by LAPACK ``stein``.
 
-    Deterministic all-ones start (orthogonalized against any supplied
-    lower-index vectors, which disambiguates clustered eigenvalues), one
-    Rayleigh-quotient refinement after convergence, unit norm, and the sign
-    fixed so the first extremum is nonnegative.
+    ``stein`` starts from a fixed pseudo-random vector, so the result is
+    deterministic; the sign makes the first extremum nonnegative.  It takes
+    any shift, so ``lam`` is first checked against the Gershgorin interval.
     """
     m = op.dim
     glo, ghi = gershgorin_interval(op)
     if not glo <= lam <= ghi:
         raise ValidationError(f"lambda={lam} outside the Gershgorin range [{glo}, {ghi}]")
-    norm_a = max(np.max(np.abs(op.diag)) + 2 * (np.max(np.abs(op.off)) if m > 1 else 0.0), 1e-300)
-
-    ab = np.zeros((3, m))
-    ab[0, 1:] = op.off
-    ab[2, :-1] = op.off
-
-    def solve_shifted(mu, rhs):
-        shift = mu
-        for attempt in range(4):
-            ab[1] = op.diag - shift
-            try:
-                with np.errstate(all="ignore"):
-                    w = solve_banded((1, 1), ab, rhs)
-                if np.all(np.isfinite(w)) and np.any(w):
-                    return w
-            except np.linalg.LinAlgError:
-                pass
-            shift = mu + norm_a * 1e-13 * 10.0**attempt
-        raise NoConvergenceError("no-convergence: shifted solve failed near lambda")
-
-    def orth(w):
-        for u in orthogonalize_against:
-            w = w - (u @ w) * u
-        return w
-
-    v = orth(np.ones(m) / np.sqrt(m))
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        v = np.zeros(m)
-        v[0] = 1.0
-        v = orth(v)
-        nv = np.linalg.norm(v)
-    v /= nv
-
-    mu = lam
-    for it in range(max_iter):
-        v = orth(solve_shifted(mu, v))
-        v /= np.linalg.norm(v)
-        resid = np.linalg.norm(op.matvec(v) - (v @ op.matvec(v)) * v) / norm_a
-        if resid <= tol:
-            # one Rayleigh-quotient refinement step
-            mu = float(v @ op.matvec(v))
-            w = orth(solve_shifted(mu, v))
-            w /= np.linalg.norm(w)
-            if np.linalg.norm(op.matvec(w) - (w @ op.matvec(w)) * w) / norm_a <= resid:
-                v = w
-            return _apply_sign_convention(v)
-    raise NoConvergenceError(
-        f"no-convergence: inverse iteration stalled after {max_iter} iterations "
-        f"(lambda={lam} likely not near the spectrum)"
-    )
+    block = np.ones(m, dtype=np.int32)
+    split = np.full(m, m, dtype=np.int32)
+    z, info = dstein(op.diag, op.off, np.array([lam]), block, split)
+    if info != 0:
+        raise NoConvergenceError(
+            f"no-convergence: LAPACK stein did not converge at lambda={lam} (info={info})"
+        )
+    return _apply_sign_convention(z[:, 0])
 
 
 def eigen_residual(op: TridiagOperator, lam: float, v: np.ndarray) -> float:
@@ -276,3 +230,41 @@ def extrapolate(values, floors=None) -> tuple[float, float]:
             bound[i] = (xs[i] * bound[i + 1] + xs[i + level] * bound[i]) / span
         tail.append(p[m - level - 1])
     return float(tail[-1]), abs(float(tail[-1] - tail[-2])) + float(bound[0])
+
+
+# values a root search may take before it gives up
+_MAX_ROOT_EVALS = 100
+
+
+def monotone_root(f, lo, hi, f_lo, f_hi, tol):
+    """A point x in (lo, hi) with |f(x)| <= tol, given f(lo) and f(hi) of opposite signs.
+
+    Illinois (modified regula falsi): the secant point of the bracket, with
+    the value at an end kept twice in a row halved.  An iterate not strictly
+    inside the bracket is replaced by the midpoint, so f is never evaluated
+    at or beyond lo and hi.  Raises NoConvergenceError after
+    ``_MAX_ROOT_EVALS`` values, or once no float lies between the ends.
+    """
+    kept = 0
+    for _ in range(_MAX_ROOT_EVALS):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if abs(fx) <= tol:
+            return x
+        if (fx < 0) == (f_hi < 0):
+            hi, f_hi = x, fx
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+        else:
+            lo, f_lo = x, fx
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+    raise NoConvergenceError(
+        f"no-convergence: root search did not reach |f| <= {tol:.3g} in ({lo}, {hi})"
+    )

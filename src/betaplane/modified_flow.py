@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import NoBracketError, ValidationError
-from .eigen import EigenPair
+from .eigen import EigenPair, monotone_root
 from .rayleigh_kuo import ShearProfile, lambda_n_general
 
 __all__ = [
@@ -287,8 +287,10 @@ def level_set_a(
 
     Requires lambda_1(gamma, 0) > d and lambda_1(gamma, a_max) < d; a scan
     in steps of a_max/scan_steps locates the first sign-change bracket and
-    bisection refines it.
+    ``monotone_root`` refines it.
     """
+    if scan_steps < 1:
+        raise ValidationError(f"scan_steps must be >= 1, got {scan_steps}")
     if a_max is None:
         a_max = default_a_max(d)
     if a_max <= 0:
@@ -298,37 +300,22 @@ def level_set_a(
     if resolution is None:
         resolution = suggested_resolution(gamma)
 
-    def lam(a):
-        return lambda_n_modified(ModifiedFlowParams(beta, gamma, a), 1, resolution).value
+    def f(a):
+        return lambda_n_modified(ModifiedFlowParams(beta, gamma, a), 1, resolution).value - d
 
-    lam_lo = lam(0.0)
-    lam_hi = lam(a_max)
-    if not (lam_lo > d and lam_hi < d):
+    f_lo = f(0.0)
+    f_max = f(a_max)
+    if not (f_lo > 0 and f_max < 0):
         raise NoBracketError(
             "no-bracket: need lambda_1(gamma,0) > d > lambda_1(gamma,a_max), got "
-            f"{lam_lo} and {lam_hi} around d={d} (gamma may not be small enough)"
+            f"{f_lo + d} and {f_max + d} around d={d} (gamma may not be small enough)"
         )
     step = a_max / scan_steps
-    a_lo, f_lo = 0.0, lam_lo - d
-    a_hi = None
+    a_lo = 0.0
     for k in range(1, scan_steps + 1):
-        a_k = k * step
-        f_k = lam(a_k) - d
+        a_k, f_k = (k * step, f(k * step)) if k < scan_steps else (a_max, f_max)
         if abs(f_k) <= tol:
             return a_k
         if f_k < 0:
-            a_hi = a_k
-            break
+            return monotone_root(f, a_lo, a_k, f_lo, f_k, tol)
         a_lo, f_lo = a_k, f_k
-    if a_hi is None:
-        raise NoBracketError("no-bracket: scan found no sign change despite endpoint checks")
-    for _ in range(200):
-        mid = 0.5 * (a_lo + a_hi)
-        f_m = lam(mid) - d
-        if abs(f_m) <= tol:
-            return mid
-        if f_m > 0:
-            a_lo = mid
-        else:
-            a_hi = mid
-    raise NoBracketError("no-bracket: bisection failed to reach the level-set tolerance")

@@ -21,7 +21,8 @@ for a shear profile u.  Three routes are provided:
 -alpha^2 is itself the principal eigenvalue of a weighted problem.
 
 Every eigenvalue is Richardson-extrapolated over grids of size
-{resolution, 2*resolution, 4*resolution}.
+{resolution, 2*resolution, 4*resolution}.  Eigenvectors, on the finest
+grid, are built only when a pair's ``vector`` or ``residual`` is read.
 """
 
 from __future__ import annotations
@@ -163,10 +164,10 @@ def _solve_extrapolated(operator, n: int, resolution: int):
 
 
 def _pair_from_solution(n, value, err, grid, op, lam_h):
-    """EigenPair whose vector is built by inverse iteration on first read."""
+    """EigenPair whose vector is built by LAPACK ``stein`` on first read."""
 
     def source():
-        vec = eigenvector(op, lam_h, orthogonalize_against=_lower_vectors(op, n))
+        vec = eigenvector(op, lam_h)
         return vec, eigen_residual(op, lam_h, vec)
 
     return EigenPair(
@@ -177,15 +178,6 @@ def _pair_from_solution(n, value, err, grid, op, lam_h):
         grid=grid,
         source=source,
     )
-
-
-def _lower_vectors(op, n):
-    """Eigenvectors of indices < n on the same operator, for re-orthogonalization."""
-    vecs = []
-    for k in range(1, n):
-        lam_k = nth_eigenvalue(op, k, tol=_EIG_TOL)
-        vecs.append(eigenvector(op, lam_k, orthogonalize_against=tuple(vecs)))
-    return tuple(vecs)
 
 
 def lambda_n_regular(spec: RayleighKuoSpec, n: int, resolution: int = 256) -> EigenPair:

@@ -232,14 +232,16 @@ def rk4_multiplier_textbook(ks, etas, beta, t, dt):
 
 
 def rk4_evolve_textbook(ks, etas, amps, beta, t0, t1, dt):
-    """amps advanced from t0 to t1 in max(1, round((t1 - t0)/dt)) textbook RK4 steps."""
+    """amps advanced from t0 to t1 in max(1, round((t1 - t0)/dt)) textbook RK4 steps.
+
+    Step j starts at t0 + j * step, computed afresh, so long runs carry no
+    accumulated rounding in the step times.
+    """
     ks = np.asarray(ks, dtype=float)
     etas = np.asarray(etas, dtype=float)
     amps = np.array(amps, dtype=complex)
     n = max(1, int(round((t1 - t0) / dt)))
     step = (t1 - t0) / n
-    t = t0
-    for _ in range(n):
-        amps *= rk4_multiplier_textbook(ks, etas, beta, t, step)
-        t += step
+    for j in range(n):
+        amps *= rk4_multiplier_textbook(ks, etas, beta, t0 + j * step, step)
     return amps

@@ -3,7 +3,12 @@ import pytest
 
 import oracles
 from betaplane import atlas
-from betaplane.errors import NoConvergenceError, OutOfRangeLambdaError, ValidationError
+from betaplane.errors import (
+    NoConvergenceError,
+    OutOfRangeLambdaError,
+    ValidationError,
+    WrongSignBetaError,
+)
 from betaplane.rayleigh_kuo import wall_beta
 
 PI2_4 = np.pi**2 / 4
@@ -201,6 +206,31 @@ class TestSpeedInversion:
             atlas.speed_for_eigenvalue(beta, lam_wall - 1.0)
         with pytest.raises(OutOfRangeLambdaError):
             atlas.speed_for_eigenvalue(beta, PI2_4 + 0.1)
+
+    def test_negative_beta_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no eigenvalue may be computed")
+
+        monkeypatch.setattr(atlas, "lambda1_wall", no_solve)
+        monkeypatch.setattr(atlas, "lambda1_regular", no_solve)
+        with pytest.raises(WrongSignBetaError, match="wrong-sign-beta"):
+            atlas.speed_for_eigenvalue(-3.0, 0.0)
+
+    def test_few_regular_values_per_inversion(self, monkeypatch):
+        speeds = []
+        regular = atlas.lambda1_regular
+
+        def counting(beta, c, *args, **kwargs):
+            speeds.append(c)
+            return regular(beta, c, *args, **kwargs)
+
+        atlas._lambda1_wall_mem.cache_clear()
+        atlas._lambda1_regular_mem.cache_clear()
+        monkeypatch.setattr(atlas, "lambda1_regular", counting)
+        c0 = atlas.speed_for_eigenvalue(3.0, -1.0, tol=1e-5)
+        assert len(speeds) <= 12
+        assert all(c < -1.0 for c in speeds)
+        assert abs(regular(3.0, c0)[0] + 1.0) <= 1e-5
 
 
 def test_disk_cache_round_trip(tmp_path):

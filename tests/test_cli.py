@@ -231,6 +231,14 @@ class TestArgumentRanges:
         assert "must be finite and positive" in captured.err
         assert captured.out == ""
 
+    def test_speed_negative_beta_exit_2(self, capsys):
+        from betaplane.cli import main
+
+        assert main(["atlas", "speed", "--beta", "-3", "--lambda0", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "wrong-sign-beta" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("line", ["tol=inf", "tol.speed=nan", "tol.speed=-1"])
     def test_tolerance_config_finite_positive(self, line, tmp_path, capsys):
         from betaplane.cli import main

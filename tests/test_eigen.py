@@ -8,6 +8,7 @@ from betaplane.eigen import (
     eigenvector,
     extrapolate,
     gershgorin_interval,
+    monotone_root,
     nth_eigenvalue,
     sturm_count,
 )
@@ -178,6 +179,53 @@ class TestEigenvector:
         v1 = eigenvector(op, lam)
         v2 = eigenvector(op, lam)
         assert np.array_equal(v1, v2)
+
+
+class TestMonotoneRoot:
+    @pytest.mark.parametrize("f, lo, hi, root", [
+        (lambda x: x**3 - 2.0, 0.0, 2.0, 2.0 ** (1 / 3)),
+        (lambda x: np.exp(x) - 3.0, -5.0, 5.0, np.log(3.0)),
+        (lambda x: np.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        (lambda x: 1.0 / x - 0.25, 0.5, 100.0, 4.0),
+        (lambda x: np.tanh(50 * (x - 0.3)), -1.0, 1.0, 0.3),
+    ], ids=["cube", "exp", "cos", "hyperbola", "steep"])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_meets_tolerance_on_closed_form_roots(self, f, lo, hi, root, tol):
+        x = monotone_root(f, lo, hi, f(lo), f(hi), tol)
+        assert abs(f(x)) <= tol
+        assert lo < x < hi
+        assert x == pytest.approx(root, abs=1e3 * tol)
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x**9 - 1e-3, 0.0, 1.0),
+        (lambda x: 1.0 if x < 1e-9 else -1.0, 0.0, 1.0),
+        (lambda x: np.expm1(40 * x) - 1.0, -1.0, 1.0),
+    ], ids=["flat", "jump-near-end", "exponential"])
+    def test_never_leaves_the_open_bracket(self, f, lo, hi):
+        seen = []
+
+        def spy(x):
+            seen.append(x)
+            assert lo < x < hi
+            return f(x)
+
+        try:
+            monotone_root(spy, lo, hi, f(lo), f(hi), 1e-12)
+        except NoConvergenceError:
+            pass
+        assert seen
+
+    def test_jump_raises(self):
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return -1.0 if x < 0.3 else 1.0
+
+        with pytest.raises(NoConvergenceError, match="no-convergence"):
+            monotone_root(step, 0.0, 1.0, -1.0, 1.0, 1e-6)
+        assert len(calls) <= 100
+        assert min(abs(x - 0.3) for x in calls) < 1e-12
 
 
 class TestExtrapolate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from betaplane import modified_flow as mf
-from betaplane.errors import NoBracketError, ValidationError
+from betaplane.errors import NoBracketError, NoConvergenceError, ValidationError
 from oracles import quad_integral, simpson_integral
 
 # frozen from the quadrature oracle (2/sqrt(pi)) int_0^1 exp(-s^2) ds
@@ -228,6 +228,28 @@ class TestLevelSet:
         beta, g = 0.5, 1e-2
         with pytest.raises(NoBracketError, match="no-bracket"):
             mf.level_set_a(beta, g, -50.0, a_max=10.0, resolution=512, scan_steps=4)
+
+    @pytest.mark.parametrize("scan_steps", [0, -3])
+    def test_scan_steps_at_least_one_before_any_solve(self, scan_steps, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no eigenvalue may be computed")
+
+        monkeypatch.setattr(mf, "lambda_n_modified", no_solve)
+        with pytest.raises(ValidationError, match="scan_steps must be >= 1"):
+            mf.level_set_a(0.5, 1e-2, -1.0, a_max=10.0, resolution=512, scan_steps=scan_steps)
+
+    def test_refinement_failure_is_no_convergence(self, monkeypatch):
+        # lambda_1 jumps across d inside the first bracket, so no amplitude meets tol
+        class Pair:
+            def __init__(self, value):
+                self.value = value
+
+        def jump(params, n, resolution=None):
+            return Pair(1.0 if params.a < 0.3 else -1.0)
+
+        monkeypatch.setattr(mf, "lambda_n_modified", jump)
+        with pytest.raises(NoConvergenceError, match="no-convergence"):
+            mf.level_set_a(0.5, 1e-2, 0.0, a_max=1.0, tol=1e-3, resolution=512, scan_steps=4)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
     def test_tolerance_must_be_finite_positive(self, tol):

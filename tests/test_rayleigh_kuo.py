@@ -70,6 +70,16 @@ class TestLambdaRegular:
         assert pair.residual <= 1e-10
         assert pair.extrapolated
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_higher_vectors_without_reorthogonalization(self, n):
+        spec = RayleighKuoSpec.for_couette(1.0, -2.0)
+        pairs = [lambda_n_regular(spec, k, 256) for k in range(1, n + 1)]
+        v = pairs[-1].vector
+        assert np.count_nonzero(np.diff(np.sign(v[v != 0])) != 0) == n - 1
+        for lower in pairs[:-1]:
+            assert abs(lower.vector @ v) <= 1e-10
+        assert pairs[-1].residual <= 1e-10
+
     def test_singular_spec_rejected(self):
         with pytest.raises(SingularSpeedError):
             lambda_n_regular(RayleighKuoSpec.for_couette(1.0, -1.0), 1, 256)
