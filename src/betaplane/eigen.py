@@ -95,11 +95,15 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, x) -> np.ndarray:
     pivmin = np.finfo(float).tiny / np.finfo(float).eps
     if off2.size:
         pivmin = max(pivmin, off2.max() * np.finfo(float).eps ** 2)
+    # A pivot below pivmin is replaced by +pivmin before it is both counted
+    # and propagated: that is the count of a shift a hair below x, so an
+    # eigenvalue equal to x is never counted as strictly below it.
     q = diag[0] - xs
+    q = np.where(np.abs(q) < pivmin, pivmin, q)
     count = (q < 0).astype(np.int64)
     for i in range(1, diag.size):
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
         q = diag[i] - xs - off2[i - 1] / q
+        q = np.where(np.abs(q) < pivmin, pivmin, q)
         count += q < 0
     return count if np.ndim(x) else count[0]
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betaplane.errors import NoConvergenceError, ValidationError
@@ -49,10 +49,24 @@ class TestSturmCount:
                 assert sturm_count(diag, off, x) == np.sum(eigs < x)
 
     @given(tridiag_matrices(), st.floats(-20, 20), st.floats(0.001, 5))
+    @example((np.array([0.0, 1, 0, 1, 0, 1, 0]), np.array([0.0, 1, 0, 1, 0, 1])),
+             0.0, 1.0)
     @settings(max_examples=60, deadline=None)
     def test_count_nondecreasing(self, mat, x, dx):
         diag, off = mat
         assert sturm_count(diag, off, x) <= sturm_count(diag, off, x + dx)
+
+    @pytest.mark.parametrize("diag, off", [
+        ([0.0, 1, 0, 1, 0, 1, 0], [0.0, 1, 0, 1, 0, 1]),
+        ([2.0, 0, 2, 0], [0.0, 0, 0]),
+        ([1.0, 1, 1], [0.0, 1]),
+    ], ids=["blocks", "diagonal", "zero-coupling"])
+    def test_exact_eigenvalue_shift_is_not_counted(self, diag, off):
+        diag, off = np.array(diag), np.array(off)
+        a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        eigs = np.linalg.eigvalsh(a)
+        for x in (0.0, 1.0, 2.0):
+            assert sturm_count(diag, off, x) == np.sum(eigs < x - 1e-12)
 
     def test_vectorized_shifts(self):
         op = laplacian_op(9)
