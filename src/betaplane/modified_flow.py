@@ -12,11 +12,12 @@ translated error-function term (supported on [3 gamma, 7 gamma]) drags the
 principal eigenvalue down as its amplitude a grows, at the asymptotic rate
 3 + (3/2) b0 a with b0 < 0 a universal constant.
 
-The cutoff integral is precomputed once on a dense table and interpolated
-monotone-cubically; its derivatives are analytic.  erf is
-``scipy.special.erf``, re-exported here as ``erf``.  scipy.integrate and
-scipy.interpolate are imported inside the two cached set-up functions that
-use them (``b0`` and the cutoff table), so importing the package skips them.
+The cutoff integral G(u) = int_u^2 eta is tabulated once on 8193 nodes of
+[1, 2] by 16-point Gauss-Legendre and interpolated by cubic Hermite pieces
+with its exact slopes -eta, limited per interval (Fritsch-Carlson) so that
+the cutoff stays monotone and nonnegative; its derivatives are analytic.
+``b0`` uses the same Gauss-Legendre rule.  erf is ``scipy.special.erf``,
+re-exported here as ``erf``; no other part of scipy is used.
 """
 
 from __future__ import annotations
@@ -82,19 +83,34 @@ _TABLE_POINTS = 8193
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def _panel_integrals(f, lo, hi, panels):
+    """16-point Gauss-Legendre integrals of f over `panels` equal panels of [lo, hi]."""
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return half * f(mids[:, None] + half * _GL_NODES[None, :]) @ _GL_WEIGHTS
+
+
 @lru_cache(maxsize=1)
 def _cutoff_table():
-    """PCHIP interpolant of G(u) = integral of eta over [u, 2], and G(1)."""
-    from scipy.interpolate import PchipInterpolator
+    """Hermite coefficients of G(u) = integral of eta over [u, 2], and G(1).
 
+    Row i is G on [u_i, u_i + h] in t = (u - u_i)/h, c0 + t (c1 + t (c2 + t c3)).
+    """
     us = np.linspace(1.0, 2.0, _TABLE_POINTS)
-    half = 0.5 * (us[1] - us[0])
-    mids = 0.5 * (us[:-1] + us[1:])
-    # 16-point Gauss-Legendre per subinterval, accumulated from the right.
-    samples = _bump(mids[:, None] + half * _GL_NODES[None, :])
-    pieces = half * samples @ _GL_WEIGHTS
+    pieces = _panel_integrals(_bump, 1.0, 2.0, _TABLE_POINTS - 1)
     g = np.concatenate((np.cumsum(pieces[::-1])[::-1], [0.0]))
-    return PchipInterpolator(us, g), float(g[0])
+    # Exact end slopes G' = -eta, pulled into the disc of radius 3 (Fritsch-Carlson)
+    # so that every piece is monotone, also on the flat intervals next to u = 2.
+    delta = np.diff(g)
+    slope = -(us[1] - us[0]) * _bump(us)
+    m0, m1 = slope[:-1], slope[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.hypot(m0 / delta, m1 / delta)
+    scale = np.where(delta == 0.0, 0.0, np.where(r > 3.0, 3.0 / r, 1.0))
+    m0, m1 = scale * m0, scale * m1
+    coeffs = np.stack((g[:-1], m0, 3.0 * delta - 2.0 * m0 - m1, m0 + m1 - 2.0 * delta), axis=1)
+    return coeffs, float(g[0])
 
 
 def cutoff_I(x):
@@ -102,12 +118,16 @@ def cutoff_I(x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     a = np.abs(np.atleast_1d(arr))
-    interp, norm = _cutoff_table()
     out = np.zeros_like(a)
     out[a <= 1.0] = 1.0
     mid = (a > 1.0) & (a < 2.0)
     if np.any(mid):
-        out[mid] = interp(a[mid]) / norm
+        coeffs, norm = _cutoff_table()
+        s = (a[mid] - 1.0) * (_TABLE_POINTS - 1)
+        i = np.minimum(s.astype(np.intp), _TABLE_POINTS - 2)
+        t = s - i
+        c0, c1, c2, c3 = coeffs[i].T
+        out[mid] = (c0 + t * (c1 + t * (c2 + t * c3))) / norm
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
@@ -242,15 +262,13 @@ def b0() -> float:
     """The negative constant 2 * int_0^2 ((x+5)^-3 - (5-x)^-3) erf(x) I(x) dx.
 
     Controls the small-gamma asymptote 3 + (3/2) b0 a of the principal
-    eigenvalue; evaluated by adaptive quadrature to 1e-12 absolute.
+    eigenvalue; evaluated by 16-point Gauss-Legendre on 256 equal panels.
     """
-    from scipy.integrate import quad
 
     def integrand(x):
         return ((x + 5.0) ** -3 - (5.0 - x) ** -3) * erf(x) * cutoff_I(x)
 
-    val, _ = quad(integrand, 0.0, 2.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return 2.0 * val
+    return 2.0 * float(np.sum(_panel_integrals(integrand, 0.0, 2.0, 256)))
 
 
 def suggested_resolution(gamma: float, floor: int = 256) -> int:
@@ -287,13 +305,14 @@ def level_set_a(
 
     Requires lambda_1(gamma, 0) > d and lambda_1(gamma, a_max) < d; a scan
     in steps of a_max/scan_steps locates the first sign-change bracket and
-    ``monotone_root`` refines it.
+    ``monotone_root`` refines it.  Without ``a_max`` the bound
+    ``default_a_max(d)`` is used where it is positive; elsewhere a doubles
+    from 1 until lambda_1 < d, and an amplitude the monotonicity guard
+    rejects first raises ``NoBracketError``.
     """
     if scan_steps < 1:
         raise ValidationError(f"scan_steps must be >= 1, got {scan_steps}")
-    if a_max is None:
-        a_max = default_a_max(d)
-    if a_max <= 0:
+    if a_max is not None and a_max <= 0:
         raise ValidationError(f"a_max must be positive, got {a_max}")
     if not (tol > 0 and np.isfinite(tol)):
         raise ValidationError(f"tol must be finite and positive, got {tol}")
@@ -304,10 +323,24 @@ def level_set_a(
         return lambda_n_modified(ModifiedFlowParams(beta, gamma, a), 1, resolution).value - d
 
     f_lo = f(0.0)
-    f_max = f(a_max)
+    if a_max is None:
+        a_max = default_a_max(d)
+    if a_max > 0:
+        f_max = f(a_max)
+    else:
+        a_max, f_max = 0.0, f_lo
+        while f_max >= 0:
+            a_max = 2.0 * a_max or 1.0
+            try:
+                f_max = f(a_max)
+            except ValidationError as exc:
+                raise NoBracketError(
+                    f"no-bracket: lambda_1(gamma,a) >= d={d} at a = 0 and at each doubled "
+                    f"amplitude below a={a_max}, which the monotonicity guard rejects"
+                ) from exc
     if not (f_lo > 0 and f_max < 0):
         raise NoBracketError(
-            "no-bracket: need lambda_1(gamma,0) > d > lambda_1(gamma,a_max), got "
+            f"no-bracket: need lambda_1(gamma,0) > d > lambda_1(gamma,a_max={a_max}), got "
             f"{f_lo + d} and {f_max + d} around d={d} (gamma may not be small enough)"
         )
     step = a_max / scan_steps

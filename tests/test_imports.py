@@ -1,9 +1,10 @@
-"""The package imports only the scipy modules that every command needs.
+"""No command and no modified-flow set-up loads scipy beyond linalg and special.
 
-scipy.integrate and scipy.interpolate (which pull in scipy.optimize and
-scipy.sparse) are imported inside ``modified_flow.b0`` and the cutoff table,
-so a cold ``import betaplane`` and every command that never evaluates them
-start without them.  Each check runs in a fresh interpreter.
+The cutoff table, its interpolant and ``modified_flow.b0`` use a hand-rolled
+Gauss-Legendre rule and cubic Hermite pieces, so scipy.integrate and
+scipy.interpolate (which pull in scipy.optimize and scipy.sparse) are never
+imported: not by ``import betaplane``, not by any command, and not by the
+modified-flow set-up.  Each check runs in a fresh interpreter.
 """
 
 import json
@@ -59,19 +60,21 @@ def test_commands_without_modified_flows_load_none(argv):
     assert loaded_after(cli(argv)) == set()
 
 
-def test_profile_emission_skips_quadrature():
-    argv = ["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--a", "1",
-            "--emit", "profile", "--samples", "5"]
-    loaded = loaded_after(cli(argv))
-    assert "scipy.interpolate" in loaded
-    assert "scipy.integrate" not in loaded
+@pytest.mark.parametrize("argv", [
+    ["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--a", "1",
+     "--emit", "profile", "--samples", "5"],
+    ["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--a", "1", "--n-max", "1"],
+    ["bifurcate", "--beta", "2", "--gamma", "0.02", "--kappas", "1e-2,5e-3",
+     "--resolution", "256"],
+], ids=["profile", "eigenvalue", "bifurcate"])
+def test_modified_flow_commands_load_none(argv):
+    assert loaded_after(cli(argv)) == set()
 
 
-def test_modified_flow_set_up_loads_both():
+def test_modified_flow_set_up_loads_none():
     body = (
         "from betaplane import modified_flow\n"
         "modified_flow.cutoff_constants()\n"
         "modified_flow.b0()\n"
     )
-    loaded = loaded_after(body)
-    assert {"scipy.integrate", "scipy.interpolate"} <= loaded
+    assert loaded_after(body) == set()

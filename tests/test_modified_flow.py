@@ -52,9 +52,10 @@ class TestCutoff:
             return math.exp(-1.0 / (t - 1.0) - 1.0 / (2.0 - t)) if 1.0 < t < 2.0 else 0.0
 
         den = quad_integral(bump, 1.0, 2.0)
-        for x in (1.2, 1.5, 1.8):
+        # off the 1/8192 table nodes, and next to both ends of the transition
+        for x in (1.2, 1.5, 1.8, 1.0001, 1.9999, *np.linspace(1.0001, 1.9999, 66)):
             num = quad_integral(bump, x, 2.0)
-            assert mf.cutoff_I(x) == pytest.approx(num / den, abs=1e-9)
+            assert mf.cutoff_I(x) == pytest.approx(num / den, abs=1e-13)
             assert mf.cutoff_I(x) == mf.cutoff_I(-x)
         assert 0 < mf.cutoff_I(1.5) < 1
 
@@ -62,6 +63,11 @@ class TestCutoff:
         xs = np.linspace(1.0, 2.0, 300)
         vals = mf.cutoff_I(xs)
         assert np.all(np.diff(vals) <= 0)
+
+    def test_monotone_and_nonnegative_on_a_fine_grid(self):
+        vals = mf.cutoff_I(np.linspace(1.0, 2.0, 400001))
+        assert np.all(np.diff(vals) <= 0)
+        assert np.all(vals >= 0)
 
     def test_derivative_is_bump(self):
         _, norm = mf._cutoff_table()
@@ -97,6 +103,12 @@ class TestB0:
 
         simpson = 2.0 * simpson_integral(integrand, 0.0, 2.0, n=8192)
         assert abs(mf.b0() - simpson) <= 1e-10
+
+    def test_against_adaptive_quadrature_oracle(self):
+        def integrand(x):
+            return ((x + 5.0) ** -3 - (5.0 - x) ** -3) * mf.erf(x) * mf.cutoff_I(x)
+
+        assert abs(mf.b0() - 2.0 * quad_integral(integrand, 0.0, 2.0)) <= 1e-13
 
 
 class TestParamsAndProfile:
@@ -228,6 +240,21 @@ class TestLevelSet:
         beta, g = 0.5, 1e-2
         with pytest.raises(NoBracketError, match="no-bracket"):
             mf.level_set_a(beta, g, -50.0, a_max=10.0, resolution=512, scan_steps=4)
+
+    def test_default_bound_not_positive_doubles_the_amplitude(self):
+        # default_a_max(1.5277) < 0; at resolution 512 lambda_1 is 1.7892 at a = 8
+        # and 1.5109 at a = 16, so the doubled bracket ends at a = 16
+        beta, g, d, res = 0.5, 1e-2, 1.5277, 512
+        assert mf.default_a_max(d) < 0
+        a = mf.level_set_a(beta, g, d, resolution=res)
+        assert 8.0 < a < 16.0
+        back = mf.lambda_n_modified(mf.ModifiedFlowParams(beta, g, a), 1, res).value
+        assert abs(back - d) <= 1e-4
+
+    def test_doubling_stopped_by_the_monotonicity_guard(self):
+        # at gamma = 0.1 the guard admits a < 3.56, where lambda_1 stays above 2.01
+        with pytest.raises(NoBracketError, match=r"d=2\.0 .*below a=4\.0, which the monotonicity guard"):
+            mf.level_set_a(0.5, 0.1, 2.0, resolution=512)
 
     @pytest.mark.parametrize("scan_steps", [0, -3])
     def test_scan_steps_at_least_one_before_any_solve(self, scan_steps, monkeypatch):
