@@ -6,8 +6,8 @@ tunable principal eigenvalues, first-order bifurcated waves, and the decay
 rates of the linearized vorticity dynamics in sheared coordinates.
 """
 
-from .grid import Grid1D, TridiagOperator, assemble, build_grid, rayleigh_quotient
-from .eigen import EigenPair, eigenvector, extrapolate, nth_eigenvalue, sturm_count
+from .grid import Grid1D, TridiagOperator, assemble, build_grid
+from .eigen import EigenPair, eigenvector, extrapolate, nth_eigenvalue
 from .rayleigh_kuo import (
     RayleighKuoSpec,
     ShearProfile,
@@ -55,12 +55,10 @@ __all__ = [
     "TridiagOperator",
     "assemble",
     "build_grid",
-    "rayleigh_quotient",
     "EigenPair",
     "eigenvector",
     "extrapolate",
     "nth_eigenvalue",
-    "sturm_count",
     "RayleighKuoSpec",
     "ShearProfile",
     "couette",

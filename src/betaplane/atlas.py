@@ -15,8 +15,8 @@ beta_star and beta_T are principal eigenvalues of the weighted problem
 they take one direct solve per grid.  The one root search is the speed
 inversion lam1(beta, c0) = lambda0, bracketed by the wall and refined by
 ``eigen.monotone_root``.  Results carry the eigenvalue error estimates they
-were derived from.  Computations are memoized in process and, when a cache
-is supplied, wall and regular eigenvalues are also kept on disk.
+were derived from.  beta_star and beta_T are memoized in process; when a
+cache is supplied, wall and regular eigenvalues are kept on disk.
 """
 
 from __future__ import annotations
@@ -85,22 +85,12 @@ class RegionVerdict:
     beta_star: float
     alpha_beta: float | None
     tolerance: float
+    error_estimate: float = 0.0
 
 
-@lru_cache(maxsize=4096)
-def _lambda1_wall_mem(beta: float, resolution: int) -> tuple:
-    side = "left" if beta >= 0 else "right"
-    pair = lambda_1_singular(beta, side, resolution)
-    return pair.value, pair.error_estimate
-
-
+# every classify re-derives beta_star, so this memo pays; a session rarely asks
+# for the same wall or regular value twice, so those go to the disk cache only
 _wall_beta_mem = lru_cache(maxsize=256)(wall_beta)
-
-
-@lru_cache(maxsize=65536)
-def _lambda1_regular_mem(beta: float, c: float, resolution: int) -> tuple:
-    pair = lambda_n_regular(RayleighKuoSpec.for_couette(beta, c), 1, resolution)
-    return pair.value, pair.error_estimate
 
 
 def _disk_cached(cache, name, args, resolution, compute):
@@ -128,18 +118,26 @@ def _disk_cached(cache, name, args, resolution, compute):
 def lambda1_wall(beta, resolution=256, cache=None):
     """lam1(beta, -1) for beta >= 0 (resp. lam1(beta, +1) for beta < 0).
 
-    Returns (value, error_estimate); cached in memory and optionally on disk.
+    Returns (value, error_estimate), kept on disk when a cache is given.
     """
     beta = float(beta)
-    return _disk_cached(cache, "lambda1-wall-direct", {"beta": beta}, resolution,
-                        lambda: _lambda1_wall_mem(beta, int(resolution)))
+
+    def compute():
+        pair = lambda_1_singular(beta, "left" if beta >= 0 else "right", int(resolution))
+        return pair.value, pair.error_estimate
+
+    return _disk_cached(cache, "lambda1-wall-direct", {"beta": beta}, resolution, compute)
 
 
 def lambda1_regular(beta, c, resolution=256, cache=None):
     """lam1(beta, c) for a speed c strictly outside [-1, 1]; (value, error)."""
     beta, c = float(beta), float(c)
-    return _disk_cached(cache, "lambda1-regular", {"beta": beta, "c": c}, resolution,
-                        lambda: _lambda1_regular_mem(beta, c, int(resolution)))
+
+    def compute():
+        pair = lambda_n_regular(RayleighKuoSpec.for_couette(beta, c), 1, int(resolution))
+        return pair.value, pair.error_estimate
+
+    return _disk_cached(cache, "lambda1-regular", {"beta": beta, "c": c}, resolution, compute)
 
 
 def _certified(alpha, tol, resolution, what):
@@ -218,8 +216,8 @@ def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict
 
     The borderline verdicts Gamma+/- are assigned on the strip
     |alpha - alpha_beta| <= tol, since exact curve membership is numerically
-    meaningless; the verdict records beta_star, alpha_beta, and the
-    tolerance used.
+    meaningless; the verdict records beta_star, alpha_beta with its error
+    estimate, and the tolerance used.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -229,14 +227,14 @@ def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict
     bstar = find_beta_star(resolution=resolution)
     if abs(beta) <= bstar:
         return RegionVerdict(REGION_O, bstar, None, tol)
-    ab, _ = alpha_beta(beta, resolution, cache)
+    ab, ab_err = alpha_beta(beta, resolution, cache)
     if abs(alpha - ab) <= tol:
         label = REGION_GAMMA_PLUS if beta > 0 else REGION_GAMMA_MINUS
     elif alpha < ab - tol:
         label = REGION_I_PLUS if beta > 0 else REGION_I_MINUS
     else:
         label = REGION_O
-    return RegionVerdict(label, bstar, ab, tol)
+    return RegionVerdict(label, bstar, ab, tol, ab_err)
 
 
 def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, cache=None):

@@ -46,6 +46,12 @@ class WaveApproximation:
         return 2.0 * np.pi / self.alpha0
 
 
+def check_kappa(kappa: float) -> None:
+    """Reject an amplitude outside the first-order regime |kappa| <= 0.1."""
+    if abs(kappa) > 0.1:
+        raise ValidationError(f"|kappa| <= 0.1 required, got {kappa}")
+
+
 def construct(
     profile: ShearProfile,
     beta: float,
@@ -60,8 +66,7 @@ def construct(
     and exists for negative-control experiments; with it the order-kappa
     cancellation is destroyed on purpose.
     """
-    if abs(kappa) > 0.1:
-        raise ValidationError(f"|kappa| <= 0.1 required, got {kappa}")
+    check_kappa(kappa)
     pair = lambda_n_general(profile, beta, c, 1, resolution)
     if pair.value >= 0:
         raise PositiveEigenvalueError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,15 @@ _CONFIG_VALUES = {
     "out": str,
 }
 
+# (config key, RunConfig attribute) for the keys that set one attribute
+_CONFIG_FIELDS = (
+    ("resolution", "resolution"),
+    ("format", "output_format"),
+    ("cache_dir", "cache_dir"),
+    ("plot", "plot"),
+    ("out", "out"),
+)
+
 
 def _parse_config_file(path: str) -> dict:
     values = {}
@@ -94,37 +103,20 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
     config_path = getattr(args, "config", None)
     raw = _parse_config_file(config_path) if config_path else {}
-    if "resolution" in raw:
-        cfg.resolution = raw["resolution"]
-    if "format" in raw:
-        cfg.output_format = raw["format"]
-    if "cache_dir" in raw:
-        cfg.cache_dir = raw["cache_dir"]
-    if "plot" in raw:
-        cfg.plot = raw["plot"]
-    if "out" in raw:
-        cfg.out = raw["out"]
-    for key, val in raw.items():
+    # flags override config (SUPPRESS defaults: attribute absent unless given);
+    # --tol sets the default tolerance only, so a config tol.<name> still wins
+    merged = {**raw, **{k: v for k, v in vars(args).items() if k in _CONFIG_VALUES}}
+    cfg = RunConfig()
+    for key, attr in _CONFIG_FIELDS:
+        if key in merged:
+            setattr(cfg, attr, merged[key])
+    for key, val in merged.items():
         if key == "tol":
             cfg.tolerances["default"] = val
         elif key.startswith("tol."):
             cfg.tolerances[key[4:]] = val
-    # flags override config (SUPPRESS defaults: attribute absent unless given)
-    if getattr(args, "resolution", None) is not None:
-        cfg.resolution = args.resolution
-    if getattr(args, "format", None) is not None:
-        cfg.output_format = args.format
-    if getattr(args, "cache_dir", None) is not None:
-        cfg.cache_dir = args.cache_dir
-    if getattr(args, "plot", False):
-        cfg.plot = True
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    if getattr(args, "tol", None) is not None:
-        cfg.tolerances["default"] = args.tol
     if cfg.output_format not in ("csv", "json"):
         raise ValidationError(f"unknown output format {cfg.output_format!r}")
     if cfg.resolution < 64:
@@ -193,10 +185,6 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         table = atlas.alpha_beta_curve(np.linspace(lo, args.beta_max, args.steps), **common)
     elif args.atlas_cmd == "region":
         verdict = atlas.classify(args.alpha, args.beta, tol=cfg.tol("region"), **common)
-        if verdict.alpha_beta is not None:
-            curve_err = atlas.alpha_beta(args.beta, **common)[1]
-        else:
-            curve_err = 0.0
         table = CurveTable(
             name="atlas-region",
             columns=["alpha", "beta", "label", "beta_star", "alpha_beta", "tolerance",
@@ -210,7 +198,7 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
             verdict.beta_star,
             verdict.alpha_beta if verdict.alpha_beta is not None else float("nan"),
             verdict.tolerance,
-            curve_err,
+            verdict.error_estimate,
         )
     elif args.atlas_cmd == "beta-T":
         tol = cfg.tol("beta-T")
@@ -307,53 +295,40 @@ def cmd_bifurcate(args, cfg: RunConfig) -> CurveTable:
         if args.c is None:
             raise ValidationError("--base scaled-couette requires --c (the wave speed)")
         c = args.c
-    rows = []
-    control_rows = []
-    floors = []
-    alpha0 = lambda1 = None
-    phi_fake = None
     for kappa in kappas:
-        wave = bifurcation.construct(prof, args.beta, c, kappa, resolution=resolution)
-        alpha0, lambda1 = wave.alpha0, wave.lambda1
-        rows.append((kappa, bifurcation.residual_norm(wave, args.beta)))
-        # discretization floor of the order-kappa cancellation
-        floors.append(abs(kappa) * wave.grid.h**2 * abs(lambda1))
-        if args.control:
-            if phi_fake is None:
-                y = wave.grid.nodes
-                phi_fake = np.sin(np.pi * (y + 1) / 2) + 0.3 * np.sin(np.pi * (y + 1))
-                phi_fake /= np.linalg.norm(phi_fake)
-            ctrl = bifurcation.construct(
-                prof, args.beta, c, kappa, resolution=resolution, phi_override=phi_fake
-            )
-            control_rows.append(bifurcation.residual_norm(ctrl, args.beta))
-    columns = (
-        ["kappa", "residual"]
-        + (["control_residual"] if args.control else [])
-        + ["error_estimate"]
-    )
+        bifurcation.check_kappa(kappa)
     table = CurveTable(
         name="bifurcation-residual-ladder",
-        columns=columns,
-        metadata={
-            "base": prof.label,
-            "beta": args.beta,
-            "c": c,
-            "alpha0": alpha0,
-            "lambda1": lambda1,
-            "slope": bifurcation.residual_slope(rows),
-            "resolution": resolution,
-        },
+        columns=(
+            ["kappa", "residual"]
+            + (["control_residual"] if args.control else [])
+            + ["error_estimate"]
+        ),
+        metadata={"base": prof.label, "beta": args.beta, "c": c, "resolution": resolution},
+    )
+    if kappas:
+        # every kappa scales the same eigenpair, so the ladder needs one construct
+        base = bifurcation.construct(prof, args.beta, c, kappas[0], resolution=resolution)
+        table.metadata.update(alpha0=base.alpha0, lambda1=base.lambda1)
+        if args.control:
+            y = base.grid.nodes
+            phi_fake = np.sin(np.pi * (y + 1) / 2) + 0.3 * np.sin(np.pi * (y + 1))
+            phi_fake /= np.linalg.norm(phi_fake)
+        for kappa in kappas:
+            wave = replace(base, kappa=float(kappa))
+            row = [kappa, bifurcation.residual_norm(wave, args.beta)]
+            if args.control:
+                row.append(bifurcation.residual_norm(replace(wave, phi0=phi_fake), args.beta))
+            # discretization floor of the order-kappa cancellation
+            table.add_row(*row, abs(kappa) * base.grid.h**2 * abs(base.lambda1))
+    kappa_column = table.column("kappa")
+    table.metadata["slope"] = bifurcation.residual_slope(
+        zip(kappa_column, table.column("residual"))
     )
     if args.control:
         table.metadata["control_slope"] = bifurcation.residual_slope(
-            list(zip(kappas, control_rows))
+            zip(kappa_column, table.column("control_residual"))
         )
-        for (kappa, r), rc, fl in zip(rows, control_rows, floors):
-            table.add_row(kappa, r, rc, fl)
-    else:
-        for (kappa, r), fl in zip(rows, floors):
-            table.add_row(kappa, r, fl)
     return table
 
 

@@ -3,9 +3,8 @@
 The n-th eigenvalue comes from LAPACK's ``stebz`` bisection (through
 ``scipy.linalg.eigh_tridiagonal``), after the matrix is put in a canonical
 orientation so that a problem and its mirror image (rows reversed) give
-bit-identical values.  ``sturm_count``, the negative-inertia count of
-A - x I from the signs of the LDL^T pivots, is kept as the certificate the
-tests check those values against.  Eigenvectors are built on demand by
+bit-identical values; the tests certify those values with Sturm counts of
+their own (``tests/oracles.py``).  Eigenvectors are built on demand by
 LAPACK's ``stein``, the inverse iteration paired with ``stebz``.  Grid
 sequences are Richardson-extrapolated to the continuum limit assuming
 second-order convergence, with the kernel's rounding floor carried into the
@@ -24,7 +23,6 @@ from .grid import Grid1D, TridiagOperator
 
 __all__ = [
     "EigenPair",
-    "sturm_count",
     "gershgorin_interval",
     "nth_eigenvalue",
     "eigenvalue_floor",
@@ -81,31 +79,6 @@ class EigenPair:
     def residual(self) -> float:
         self._build()
         return self._residual
-
-
-def sturm_count(diag: np.ndarray, off: np.ndarray, x) -> np.ndarray:
-    """Number of eigenvalues of tridiag(diag, off) strictly below each shift.
-
-    Vectorized over an array of shifts; the recurrence over matrix rows is
-    sequential, so the cost is one pass over the matrix regardless of how
-    many shifts are evaluated.  It certifies the values of ``nth_eigenvalue``.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    off2 = np.asarray(off, dtype=float) ** 2
-    pivmin = np.finfo(float).tiny / np.finfo(float).eps
-    if off2.size:
-        pivmin = max(pivmin, off2.max() * np.finfo(float).eps ** 2)
-    # A pivot below pivmin is replaced by +pivmin before it is both counted
-    # and propagated: that is the count of a shift a hair below x, so an
-    # eigenvalue equal to x is never counted as strictly below it.
-    q = diag[0] - xs
-    q = np.where(np.abs(q) < pivmin, pivmin, q)
-    count = (q < 0).astype(np.int64)
-    for i in range(1, diag.size):
-        q = diag[i] - xs - off2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, pivmin, q)
-        count += q < 0
-    return count if np.ndim(x) else count[0]
 
 
 def gershgorin_interval(op: TridiagOperator) -> tuple[float, float]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["Grid1D", "TridiagOperator", "build_grid", "assemble", "rayleigh_quotient"]
+__all__ = ["Grid1D", "TridiagOperator", "build_grid", "assemble"]
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,3 @@ def assemble(grid: Grid1D, Q) -> TridiagOperator:
     diag = 2.0 / h**2 + q
     off = np.full(grid.n_interior - 1, -1.0 / h**2)
     return TridiagOperator(diag=diag, off=off, grid=grid)
-
-
-def rayleigh_quotient(grid: Grid1D, Q, v: np.ndarray) -> float:
-    """Discrete variational quotient of -phi'' + Q phi for node samples v.
-
-    Equals (v^T A v) / (v^T v) in the standard symmetric form, i.e. the
-    quadrature form (h v^T A v) / (v^T M v) with the lumped mass M = h I.
-    Always >= the smallest discrete eigenvalue.
-    """
-    v = np.asarray(v, dtype=float)
-    nrm2 = float(v @ v)
-    if nrm2 == 0.0:
-        raise ValidationError("zero-vector: Rayleigh quotient of the zero vector")
-    op = assemble(grid, Q)
-    return float(v @ op.matvec(v)) / nrm2

@@ -241,11 +241,20 @@ def lambda_n_general(
     The speed must lie outside the open flow range, or the critical layer
     must fall inside the profile's flat zone with u'' identically equal to
     beta there, in which case the potential is set to its removable value 0
-    on that zone.  At an endpoint speed the potential is finite at every
-    interior node.
+    on that zone; any other speed raises SingularSpeedError before a solve.
+    At an endpoint speed the potential is finite at every interior node.
     """
     zone = profile.flat_zone
     removable = zone is not None and profile.flat_d2u == beta
+    if profile.range_lo < c < profile.range_hi:
+        # the speeds of the removable layer; an empty interval without one
+        layer_lo, layer_hi = profile.u(np.array(zone)) if removable else (np.inf, -np.inf)
+        if not layer_lo <= c <= layer_hi:
+            raise SingularSpeedError(
+                f"singular-speed: c={c} lies inside the flow range "
+                f"({profile.range_lo}, {profile.range_hi}) away from a removable "
+                "layer (essential spectrum)"
+            )
 
     def Q(y):
         y = np.asarray(y, dtype=float)

@@ -11,6 +11,9 @@ Two older routes to the wall value are kept here as cross-checks: the
 eps-regularized one (c = -1 - eps along a decreasing schedule, a
 monotonicity certificate, Neville extrapolation to eps = 0) and a direct
 solve on a mesh graded toward y = -1.
+
+``sturm_count`` (the negative-inertia count from LDL^T pivots) certifies
+the library's eigenvalues, and ``rayleigh_quotient`` bounds them from above.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from scipy.optimize import brentq
 
 from betaplane import rayleigh_kuo as rk
 from betaplane.errors import NoConvergenceError, ValidationError
+from betaplane.grid import Grid1D, assemble
 
 
 def shoot_boundary_value(Q, lam: float, y0: float = -1.0, start=(0.0, 1.0)) -> float:
@@ -245,3 +249,43 @@ def rk4_evolve_textbook(ks, etas, amps, beta, t0, t1, dt):
     for j in range(n):
         amps *= rk4_multiplier_textbook(ks, etas, beta, t0 + j * step, step)
     return amps
+
+
+def sturm_count(diag: np.ndarray, off: np.ndarray, x) -> np.ndarray:
+    """Number of eigenvalues of tridiag(diag, off) strictly below each shift.
+
+    Vectorized over an array of shifts; the recurrence over matrix rows is
+    sequential, so the cost is one pass over the matrix regardless of how
+    many shifts are evaluated.  It certifies ``betaplane.eigen.nth_eigenvalue``.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    off2 = np.asarray(off, dtype=float) ** 2
+    pivmin = np.finfo(float).tiny / np.finfo(float).eps
+    if off2.size:
+        pivmin = max(pivmin, off2.max() * np.finfo(float).eps ** 2)
+    # A pivot below pivmin is replaced by +pivmin before it is both counted
+    # and propagated: that is the count of a shift a hair below x, so an
+    # eigenvalue equal to x is never counted as strictly below it.
+    q = diag[0] - xs
+    q = np.where(np.abs(q) < pivmin, pivmin, q)
+    count = (q < 0).astype(np.int64)
+    for i in range(1, diag.size):
+        q = diag[i] - xs - off2[i - 1] / q
+        q = np.where(np.abs(q) < pivmin, pivmin, q)
+        count += q < 0
+    return count if np.ndim(x) else count[0]
+
+
+def rayleigh_quotient(grid: Grid1D, Q, v: np.ndarray) -> float:
+    """Discrete variational quotient of -phi'' + Q phi for node samples v.
+
+    Equals (v^T A v) / (v^T v) in the standard symmetric form, i.e. the
+    quadrature form (h v^T A v) / (v^T M v) with the lumped mass M = h I.
+    Always >= the smallest discrete eigenvalue.
+    """
+    v = np.asarray(v, dtype=float)
+    nrm2 = float(v @ v)
+    if nrm2 == 0.0:
+        raise ValidationError("zero-vector: Rayleigh quotient of the zero vector")
+    op = assemble(grid, Q)
+    return float(v @ op.matvec(v)) / nrm2

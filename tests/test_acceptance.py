@@ -1,9 +1,9 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run with -s or look at the assertion)
-and asserts the criterion exactly as stated.  Shared expensive quantities
-(the transition value, wall eigenvalues) are memoized inside the library,
-so order does not matter.
+and asserts the criterion exactly as stated.  The one shared quantity,
+beta*, comes from a session fixture and is memoized inside the library, so
+order does not matter.
 """
 
 import subprocess

@@ -167,6 +167,17 @@ class TestClassify:
         assert verdict.alpha_beta is not None
         assert verdict.tolerance == 1e-4
 
+    @pytest.mark.parametrize("alpha, scale", [(0.5, 2.0), (5.0, 2.0), (0.5, -3.0)],
+                             ids=["I+", "O", "I-"])
+    def test_verdict_error_is_the_curve_estimate(self, alpha, scale, beta_star):
+        beta = scale * beta_star
+        assert atlas.classify(alpha, beta).error_estimate == atlas.alpha_beta(beta)[1]
+
+    def test_no_curve_error_below_beta_star(self, beta_star):
+        verdict = atlas.classify(0.5, 0.9 * beta_star)
+        assert verdict.alpha_beta is None
+        assert verdict.error_estimate == 0.0
+
     def test_alpha_validation(self):
         with pytest.raises(ValidationError):
             atlas.classify(0.0, 1.0)
@@ -224,8 +235,6 @@ class TestSpeedInversion:
             speeds.append(c)
             return regular(beta, c, *args, **kwargs)
 
-        atlas._lambda1_wall_mem.cache_clear()
-        atlas._lambda1_regular_mem.cache_clear()
         monkeypatch.setattr(atlas, "lambda1_regular", counting)
         c0 = atlas.speed_for_eigenvalue(3.0, -1.0, tol=1e-5)
         assert len(speeds) <= 12
@@ -249,8 +258,6 @@ def test_atlas_builds_no_vectors(monkeypatch):
     def no_vectors(*args, **kwargs):
         raise AssertionError("atlas must not build eigenvectors")
 
-    atlas._lambda1_wall_mem.cache_clear()
-    atlas._lambda1_regular_mem.cache_clear()
     monkeypatch.setattr(rk, "eigenvector", no_vectors)
     atlas.lambda1_wall(3.0)
     atlas.lambda1_regular(3.0, -2.0)

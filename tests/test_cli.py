@@ -93,6 +93,48 @@ class TestBifurcateCommand:
         assert 1.8 <= float(meta["slope"]) <= 2.2
         assert 0.8 <= float(meta["control_slope"]) <= 1.2
 
+    def test_one_eigen_solve_per_ladder(self, monkeypatch, capsys):
+        from betaplane import bifurcation, cli
+
+        calls = []
+        solve = bifurcation.lambda_n_general
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "lambda_n_general", counting)
+        assert cli.main(["bifurcate", "--beta", "2", "--gamma", "0.02", "--control"]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 4
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kappas, message", [
+        ("1e-2,0.5", "|kappa| <= 0.1 required, got 0.5"),
+        ("", "need at least two positive residuals to fit a slope"),
+    ], ids=["kappa-too-large", "empty"])
+    def test_ladder_rejected_before_any_solve(self, kappas, message, monkeypatch, capsys):
+        from betaplane import bifurcation, cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting the ladder")
+
+        monkeypatch.setattr(bifurcation, "lambda_n_general", no_solve)
+        argv = ["bifurcate", "--beta", "2", "--gamma", "0.02", "--control", "--kappas", kappas]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_speed_inside_flow_range_exit_2(self, capsys):
+        from betaplane.cli import main
+
+        argv = ["bifurcate", "--base", "scaled-couette", "--beta", "3", "--c", "0.3001"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: singular-speed: c=0.3001 lies inside")
+        assert captured.out == ""
+
 
 class TestDampingCommand:
     def test_exponent_fields(self):
@@ -132,6 +174,38 @@ class TestConfigAndOutputs:
             "eigen", "--beta", "0.5", "--c", "-2", "--config", str(cfg), "--resolution", "256"
         ).stdout
         assert json.loads(out2)["rows"][0][5] == 256
+
+    @pytest.mark.parametrize("lines, flags, attr, expected", [
+        pytest.param("resolution=128", ["--resolution", "256"], "resolution", 256,
+                     id="resolution"),
+        pytest.param("format=json", ["--format", "csv"], "output_format", "csv", id="format"),
+        pytest.param("out=cfg.csv", ["--out", "flag.csv"], "out", "flag.csv", id="out"),
+        pytest.param("plot=false\nout=cfg.csv", ["--plot"], "plot", True, id="plot"),
+    ])
+    def test_flag_beats_config(self, lines, flags, attr, expected, tmp_path):
+        from betaplane import cli
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines + "\n")
+        args = cli.build_parser().parse_args(
+            ["eigen", "--beta", "1", "--c", "2", "--config", str(cfg), *flags]
+        )
+        assert getattr(cli._config_from(args), attr) == expected
+
+    def test_config_tolerance_by_name_beats_tol_flag(self, tmp_path):
+        # --tol sets only the default, which a named config tolerance overrides
+        from betaplane import cli
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol=1e-3\ntol.speed=1e-4\n")
+        args = cli.build_parser().parse_args(
+            ["atlas", "speed", "--beta", "3", "--lambda0", "-1", "--config", str(cfg),
+             "--tol", "1e-9"]
+        )
+        run = cli._config_from(args)
+        assert run.tol("speed") == 1e-4
+        assert run.tol("beta-T") == 1e-9
+        assert run.tol("region") == 1e-9
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -10,9 +10,9 @@ from betaplane.eigen import (
     gershgorin_interval,
     monotone_root,
     nth_eigenvalue,
-    sturm_count,
 )
 from betaplane.grid import Grid1D, TridiagOperator, assemble, build_grid
+from oracles import sturm_count
 
 
 def laplacian_op(n):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from betaplane.errors import ValidationError
-from betaplane.grid import assemble, build_grid, rayleigh_quotient
-from oracles import graded_nodes
+from betaplane.grid import assemble, build_grid
+from oracles import graded_nodes, rayleigh_quotient
 
 
 def zero_q(y):

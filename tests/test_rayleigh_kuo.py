@@ -28,6 +28,12 @@ SHOOT_L2_BETA1_CM2 = 9.330467629176809    # beta=1, c=-2, second eigenvalue
 SHOOT_L1_BETA2_CNEAR = 0.0467229184391231  # beta=2, c=-1.05
 
 
+def modified_profile(beta, gamma, a):
+    from betaplane.modified_flow import ModifiedFlowParams, profile
+
+    return profile(ModifiedFlowParams(beta, gamma, a))
+
+
 class TestSpecValidation:
     def test_speed_inside_range_rejected(self):
         with pytest.raises(SingularSpeedError, match="essential spectrum"):
@@ -165,6 +171,28 @@ class TestLambdaGeneral:
         pair = lambda_n_general(prof, 0.5, 0.0, 1, 512)
         assert np.isfinite(pair.value)
         assert pair.residual <= 1e-10
+
+    @pytest.mark.parametrize("make, beta, c", [
+        pytest.param(lambda: scaled_couette(0.9), 1.0, 0.3001, id="couette-off-node"),
+        pytest.param(lambda: scaled_couette(0.9), 1.0, 0.3, id="couette-on-node"),
+        pytest.param(lambda: modified_profile(0.5, 0.02, 0.0), 0.7, 0.0, id="beta-not-flat"),
+        pytest.param(lambda: modified_profile(0.5, 0.02, 0.0), 0.5, 0.5, id="outside-layer"),
+    ])
+    def test_speed_inside_range_rejected_before_solve(self, make, beta, c, monkeypatch):
+        import betaplane.rayleigh_kuo as rk
+
+        prof = make()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an in-range speed")
+
+        monkeypatch.setattr(rk, "_solve_extrapolated", no_solve)
+        with pytest.raises(SingularSpeedError, match="essential spectrum"):
+            lambda_n_general(prof, beta, c, 1, 256)
+
+    @pytest.mark.parametrize("scale, c", [(1.0, -1.0), (1.0, 1.0), (0.9, -0.9), (0.9, 0.9)])
+    def test_endpoint_speeds_allowed(self, scale, c):
+        assert np.isfinite(lambda_n_general(scaled_couette(scale), 1.0, c, 1, 64).value)
 
     def test_singular_potential_detected(self):
         # Couette with c = a node value and a non-vanishing numerator
