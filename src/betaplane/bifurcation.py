@@ -13,6 +13,10 @@ precisely because phi0 satisfies the eigenvalue relation, so the measured
 residual must scale like kappa^2; fitting that slope (and checking that a
 non-eigenfunction produces slope 1) is the verification signal, in place of
 solving the full nonlinear branch.
+
+The fields hold the single x-harmonic alpha0, so the residual is
+A(y) sin + B(y) sin cos and its x-mean square is exactly A^2/2 + B^2/8:
+the norm is computed from 1-D arrays in y, with no x-grid.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import numpy as np
 
 from .errors import PositiveEigenvalueError, ValidationError
 from .grid import Grid1D
-from .rayleigh_kuo import ShearProfile, lambda_1_singular, lambda_n_general
+from .rayleigh_kuo import ShearProfile, lambda_n_general
 
-__all__ = ["WaveApproximation", "construct", "residual_norm", "divergence_max", "period_estimate"]
+__all__ = ["WaveApproximation", "construct", "residual_norm", "period_estimate"]
 
 
 @dataclass
@@ -73,7 +77,7 @@ def construct(
             f"positive-eigenvalue: lambda_1 = {pair.value} >= 0, no bifurcation point"
         )
     phi0 = pair.vector if phi_override is None else np.asarray(phi_override, dtype=float)
-    if phi0.shape != pair.vector.shape:
+    if phi0.shape != (pair.grid.n_interior,):
         raise ValidationError("phi_override must match the eigenvector grid")
     return WaveApproximation(
         profile=profile,
@@ -98,67 +102,39 @@ def _deriv4(v: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _spectral_dx(f: np.ndarray, period: float) -> np.ndarray:
-    """d/dx along axis 0 of a periodic field by Fourier differentiation."""
-    nx = f.shape[0]
-    wav = 2.0 * np.pi / period * np.fft.rfftfreq(nx, d=1.0 / nx)
-    return np.fft.irfft(1j * wav[:, None] * np.fft.rfft(f, axis=0), n=nx, axis=0)
-
-
-def _fields(wave: WaveApproximation, nx: int):
-    grid = wave.grid
-    h = grid.h
-    y = np.concatenate(([-1.0], grid.nodes, [1.0]))
-    phi = np.concatenate(([0.0], wave.phi0, [0.0]))
-    dphi = _deriv4(phi, h)
-    x = wave.period * np.arange(nx) / nx
-    cos = np.cos(wave.alpha0 * x)[:, None]
-    sin = np.sin(wave.alpha0 * x)[:, None]
-    u2d = wave.profile.u(y)[None, :] + wave.kappa * dphi[None, :] * cos
-    v2d = wave.alpha0 * wave.kappa * phi[None, :] * sin
-    return y, h, u2d, v2d
-
-
-def residual_norm(wave: WaveApproximation, beta: float, nx: int = 128) -> float:
+def residual_norm(wave: WaveApproximation, beta: float) -> float:
     """Discrete L2 norm of the steady-vorticity residual over one period.
 
-    R = (u - c) dx(omega) + v (dy(omega) + beta) with omega = dx(v) - dy(u);
-    x-derivatives are spectral, y-derivatives fourth-order finite
-    differences on the eigenvector grid (so the kappa^2 signal stays above
-    the discretization floor).
+    R = (u - c) dx(omega) + v (dy(omega) + beta) with omega = dx(v) - dy(u).
+    With D the fourth-order y-derivative on the eigenvector grid (so the
+    kappa^2 signal stays above the discretization floor) and
+    W = alpha0^2 phi0 - D D phi0, the wave's fields give
+
+        omega = -D u + kappa W cos(alpha0 x),   R = A sin + B sin cos,
+        A = alpha0 kappa (phi0 (beta - D D u) - W (u - c)),
+        B = alpha0 kappa^2 (phi0 D W - W D phi0).
+
+    A is the order-kappa term the eigenvalue relation cancels and B the
+    kappa^2 signal.  R^2 holds x-harmonics up to 4, whose mean over a period
+    is exactly A^2/2 + B^2/8, so ||R||^2 = period * trapz_y(A^2/2 + B^2/8)
+    with no x-grid.
     """
-    _, h, u2d, v2d = _fields(wave, nx)
-    omega = _spectral_dx(v2d, wave.period) - np.apply_along_axis(_deriv4, 1, u2d, h)
-    resid = (u2d - wave.c) * _spectral_dx(omega, wave.period) + v2d * (
-        np.apply_along_axis(_deriv4, 1, omega, h) + beta
-    )
-    sq = resid**2
-    trapz_y = h * (np.sum(sq, axis=1) - 0.5 * (sq[:, 0] + sq[:, -1]))
-    return float(np.sqrt(np.sum(trapz_y) * wave.period / nx))
-
-
-def divergence_max(wave: WaveApproximation, nx: int = 128) -> float:
-    """max |dx(u) + dy(v)| of the constructed field with matched-order derivatives."""
-    _, h, u2d, v2d = _fields(wave, nx)
-    div = _spectral_dx(u2d, wave.period) + np.apply_along_axis(_deriv4, 1, v2d, h)
-    return float(np.max(np.abs(div)))
-
-
-def boundary_velocity_max(wave: WaveApproximation, nx: int = 128) -> float:
-    """max over x of |v| on the channel walls (exactly zero by construction)."""
-    _, _, _, v2d = _fields(wave, nx)
-    return float(max(np.max(np.abs(v2d[:, 0])), np.max(np.abs(v2d[:, -1]))))
+    h = wave.grid.h
+    y = np.concatenate(([-1.0], wave.grid.nodes, [1.0]))
+    phi = np.concatenate(([0.0], wave.phi0, [0.0]))
+    u = wave.profile.u(y)
+    dphi = _deriv4(phi, h)
+    w = wave.alpha0**2 * phi - _deriv4(dphi, h)
+    ak = wave.alpha0 * wave.kappa
+    a = ak * (phi * (beta - _deriv4(_deriv4(u, h), h)) - w * (u - wave.c))
+    b = ak * wave.kappa * (phi * _deriv4(w, h) - w * dphi)
+    sq = a**2 / 2 + b**2 / 8
+    return float(np.sqrt(wave.period * h * (np.sum(sq) - 0.5 * (sq[0] + sq[-1]))))
 
 
 def period_estimate(profile: ShearProfile, beta: float, c: float, resolution: int = 256) -> float:
     """Limiting x-period 2 pi / sqrt(-lambda_1) of the bifurcating branch."""
-    if c in (profile.range_lo, profile.range_hi):
-        if not (abs(profile.range_lo + 1.0) < 1e-12 and abs(profile.range_hi - 1.0) < 1e-12):
-            raise ValidationError("endpoint speeds are supported for the unit Couette range only")
-        side = "left" if c == profile.range_lo else "right"
-        lam = lambda_1_singular(beta, side, resolution).value
-    else:
-        lam = lambda_n_general(profile, beta, c, 1, resolution).value
+    lam = lambda_n_general(profile, beta, c, 1, resolution).value
     if lam >= 0:
         raise PositiveEigenvalueError(f"positive-eigenvalue: lambda_1 = {lam} >= 0")
     return float(2.0 * np.pi / np.sqrt(-lam))

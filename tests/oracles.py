@@ -14,6 +14,11 @@ solve on a mesh graded toward y = -1.
 
 ``sturm_count`` (the negative-inertia count from LDL^T pivots) certifies
 the library's eigenvalues, and ``rayleigh_quotient`` bounds them from above.
+
+``grid_residual_norm`` samples the first-order bifurcation wave on an x-y
+grid (Fourier derivatives in x) as the reference for the library's closed
+form over its x-harmonics; ``divergence_max`` and ``boundary_velocity_max``
+check the same sampled fields.
 """
 
 import numpy as np
@@ -22,6 +27,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from betaplane import rayleigh_kuo as rk
+from betaplane.bifurcation import _deriv4
 from betaplane.errors import NoConvergenceError, ValidationError
 from betaplane.grid import Grid1D, assemble
 
@@ -289,3 +295,56 @@ def rayleigh_quotient(grid: Grid1D, Q, v: np.ndarray) -> float:
         raise ValidationError("zero-vector: Rayleigh quotient of the zero vector")
     op = assemble(grid, Q)
     return float(v @ op.matvec(v)) / nrm2
+
+
+# --- x-y grid reference for the first-order bifurcation wave -------------------
+
+
+def _spectral_dx(f, period):
+    """d/dx along axis 0 of a periodic field by Fourier differentiation."""
+    nx = f.shape[0]
+    wav = 2.0 * np.pi / period * np.fft.rfftfreq(nx, d=1.0 / nx)
+    return np.fft.irfft(1j * wav[:, None] * np.fft.rfft(f, axis=0), n=nx, axis=0)
+
+
+def wave_fields(wave, nx: int = 128):
+    """(y, h, u, v) of the first-order wave sampled on nx x-points times the padded y-grid."""
+    h = wave.grid.h
+    y = np.concatenate(([-1.0], wave.grid.nodes, [1.0]))
+    phi = np.concatenate(([0.0], wave.phi0, [0.0]))
+    dphi = _deriv4(phi, h)
+    x = wave.period * np.arange(nx) / nx
+    cos = np.cos(wave.alpha0 * x)[:, None]
+    sin = np.sin(wave.alpha0 * x)[:, None]
+    u2d = wave.profile.u(y)[None, :] + wave.kappa * dphi[None, :] * cos
+    v2d = wave.alpha0 * wave.kappa * phi[None, :] * sin
+    return y, h, u2d, v2d
+
+
+def grid_residual_norm(wave, beta: float, nx: int = 128) -> float:
+    """Steady-vorticity residual norm on the x-y grid: spectral in x, ``_deriv4`` in y.
+
+    R = (u - c) dx(omega) + v (dy(omega) + beta) with omega = dx(v) - dy(u),
+    squared and summed over nx x-points and by the trapezoid rule in y.
+    """
+    _, h, u2d, v2d = wave_fields(wave, nx)
+    omega = _spectral_dx(v2d, wave.period) - np.apply_along_axis(_deriv4, 1, u2d, h)
+    resid = (u2d - wave.c) * _spectral_dx(omega, wave.period) + v2d * (
+        np.apply_along_axis(_deriv4, 1, omega, h) + beta
+    )
+    sq = resid**2
+    trapz_y = h * (np.sum(sq, axis=1) - 0.5 * (sq[:, 0] + sq[:, -1]))
+    return float(np.sqrt(np.sum(trapz_y) * wave.period / nx))
+
+
+def divergence_max(wave, nx: int = 128) -> float:
+    """max |dx(u) + dy(v)| of the wave's fields with matched-order derivatives."""
+    _, h, u2d, v2d = wave_fields(wave, nx)
+    div = _spectral_dx(u2d, wave.period) + np.apply_along_axis(_deriv4, 1, v2d, h)
+    return float(np.max(np.abs(div)))
+
+
+def boundary_velocity_max(wave, nx: int = 128) -> float:
+    """max over x of |v| on the channel walls (exactly zero by construction)."""
+    _, _, _, v2d = wave_fields(wave, nx)
+    return float(max(np.max(np.abs(v2d[:, 0])), np.max(np.abs(v2d[:, -1]))))

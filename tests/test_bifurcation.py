@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from betaplane import atlas, bifurcation as bif
 from betaplane import modified_flow as mf
+from betaplane import rayleigh_kuo as rk
 from betaplane.errors import PositiveEigenvalueError, ValidationError
 from betaplane.rayleigh_kuo import couette, scaled_couette
 
@@ -25,14 +27,14 @@ class TestConstruct:
     def test_zero_amplitude_is_shear(self, modified_base):
         prof, beta, c = modified_base
         wave = bif.construct(prof, beta, c, 0.0, resolution=256)
-        _, _, _, v2d = bif._fields(wave, 32)
+        _, _, _, v2d = oracles.wave_fields(wave, 32)
         assert np.all(v2d == 0.0)
 
     def test_velocity_amplitude_scaling(self, modified_base):
         prof, beta, c = modified_base
         kappa = 1e-3
         wave = bif.construct(prof, beta, c, kappa, resolution=256)
-        _, _, _, v2d = bif._fields(wave, 256)
+        _, _, _, v2d = oracles.wave_fields(wave, 256)
         expected = wave.alpha0 * kappa * np.max(np.abs(wave.phi0))
         assert np.max(np.abs(v2d)) == pytest.approx(expected, rel=1e-3)
         assert np.max(np.abs(v2d)) > 0
@@ -46,6 +48,24 @@ class TestConstruct:
         prof, beta, c = modified_base
         with pytest.raises(ValidationError):
             bif.construct(prof, beta, c, 0.2, resolution=256)
+
+    def test_override_builds_no_eigenvector(self, modified_base, monkeypatch):
+        prof, beta, c = modified_base
+        grid = bif.construct(prof, beta, c, 1e-3, resolution=256).grid
+        calls = []
+        real = rk.eigenvector
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(rk, "eigenvector", counted)
+        wave = bif.construct(prof, beta, c, 1e-3, resolution=256, phi_override=fake_phi(grid))
+        assert calls == []
+        assert np.array_equal(wave.phi0, fake_phi(grid))
+        with pytest.raises(ValidationError, match="phi_override must match the eigenvector grid"):
+            bif.construct(prof, beta, c, 1e-3, resolution=256, phi_override=fake_phi(grid)[:-1])
+        assert calls == []
 
     def test_scaled_couette_alpha_matches_inversion(self, beta_star):
         beta = 2 * beta_star
@@ -87,12 +107,47 @@ class TestResidual:
     def test_incompressibility(self, modified_base):
         prof, beta, c = modified_base
         wave = bif.construct(prof, beta, c, 5e-3, resolution=256)
-        assert bif.divergence_max(wave) <= 1e-10
+        assert oracles.divergence_max(wave) <= 1e-10
 
     def test_wall_boundary_condition(self, modified_base):
         prof, beta, c = modified_base
         wave = bif.construct(prof, beta, c, 5e-3, resolution=256)
-        assert bif.boundary_velocity_max(wave) <= 1e-12
+        assert oracles.boundary_velocity_max(wave) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def scaled_couette_base(beta_star):
+    beta = 2 * beta_star
+    alpha_b, _ = atlas.alpha_beta(beta)
+    a = 0.9
+    c_a = atlas.speed_for_eigenvalue(beta / a, -alpha_b**2, tol=1e-7)
+    return scaled_couette(a), beta, a * c_a
+
+
+class TestResidualReference:
+    """The closed form over the x-harmonics against the x-y grid reference."""
+
+    @staticmethod
+    def check(wave, beta):
+        ref = oracles.grid_residual_norm(wave, beta)
+        assert abs(bif.residual_norm(wave, beta) - ref) <= 1e-9 * ref + 1e-14
+
+    @pytest.mark.parametrize("kappa", (0.0,) + KAPPAS)
+    def test_eigenfunction_modified_base(self, modified_base, kappa):
+        prof, beta, c = modified_base
+        self.check(bif.construct(prof, beta, c, kappa, resolution=512), beta)
+
+    @pytest.mark.parametrize("kappa", (0.0,) + KAPPAS)
+    def test_fake_phi_modified_base(self, modified_base, kappa):
+        prof, beta, c = modified_base
+        grid = bif.construct(prof, beta, c, 0.0, resolution=512).grid
+        wave = bif.construct(prof, beta, c, kappa, resolution=512, phi_override=fake_phi(grid))
+        self.check(wave, beta)
+
+    @pytest.mark.parametrize("kappa", (0.0,) + KAPPAS)
+    def test_eigenfunction_scaled_couette(self, scaled_couette_base, kappa):
+        prof, beta, c = scaled_couette_base
+        self.check(bif.construct(prof, beta, c, kappa, resolution=256), beta)
 
 
 class TestPeriod:
@@ -116,6 +171,14 @@ class TestPeriod:
     def test_positive_eigenvalue_rejected(self):
         with pytest.raises(PositiveEigenvalueError):
             bif.period_estimate(couette(), 0.5, -1.0)
+
+    def test_scaled_couette_endpoint(self):
+        a, T = 0.9, 4.0
+        prof, beta = scaled_couette(a), a * atlas.beta_T(T)
+        est = bif.period_estimate(prof, beta, -a)
+        wave = bif.construct(prof, beta, -a, 1e-3, resolution=256)
+        assert est == wave.period
+        assert est == pytest.approx(T, abs=1e-3)
 
     def test_wave_speed_limit_monotone(self, beta_star):
         beta = 2 * beta_star
