@@ -1,11 +1,12 @@
 """Eigenvalues and eigenvectors of symmetric tridiagonal matrices, and roots.
 
-The n-th eigenvalue comes from LAPACK's ``stebz`` bisection (through
-``scipy.linalg.eigh_tridiagonal``), after the matrix is put in a canonical
-orientation so that a problem and its mirror image (rows reversed) give
-bit-identical values; the tests certify those values with Sturm counts of
-their own (``tests/oracles.py``).  Eigenvectors are built on demand by
-LAPACK's ``stein``, the inverse iteration paired with ``stebz``.  Grid
+The n-th eigenvalue comes from LAPACK's ``stebz`` bisection, after the
+matrix is put in a canonical orientation so that a problem and its mirror
+image (rows reversed) give bit-identical values; the tests certify those
+values with Sturm counts of their own (``tests/oracles.py``).  Eigenvectors
+are built on demand by LAPACK's ``stein``, the inverse iteration paired with
+``stebz``.  Both are called from scipy's compiled binding, loaded as a file:
+``import scipy.linalg`` would add about 0.4 s to each process.  Grid
 sequences are Richardson-extrapolated to the continuum limit assuming
 second-order convergence, with the kernel's rounding floor carried into the
 error.  ``monotone_root`` is the one bracketing root search, shared by the
@@ -14,9 +15,12 @@ speed inversion and the modified-flow level set.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstein
 
 from .errors import NoConvergenceError, ValidationError
 from .grid import Grid1D, TridiagOperator
@@ -30,6 +34,34 @@ __all__ = [
     "extrapolate",
     "monotone_root",
 ]
+
+
+def _load_flapack():
+    """scipy's LAPACK binding ``scipy/linalg/_flapack``, loaded without scipy.linalg's ``__init__``.
+
+    The module scipy has already imported is reused.  A missing file or
+    routine raises ImportError naming the file.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        folder = Path(scipy.origin if scipy else "scipy/__init__.py").parent / "linalg"
+        paths = [folder / f"_flapack{s}" for s in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if p.is_file()), None)
+        if path is None:
+            raise ImportError(f"LAPACK binding not found: {folder / '_flapack*'}")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(name, None)  # so that a later ``import scipy.linalg`` binds it itself
+    for routine in ("dstebz", "dstein"):
+        if not hasattr(module, routine):
+            raise ImportError(f"LAPACK binding {module.__file__} has no {routine}")
+    return module
+
+
+_flapack = _load_flapack()
 
 
 class EigenPair:
@@ -117,17 +149,15 @@ def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12) -> float:
         raise ValidationError(f"index-out-of-range: n={n} for dimension {op.dim}")
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
+    if not (np.isfinite(op.diag).all() and np.isfinite(op.off).all()):
+        raise ValidationError("non-finite entries in the tridiagonal matrix")
+    if op.dim == 1:
+        return float(op.diag[0])
     diag, off = _canonical_orientation(op.diag, op.off)
-    values = eigh_tridiagonal(
-        diag,
-        off,
-        eigvals_only=True,
-        select="i",
-        select_range=(n - 1, n - 1),
-        lapack_driver="stebz",
-        tol=tol,
-    )
-    return float(values[0])
+    m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, n, n, tol, "E")  # il = iu = n
+    if info != 0 or m != 1:
+        raise NoConvergenceError(f"no-convergence: LAPACK stebz gave {m} values (info={info})")
+    return float(w[0])
 
 
 def eigenvalue_floor(op: TridiagOperator, tol: float = 1e-12) -> float:
@@ -163,7 +193,7 @@ def eigenvector(op: TridiagOperator, lam: float) -> np.ndarray:
         raise ValidationError(f"lambda={lam} outside the Gershgorin range [{glo}, {ghi}]")
     block = np.ones(m, dtype=np.int32)
     split = np.full(m, m, dtype=np.int32)
-    z, info = dstein(op.diag, op.off, np.array([lam]), block, split)
+    z, info = _flapack.dstein(op.diag, op.off, np.array([lam]), block, split)
     if info != 0:
         raise NoConvergenceError(
             f"no-convergence: LAPACK stein did not converge at lambda={lam} (info={info})"

@@ -1,8 +1,14 @@
+import subprocess
+import sys
+import types
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from betaplane import eigen
 from betaplane.errors import NoConvergenceError, ValidationError
 from betaplane.eigen import (
     eigenvector,
@@ -152,6 +158,120 @@ class TestLapackKernel:
             lam = nth_eigenvalue(op, n, tol=tol)
             assert sturm_count(op.diag, op.off, lam - delta) < n
             assert sturm_count(op.diag, op.off, lam + delta) >= n
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diag", "off"])
+    def test_rejected(self, where, bad):
+        op = laplacian_op(8)
+        arrays = {"diag": op.diag.copy(), "off": op.off.copy()}
+        arrays[where][3] = bad
+        bad_op = TridiagOperator(grid=op.grid, **arrays)
+        with pytest.raises(ValidationError, match="non-finite"):
+            nth_eigenvalue(bad_op, 1)
+
+    def test_single_row_rejected(self):
+        op = TridiagOperator(diag=np.array([np.nan]), off=np.zeros(0), grid=None)
+        with pytest.raises(ValueError, match="non-finite"):
+            nth_eigenvalue(op, 1)
+
+
+class TestStebzFailure:
+    @pytest.mark.parametrize("m, info", [(1, 2), (0, 0), (2, 0)])
+    def test_raises_no_convergence(self, monkeypatch, m, info):
+        def dstebz(*args):
+            return m, np.zeros(8), None, None, info
+
+        monkeypatch.setattr(eigen, "_flapack", types.SimpleNamespace(dstebz=dstebz))
+        with pytest.raises(NoConvergenceError, match="stebz"):
+            nth_eigenvalue(laplacian_op(8), 1)
+
+
+def scipy_stebz(diag, off, n, tol):
+    """The n-th eigenvalue from scipy's public ``eigh_tridiagonal`` with the stebz driver."""
+    return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                         select_range=(n - 1, n - 1),
+                                         lapack_driver="stebz", tol=tol)[0]
+
+
+class TestLapackParity:
+    """The routines called straight from the binding give scipy's public results bit for bit."""
+
+    def test_stebz_matches_eigh_tridiagonal(self):
+        rng = np.random.default_rng(13)
+        sizes = [1, 2, 3000] + [int(s) for s in np.exp(rng.uniform(0, np.log(3000), 997))]
+        for size in sizes:
+            diag = rng.uniform(-5, 5, size) * 10.0 ** rng.integers(-3, 4)
+            off = rng.uniform(-3, 3, size - 1)
+            n = int(rng.integers(1, size + 1))
+            op = TridiagOperator(diag=diag, off=off, grid=None)
+            for d, e in ((diag, off), (diag[::-1], off[::-1])):
+                canonical = eigen._canonical_orientation(d, e)
+                for tol in (0.0, 1e-12, 1e-8):
+                    ref = scipy_stebz(*canonical, n, tol)
+                    if size > 1:
+                        m, w, _, _, info = eigen._flapack.dstebz(*canonical, 2, 0.0, 1.0,
+                                                                 n, n, tol, "E")
+                        assert (m, info) == (1, 0)
+                        assert w[0] == ref
+                    if tol > 0:
+                        assert nth_eigenvalue(op, n, tol) == ref
+
+    def test_stein_matches_scipy_lapack(self):
+        rng = np.random.default_rng(14)
+        for size in (3, 17, 256, 3000):
+            diag, off, grid = random_tridiag(rng, size)
+            op = TridiagOperator(diag=diag, off=off, grid=grid)
+            for n in (1, size // 2 + 1, size):
+                lam = nth_eigenvalue(op, n)
+                z, info = scipy.linalg.lapack.dstein(diag, off, np.array([lam]),
+                                                     np.ones(size, dtype=np.int32),
+                                                     np.full(size, size, dtype=np.int32))
+                assert info == 0
+                v = eigenvector(op, lam)
+                assert np.array_equal(v, z[:, 0]) or np.array_equal(v, -z[:, 0])
+
+
+class TestLapackLoader:
+    NAME = "scipy.linalg._flapack"
+
+    @staticmethod
+    def run(body):
+        proc = subprocess.run([sys.executable, "-c", body], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_reuses_the_module_scipy_loaded(self):
+        assert self.run(
+            "import sys, scipy.linalg\n"
+            "from betaplane import eigen\n"
+            f"print(eigen._flapack is sys.modules[{self.NAME!r}])\n"
+        ) == ["True"]
+
+    def test_scipy_imported_later_gets_the_same_routines(self):
+        assert self.run(
+            "import sys\n"
+            "from betaplane import eigen\n"
+            f"print({self.NAME!r} in sys.modules)\n"
+            "import scipy.linalg\n"
+            "print(scipy.linalg.lapack.dstebz is eigen._flapack.dstebz,"
+            " scipy.linalg.lapack.dstein is eigen._flapack.dstein)\n"
+        ) == ["False", "True", "True"]
+
+    def test_missing_file_raises(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, self.NAME, raising=False)
+        monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"not found: .*_flapack"):
+            eigen._load_flapack()
+
+    def test_missing_routine_raises(self, monkeypatch):
+        stub = types.ModuleType(self.NAME)
+        stub.__file__ = "/lib/_flapack.so"
+        stub.dstebz = None
+        monkeypatch.setitem(sys.modules, self.NAME, stub)
+        with pytest.raises(ImportError, match="/lib/_flapack.so has no dstein"):
+            eigen._load_flapack()
 
 
 class TestEigenvector:

@@ -1,10 +1,15 @@
-"""No command and no modified-flow set-up loads scipy beyond linalg and special.
+"""No command and no modified-flow set-up runs scipy's package imports.
 
-The cutoff table, its interpolant and ``modified_flow.b0`` use a hand-rolled
-Gauss-Legendre rule and cubic Hermite pieces, so scipy.integrate and
-scipy.interpolate (which pull in scipy.optimize and scipy.sparse) are never
-imported: not by ``import betaplane``, not by any command, and not by the
-modified-flow set-up.  Each check runs in a fresh interpreter.
+The eigen kernel calls LAPACK ``stebz`` and ``stein`` from the compiled
+binding ``scipy/linalg/_flapack``, loaded as a file, so scipy.linalg (whose
+array-API layer copies the numpy namespace and so imports numpy.f2py and
+numpy.testing) is never imported.  ``modified_flow.erf`` is the C library's,
+so neither is scipy.special.  The cutoff table, its interpolant and
+``modified_flow.b0`` use a hand-rolled Gauss-Legendre rule and cubic Hermite
+pieces, so scipy.integrate and scipy.interpolate (which pull in
+scipy.optimize and scipy.sparse) are not imported either: not by
+``import betaplane``, not by any command, and not by the modified-flow
+set-up.  Each check runs in a fresh interpreter.
 """
 
 import json
@@ -14,7 +19,8 @@ import textwrap
 
 import pytest
 
-DEFERRED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
+DEFERRED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse",
+            "scipy.linalg", "scipy.special", "numpy.f2py", "numpy.testing")
 
 
 def loaded_after(body):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from betaplane import modified_flow as mf
 from betaplane.errors import NoBracketError, NoConvergenceError, ValidationError
@@ -36,6 +37,44 @@ class TestErf:
 
     def test_array_shape(self):
         assert mf.erf(np.zeros((3, 2))).shape == (3, 2)
+
+
+class TestErfFromTheCLibrary:
+    def test_bitwise_stdlib_below_six(self):
+        xs = np.concatenate((np.linspace(-6, 6, 20001)[1:-1], [-0.0, 5.999999999999999, 1e-300]))
+        ours = mf.erf(xs)
+        ref = np.array([math.erf(v) for v in xs])
+        assert np.array_equal(ours, ref)
+        assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+    def test_exactly_one_beyond(self):
+        xs = np.array([6.0, 6.5, 40.0, 1e300, np.inf])
+        assert np.all(mf.erf(xs) == 1.0)
+        assert np.all(mf.erf(-xs) == -1.0)
+        # erf(6) = 1 - 2.2e-17 rounds to 1, so the switch to sign(x) is invisible
+        assert math.erf(6.0) == 1.0
+
+    def test_nan(self):
+        assert math.isnan(mf.erf(float("nan")))
+        out = mf.erf(np.array([0.5, np.nan, 7.0]))
+        assert np.isnan(out[1]) and out[0] == math.erf(0.5) and out[2] == 1.0
+
+    def test_zero_dimensional_input_gives_a_scalar(self):
+        for x in (0.5, np.float64(0.5), np.array(0.5), 9.0):
+            out = mf.erf(x)
+            assert np.ndim(out) == 0 and not isinstance(out, np.ndarray)
+            assert out == math.erf(float(x))
+
+    def test_shapes_kept(self):
+        for shape in ((0,), (4,), (2, 3), (2, 1, 3)):
+            xs = np.linspace(-8, 8, int(np.prod(shape))).reshape(shape)
+            assert mf.erf(xs).shape == shape
+
+    def test_within_four_ulp_of_scipy(self):
+        xs = np.linspace(-6, 6, 1_000_001)
+        ours, ref = mf.erf(xs), scipy.special.erf(xs)
+        ulps = np.abs(ours - ref) / np.spacing(np.maximum(np.abs(ref), np.finfo(float).tiny))
+        assert ulps.max() <= 4
 
 
 class TestCutoff:
