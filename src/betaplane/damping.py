@@ -31,12 +31,15 @@ each endpoint is evaluated once: two rate evaluations per step, not three.
 All of it runs in preallocated float64 buffers; only the amplitude update
 is complex.
 
-Steps go in blocks of B = max(1, 4096 // modes), B set by the size of the
-lattice: one rate pass evaluates the 2B times t + (dt/2) [1..2B] of a
-block, and t advances by B dt between blocks.  B = 1, the case of every
-lattice of more than 2048 modes, is the plain t + dt/2, t + dt; a few-mode
-run such as ``evolve_rk4`` makes one pass per 4096 steps instead of one per
-step.  The multipliers are applied step by step, in order.
+Steps go in blocks of B = max(1, 32768 // modes) (``BLOCK_MODE_STEPS``),
+modes counted over the full lattice, conjugate partners included: one rate
+pass evaluates the 2B times t + (dt/2) [1..2B] of a block, and t advances
+by B dt between blocks.  The default 4806-mode lattice steps 6 at a time,
+and a single ``evolve_rk4`` mode makes one pass per 32768 steps.  The
+multipliers are applied step by step, in order.  The block size moves only
+the last bits, through the rounding of the times t + (dt/2) j, and the
+tables stay within 1e-13 of the complex textbook tableau stepped one step
+at a time (``tests/oracles.py``).
 
 The vorticity is real, so its modes are Hermitian:
 fhat(-k, -eta) = conj fhat(k, eta).  Under (k, eta) -> (-k, -eta) every
@@ -68,6 +71,7 @@ DEFAULT_K_SET = (-3, -2, -1, 1, 2, 3)
 DEFAULT_ETA_MAX = 20.0
 DEFAULT_D_ETA = 0.05
 FIT_WINDOW_START = 10.0
+BLOCK_MODE_STEPS = 32768  # mode-steps per rate pass; 16384 and 65536 were no faster
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,12 @@ def _require_finite(**values) -> None:
 
 
 def _block_steps(modes: int) -> int:
-    """B = max(1, 4096 // modes): steps per rate pass, about 4096 mode-steps a block."""
-    return max(1, 4096 // max(modes, 1))
+    """B = max(1, BLOCK_MODE_STEPS // modes): steps per rate pass for a lattice of ``modes``.
+
+    ``modes`` is the full lattice, conjugate partners included, so a paired
+    run and the same run stepping every mode use the same blocks.
+    """
+    return max(1, BLOCK_MODE_STEPS // max(modes, 1))
 
 
 class _Kernel:

@@ -172,7 +172,10 @@ def cutoff_constants() -> CutoffConstants:
     xs = np.linspace(0.0, 2.0, 200001)
     i0, i1, i2 = cutoff_I(xs), cutoff_I_prime(xs), cutoff_I_second(xs)
     m = float(np.max(np.abs(2.0 * xs * i0 + xs**2 * i1)))
-    m0 = float(np.max(np.abs(erf_prime(xs) * i0 + erf(xs) * i1)))
+    g0 = erf_prime(xs) * i0
+    live = i1 != 0.0  # erf enters only as erf(x) I'(x), and I' vanishes off (1, 2)
+    g0[live] += erf(xs[live]) * i1[live]
+    m0 = float(np.max(np.abs(g0)))
     _, norm = _cutoff_table()
     return CutoffConstants(
         M=m,

@@ -216,10 +216,9 @@ class TestExperiment:
         assert table.rows[0][1:3] == dp.velocity_norms(ens)
 
 
-def assert_experiment_matches_textbook(ens, beta):
+def assert_experiment_matches_textbook(ens, beta, samples=(0.0, 5.0, 10.0, 20.0, 30.0, 40.0)):
     dt = 5e-3
-    samples = [0.0, 5.0, 10.0, 20.0, 30.0, 40.0]
-    table = dp.run_damping_experiment(ens, beta, 40.0, dt=dt, sample_times=samples)
+    table = dp.run_damping_experiment(ens, beta, samples[-1], dt=dt, sample_times=samples)
     amps, t = ens.amps, ens.t
     mod0 = np.abs(amps)
     for ts, row in zip(samples, table.rows):
@@ -278,19 +277,33 @@ class TestRealKernel:
         monkeypatch.setattr(dp, "_rk4_multiplier", counting)
         ens = small_ensemble()
         dp.run_damping_experiment(ens, 1.0, 2.5, dt=1e-2, sample_times=[0.0, 1.0, 2.5])
-        # 100 + 150 steps of one mode per conjugate pair, in blocks of 4096 // 804 = 5 steps
-        block = 4096 // ens.amps.size
-        assert block == 5
-        assert sizes == [block * (ens.amps.size // 2)] * ((100 + 150) // block)
+        # 100 + 150 steps of one mode per conjugate pair, in blocks of 32768 // 804 = 40 steps
+        assert dp._block_steps(ens.amps.size) == 40
+        half = ens.amps.size // 2
+        assert sizes == [b * half for b in [40, 40, 20] + [40, 40, 40, 30]]
         sizes.clear()
         dp.evolve_rk4(dp.ModeState(1, 0.5, 1.0 + 0.0j), 1.0, 0.0, 3.0, 1e-2)
-        assert sizes == [300]  # 300 mode-steps in ceil(300 / 4096) = 1 block
+        assert sizes == [300]  # 300 mode-steps in ceil(300 / 32768) = 1 block
+
+    @pytest.mark.parametrize("modes, block", [(1, 32768), (804, 40), (4806, 6), (40000, 1)])
+    def test_block_steps(self, modes, block):
+        assert dp._block_steps(modes) == block
 
     def test_evolve_across_two_blocks_matches_textbook(self):
         st = dp.ModeState(-2, 3.7, 0.6 - 0.8j)
-        out = dp.evolve_rk4(st, 1.3, 0.5, 6.5, 1e-3)  # 6000 steps: blocks of 4096 and 1904
-        ref = rk4_evolve_textbook([st.k], [st.eta], [st.amp], 1.3, 0.5, 6.5, 1e-3)[0]
+        out = dp.evolve_rk4(st, 1.3, 0.5, 40.5, 1e-3)  # 40000 steps: blocks of 32768 and 7232
+        ref = rk4_evolve_textbook([st.k], [st.eta], [st.amp], 1.3, 0.5, 40.5, 1e-3)[0]
         assert abs(out.amp - ref) <= 1e-13
+
+    @pytest.mark.parametrize("profile, beta", [("gaussian", 1.3), ("bump", -2.1)])
+    def test_default_lattice_matches_textbook(self, profile, beta):
+        # Blocks of 6 steps on the 4806 default modes, against the textbook one
+        # step at a time.  Each interval is advanced on its own, so the row at
+        # t = 5 is that of a short run and the row at t = 20 that of a long
+        # one (4000 steps); the oracle takes about 0.8 s per 20 time units.
+        ens = dp.ModeEnsemble.from_profile(profile)
+        assert dp._block_steps(ens.amps.size) == 6
+        assert_experiment_matches_textbook(ens, beta, (0.0, 5.0, 20.0))
 
 
 class TestConjugatePairs:

@@ -127,6 +127,12 @@ class TestCutoff:
         for v in (c.M, c.M0, c.M1, c.M2, c.normalizer):
             assert v > 0 and np.isfinite(v)
 
+    def test_m0_equals_full_sweep(self):
+        # erf is evaluated only where I' != 0; the sup over all of [0, 2] is the same float
+        xs = np.linspace(0.0, 2.0, 200001)
+        full = mf.erf_prime(xs) * mf.cutoff_I(xs) + mf.erf(xs) * mf.cutoff_I_prime(xs)
+        assert mf.cutoff_constants().M0 == float(np.max(np.abs(full))) == 2.461431389378077
+
 
 class TestB0:
     def test_negative(self):
