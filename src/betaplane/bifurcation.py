@@ -51,8 +51,8 @@ class WaveApproximation:
 
 
 def check_kappa(kappa: float) -> None:
-    """Reject an amplitude outside the first-order regime |kappa| <= 0.1."""
-    if abs(kappa) > 0.1:
+    """Reject an amplitude outside the first-order regime |kappa| <= 0.1, NaN included."""
+    if not abs(kappa) <= 0.1:
         raise ValidationError(f"|kappa| <= 0.1 required, got {kappa}")
 
 
@@ -141,11 +141,13 @@ def period_estimate(profile: ShearProfile, beta: float, c: float, resolution: in
 
 
 def residual_slope(residuals_by_kappa) -> float:
-    """Least-squares slope of log(residual) against log(kappa)."""
+    """Least-squares slope of log(residual) against log|kappa| (the residual is even in kappa)."""
     pts = [(k, r) for k, r in residuals_by_kappa if r > 0]
     if len(pts) < 2:
         raise ValidationError("need at least two positive residuals to fit a slope")
-    lk = np.log([k for k, _ in pts])
+    if len({abs(k) for k, _ in pts}) < 2:
+        raise ValidationError("need residuals at two distinct |kappa| to fit a slope")
+    lk = np.log([abs(k) for k, _ in pts])
     lr = np.log([r for _, r in pts])
     slope, _ = np.polyfit(lk, lr, 1)
     return float(slope)

@@ -140,8 +140,15 @@ def _emit(table: CurveTable, cfg: RunConfig) -> None:
         svg_path.write_text(table_to_svg(table), encoding="utf-8", newline="\n")
 
 
-def _parse_floats(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_floats(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of ``flag``; empty entries are skipped."""
+    values = []
+    for v in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(v))
+        except ValueError:
+            raise ValidationError(f"{flag}: {v.strip()!r} is not a number") from None
+    return values
 
 
 def cmd_eigen(args, cfg: RunConfig) -> CurveTable:
@@ -246,9 +253,9 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
             )
         return table
     if args.emit == "sweep":
-        if not args.gamma_sweep:
+        gammas = _parse_floats(args.gamma_sweep or "", "--gamma-sweep")
+        if not gammas:
             raise ValidationError("--emit sweep requires --gamma-sweep g1,g2,...")
-        gammas = _parse_floats(args.gamma_sweep)
         b0 = modified_flow.b0()
         bound = 3.0 + 1.5 * b0 * args.a
         table = CurveTable(
@@ -283,7 +290,7 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
 
 
 def cmd_bifurcate(args, cfg: RunConfig) -> CurveTable:
-    kappas = _parse_floats(args.kappas)
+    kappas = _parse_floats(args.kappas, "--kappas")
     resolution = cfg.resolution
     if args.base == "modified":
         params = modified_flow.ModifiedFlowParams(args.beta, args.gamma, args.a)
@@ -333,8 +340,10 @@ def cmd_bifurcate(args, cfg: RunConfig) -> CurveTable:
 
 
 def cmd_damping(args, cfg: RunConfig) -> CurveTable:
+    samples = _parse_floats(args.samples, "--samples") if args.samples else None
+    if samples == []:
+        raise ValidationError("--samples names no sample time")
     ens = damping.ModeEnsemble.from_profile(args.profile)
-    samples = _parse_floats(args.samples) if args.samples else None
     return damping.run_damping_experiment(ens, args.beta, args.t_end, dt=args.dt, sample_times=samples)
 
 

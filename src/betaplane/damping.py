@@ -28,8 +28,8 @@ one purely imaginary factor and the step multiplier is, exactly,
 with x1, x2, x4 taken at t, t + dt/2 and t + dt.  The step's endpoint t + dt
 is the same float as the next step's t, so x4 is kept as the next x1 and
 each endpoint is evaluated once: two rate evaluations per step, not three.
-All of it runs in preallocated float64 buffers; only the amplitude update
-is complex.
+All of it runs in float64 buffers that each call allocates once; only the
+amplitude update is complex.
 
 Steps go in blocks of B = max(1, 32768 // modes) (``BLOCK_MODE_STEPS``),
 modes counted over the full lattice, conjugate partners included: one rate
@@ -111,6 +111,8 @@ class ModeEnsemble:
         supported (1 - (eta/8)^2)^3 exp(-|k|) profile.  Both are real and
         even, so the physical field is real.
         """
+        if len(k_set) == 0:
+            raise ValidationError("k_set must name at least one wavenumber")
         if any(k == 0 for k in k_set):
             raise ValidationError("zero-wavenumber: k = 0 modes are excluded")
         if not (np.isfinite(d_eta) and d_eta > 0):
@@ -156,75 +158,18 @@ def _block_steps(modes: int) -> int:
     ``modes`` is the full lattice, conjugate partners included, so a paired
     run and the same run stepping every mode use the same blocks.
     """
-    return max(1, BLOCK_MODE_STEPS // max(modes, 1))
+    return max(1, BLOCK_MODE_STEPS // modes)
 
 
-class _Kernel:
-    """The rate a(tau) of one mode vector, and float64 buffers for blocks of its RK4 steps."""
-
-    def __init__(self, ks, etas, beta: float, block: int):
-        self.k = np.asarray(ks, dtype=float)
-        self.eta = np.asarray(etas, dtype=float)
-        self.k2 = self.k * self.k
-        self.bk = beta * self.k
-        self.block = block
-        self.rows = np.empty((2 * block + 1, self.k.size))
-        self.tau = np.empty((2 * block, 1))
-        self.pqr = np.empty((3, block * self.k.size))
-        self.m = np.empty(block * self.k.size, dtype=complex)
-
-    def scaled_rate(self, tau, dt: float, out: np.ndarray) -> np.ndarray:
-        """out = dt a(tau) = dt beta k / (k^2 + (eta - k tau)^2).
-
-        ``tau`` is a float, or a column of times that gives ``out`` one row each.
-        """
-        np.multiply(self.k, tau, out)
-        np.subtract(self.eta, out, out)
-        np.square(out, out)
-        np.add(self.k2, out, out)
-        np.divide(self.bk, out, out)
-        return np.multiply(out, dt, out)
-
-
-class _Block:
-    """Views of a _Kernel's buffers for a block of b steps of length ``step``.
-
-    ``rows[:b]`` holds x1 at the steps' starts, ``rows[1:b+1]`` x4 at their
-    ends and ``rows[b+1:2b+1]`` x2 at their midpoints, so x1, x2 and x4 are
-    each one flat, contiguous run, and ``rates = rows[1:2b+1]`` is filled in
-    one pass at the times ``tau``: the block's start plus ``offsets``,
-    (step/2) [2, 4, .., 2b, 1, 3, .., 2b-1].  Row b, the block's last x4, is
-    the next block's first x1.  ``steps`` are the rows of M, one per step.
-    """
-
-    def __init__(self, kern: _Kernel, b: int, step: float):
-        size = b * kern.k.size
-        rows = kern.rows
-        self.rate = kern.scaled_rate
-        j = np.concatenate((np.arange(2, 2 * b + 1, 2), np.arange(1, 2 * b, 2)))
-        self.offsets = (0.5 * step * j)[:, None]
-        self.x1 = rows[:b].reshape(size)
-        self.x4 = rows[1 : b + 1].reshape(size)
-        self.x2 = rows[b + 1 : 2 * b + 1].reshape(size)
-        self.rates = rows[1 : 2 * b + 1]
-        self.first_x1, self.last_x4 = rows[0], rows[b]
-        self.tau = kern.tau[: 2 * b]
-        self.p, self.q, self.r = kern.pqr[:, :size]
-        self.m = kern.m[:size]
-        self.m_re, self.m_im = self.m.real, self.m.imag
-        self.steps = self.m.reshape(b, kern.k.size)
-
-
-def _rk4_multiplier(x1, blk: _Block, dt: float) -> np.ndarray:
+def _rk4_multiplier(x1, x2, x4, work, m) -> np.ndarray:
     """Classical RK4 step multipliers M for d/dt f = i a(t) f, in real arithmetic.
 
-    Takes x1 = dt a(t_j) at the starts of a block of steps (``blk.x1``),
-    evaluates x4 and x2 at the times ``blk.tau`` in one pass, and returns M,
-    one run of modes per step, in ``blk.m``.  Every ufunc writes into its
-    third argument, one of ``blk``'s views, so a block allocates nothing.
+    x1, x2 and x4 are dt a(tau) at the starts, midpoints and ends of a block
+    of steps, flat, one run of modes per step; M is written into ``m`` in
+    the same layout.  ``work`` is three float64 rows as long as x1, and
+    every ufunc writes into its third argument, so a block allocates nothing.
     """
-    blk.rate(blk.tau, dt, blk.rates)
-    x2, x4, p, q, r = blk.x2, blk.x4, blk.p, blk.q, blk.r
+    p, q, r = work
     # 6 Im M = (x1 + x4)(1 - x2^2/2) + 4 x2
     np.add(x1, x4, p)
     np.square(x2, q)
@@ -233,7 +178,7 @@ def _rk4_multiplier(x1, blk: _Block, dt: float) -> np.ndarray:
     np.multiply(p, r, r)
     np.multiply(x2, 4.0, q)
     np.add(r, q, r)
-    np.divide(r, 6.0, blk.m_im)
+    np.divide(r, 6.0, m.imag)
     # 6 (1 - Re M) = x2 (x1 + x2 + x4 - x1 x2 x4 / 4)
     np.add(p, x2, p)
     np.multiply(x1, x4, q)
@@ -242,32 +187,55 @@ def _rk4_multiplier(x1, blk: _Block, dt: float) -> np.ndarray:
     np.subtract(p, q, p)
     np.multiply(p, x2, p)
     np.divide(p, 6.0, p)
-    np.subtract(1.0, p, blk.m_re)
-    return blk.m
+    np.subtract(1.0, p, m.real)
+    return m
 
 
-def _advance(amps: np.ndarray, kern: _Kernel, t0: float, t1: float, dt: float) -> None:
-    """Advance amps in place from t0 to t1 in max(1, round((t1 - t0)/dt)) equal RK4 steps.
+def _advance(amps, k, eta, beta: float, block: int, t0: float, t1: float, dt: float) -> None:
+    """Advance amps, of the modes (k, eta), in place from t0 to t1 in max(1, round((t1 - t0)/dt)) steps.
 
-    The steps go in blocks of ``kern.block``; a block of b steps from t
-    evaluates the rate at t + (step/2) [1..2b], and t advances by
-    ``kern.block`` steps between blocks.  The multipliers are applied one
-    step at a time, in order.
+    The steps go in blocks of ``block``, and t advances by ``block`` steps
+    between blocks.  A block of b steps from t fills ``rows[1:2b+1]`` with
+    x = step a(tau) in one pass, at tau = t + (step/2) [2, 4, .., 2b, 1, 3,
+    .., 2b-1]: ``rows[:b]`` holds x1 at the steps' starts, ``rows[1:b+1]``
+    x4 at their ends and ``rows[b+1:2b+1]`` x2 at their midpoints, each one
+    flat, contiguous run.  Row b, the block's last x4, is the next block's
+    first x1.  The multipliers are applied one step at a time, in order.
     """
     n = max(1, int(round((t1 - t0) / dt)))
     step = (t1 - t0) / n
-    full = _Block(kern, kern.block, step)
-    kern.scaled_rate(t0, step, kern.rows[0])
+    k, eta = np.asarray(k, dtype=float), np.asarray(eta, dtype=float)
+    modes = k.size
+    k2, bk = k * k, beta * k
+    rows = np.empty((2 * block + 1, modes))
+    work = np.empty((3, block * modes))
+    m = np.empty(block * modes, dtype=complex)
+
+    def rate(tau, out):
+        """out = step a(tau) = step beta k / (k^2 + (eta - k tau)^2), a row per time of ``tau``."""
+        np.multiply(k, tau, out)
+        np.subtract(eta, out, out)
+        np.square(out, out)
+        np.add(k2, out, out)
+        np.divide(bk, out, out)
+        np.multiply(out, step, out)
+
+    def views(b):
+        """Time offsets, rate rows, flat (x1, x2, x4), work rows and M of a block of b steps."""
+        size = b * modes
+        j = np.concatenate((np.arange(2, 2 * b + 1, 2), np.arange(1, 2 * b, 2)))
+        x = (rows[:b].reshape(size), rows[b + 1 : 2 * b + 1].reshape(size), rows[1 : b + 1].reshape(size))
+        return (0.5 * step * j)[:, None], rows[1 : 2 * b + 1], x, work[:, :size], m[:size]
+
+    blocks = [views(block)] * (n // block) + ([views(n % block)] if n % block else [])
+    rate(t0, rows[0])
     t = t0
-    for start in range(0, n, kern.block):
-        b = min(kern.block, n - start)
-        blk = full if b == kern.block else _Block(kern, b, step)
-        np.add(t, blk.offsets, blk.tau)
-        _rk4_multiplier(blk.x1, blk, step)
-        for m in blk.steps:
-            amps *= m
-        np.copyto(blk.first_x1, blk.last_x4)
-        t += kern.block * step
+    for offsets, rates, (x1, x2, x4), w, mb in blocks:
+        rate(t + offsets, rates)
+        for row in _rk4_multiplier(x1, x2, x4, w, mb).reshape(-1, modes):
+            amps *= row
+        rows[0] = x4[-modes:]
+        t += block * step
 
 
 def evolve_rk4(state: ModeState, beta: float, t0: float, t1: float, dt: float) -> ModeState:
@@ -278,7 +246,7 @@ def evolve_rk4(state: ModeState, beta: float, t0: float, t1: float, dt: float) -
     if t1 <= t0:
         raise ValidationError(f"t1 must exceed t0, got {t0} -> {t1}")
     amps = np.array([state.amp], dtype=complex)
-    _advance(amps, _Kernel([state.k], [state.eta], beta, _block_steps(1)), t0, t1, dt)
+    _advance(amps, [state.k], [state.eta], beta, _block_steps(1), t0, t1, dt)
     return replace(state, amp=complex(amps[0]))
 
 
@@ -343,6 +311,8 @@ def run_damping_experiment(
         raise ValidationError(f"dt must be positive, got {dt}")
     if t_end < init.t:
         raise ValidationError(f"t_end={t_end} is before the ensemble's time {init.t}")
+    if init.amps.size == 0:
+        raise ValidationError("the ensemble has no modes")
     if sample_times is None:
         sample_times = np.arange(init.t, t_end + 1e-12, 5.0)
     sample_times = sorted(float(s) for s in sample_times)
@@ -358,7 +328,7 @@ def run_damping_experiment(
     stepped = np.delete(np.arange(ens.amps.size), partners)
     rep_at = np.searchsorted(stepped, reps)  # where each representative sits in `amps`
     amps = ens.amps[stepped]
-    kern = _Kernel(ens.ks[stepped], ens.etas[stepped], beta, _block_steps(ens.amps.size))
+    ks, etas, block = ens.ks[stepped], ens.etas[stepped], _block_steps(ens.amps.size)
     mod0 = np.abs(ens.amps)
     table = CurveTable(
         name="damping-experiment",
@@ -367,7 +337,7 @@ def run_damping_experiment(
     )
     for ts in sample_times:
         if ts > ens.t:
-            _advance(amps, kern, ens.t, ts, dt)
+            _advance(amps, ks, etas, beta, block, ens.t, ts, dt)
             ens.amps[stepped] = amps
             ens.amps[partners] = np.conj(amps[rep_at])
         ens.t = ts

@@ -61,11 +61,9 @@ __all__ = [
 # bisection tolerance of every discrete eigenvalue
 _EIG_TOL = 1e-12
 
-# |u(node) - c| below this with a non-vanishing numerator is treated as a
-# genuine critical layer; between the two thresholds the quotient is formed
-# anyway (it is finite, if large).
+# |u(node) - c| below this outside a removable zone is treated as a genuine
+# critical layer; above it the quotient is formed (it is finite, if large).
 _SINGULAR_NODE_TOL = 1e-13
-_NEAR_SINGULAR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -264,8 +262,8 @@ def lambda_n_general(
             zone_mask = (y >= zone[0]) & (y <= zone[1])
         else:
             zone_mask = np.zeros(y.shape, dtype=bool)
-        bad = (np.abs(den) < _NEAR_SINGULAR_TOL) & ~zone_mask
-        if np.any(bad) and np.min(np.abs(den[bad])) < _SINGULAR_NODE_TOL:
+        bad = (np.abs(den) < _SINGULAR_NODE_TOL) & ~zone_mask
+        if np.any(bad):
             worst = y[bad][np.argmin(np.abs(den[bad]))]
             raise SingularPotentialError(
                 f"singular-potential: u(y)-c vanishes at node y={worst} "

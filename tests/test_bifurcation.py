@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,11 @@ class TestConstruct:
         with pytest.raises(ValidationError):
             bif.construct(prof, beta, c, 0.2, resolution=256)
 
+    def test_nan_amplitude_rejected(self, modified_base):
+        prof, beta, c = modified_base
+        with pytest.raises(ValidationError, match="kappa"):
+            bif.construct(prof, beta, c, np.nan, resolution=256)
+
     def test_override_builds_no_eigenvector(self, modified_base, monkeypatch):
         prof, beta, c = modified_base
         grid = bif.construct(prof, beta, c, 1e-3, resolution=256).grid
@@ -92,6 +99,19 @@ class TestResidual:
         assert 1.8 <= slope <= 2.2
         # halving kappa cuts the residual by about four
         assert rows[1][1] / rows[0][1] == pytest.approx(0.25, abs=0.05)
+
+    def test_negative_amplitudes_fit_against_abs_kappa(self, modified_base):
+        prof, beta, c = modified_base
+        base = bif.construct(prof, beta, c, KAPPAS[0], resolution=256)
+        rows = [(k, bif.residual_norm(replace(base, kappa=k), beta)) for k in KAPPAS]
+        mixed = [(-k if i % 2 == 0 else k, r) for i, (k, r) in enumerate(rows)]
+        assert bif.residual_norm(replace(base, kappa=-KAPPAS[1]), beta) == rows[1][1]
+        assert bif.residual_slope(mixed) == bif.residual_slope(rows)
+
+    @pytest.mark.parametrize("kappas", [(1e-2, 1e-2), (1e-2, -1e-2)])
+    def test_slope_needs_two_distinct_amplitudes(self, kappas):
+        with pytest.raises(ValidationError, match="distinct"):
+            bif.residual_slope([(k, 5.5e-3) for k in kappas])
 
     def test_random_phi_negative_control(self, modified_base):
         prof, beta, c = modified_base

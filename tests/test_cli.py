@@ -112,7 +112,8 @@ class TestBifurcateCommand:
     @pytest.mark.parametrize("kappas, message", [
         ("1e-2,0.5", "|kappa| <= 0.1 required, got 0.5"),
         ("", "need at least two positive residuals to fit a slope"),
-    ], ids=["kappa-too-large", "empty"])
+        ("nan,1e-2,5e-3", "|kappa| <= 0.1 required, got nan"),
+    ], ids=["kappa-too-large", "empty", "nan"])
     def test_ladder_rejected_before_any_solve(self, kappas, message, monkeypatch, capsys):
         from betaplane import bifurcation, cli
 
@@ -125,6 +126,16 @@ class TestBifurcateCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_negative_kappa_ladder(self, capsys):
+        from betaplane.cli import main
+
+        assert main(["bifurcate", "--beta", "2", "--gamma", "0.02", "--kappas=-1e-2,5e-3,2.5e-3"]) == 0
+        meta = dict(
+            line[2:].split(": ", 1) for line in capsys.readouterr().out.splitlines()
+            if line.startswith("# ")
+        )
+        assert 1.8 <= float(meta["slope"]) <= 2.2
 
     def test_speed_inside_flow_range_exit_2(self, capsys):
         from betaplane.cli import main
@@ -160,6 +171,31 @@ class TestDampingCommand:
         assert main(["damping", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
+class TestListFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["damping", "--beta", "1", "--t-end", "1", "--samples", "0,abc"], "--samples: 'abc' is not a number"),
+        (["damping", "--beta", "1", "--t-end", "1", "--samples", ","], "--samples names no sample time"),
+        (["bifurcate", "--beta", "2", "--gamma", "0.02", "--kappas", "1e-2,x"], "--kappas: 'x' is not a number"),
+        (["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--emit", "sweep", "--gamma-sweep", "0.01,q"],
+         "--gamma-sweep: 'q' is not a number"),
+        (["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--emit", "sweep", "--gamma-sweep", ","],
+         "--emit sweep requires --gamma-sweep g1,g2,..."),
+    ], ids=["samples-bad", "samples-empty", "kappas-bad", "gamma-sweep-bad", "gamma-sweep-empty"])
+    def test_malformed_list_exit_2_before_any_solve(self, argv, message, monkeypatch, capsys):
+        from betaplane import bifurcation, cli, damping, modified_flow
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("stepped or solved before rejecting the list")
+
+        monkeypatch.setattr(damping, "_rk4_multiplier", no_solve)
+        monkeypatch.setattr(bifurcation, "lambda_n_general", no_solve)
+        monkeypatch.setattr(modified_flow, "lambda_n_modified", no_solve)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
 

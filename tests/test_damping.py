@@ -179,6 +179,19 @@ class TestExperiment:
         with pytest.raises(ValidationError, match="zero-wavenumber"):
             dp.ModeEnsemble.from_profile("gaussian", k_set=(0, 1))
 
+    def test_empty_lattice_rejected(self):
+        with pytest.raises(ValidationError, match="at least one wavenumber"):
+            dp.ModeEnsemble.from_profile("gaussian", k_set=())
+
+    def test_ensemble_without_modes_rejected_before_any_step(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped an empty ensemble")
+
+        monkeypatch.setattr(dp, "_rk4_multiplier", no_step)
+        empty = dp.ModeEnsemble(np.array([], dtype=int), np.array([]), np.array([], dtype=complex), 0.05)
+        with pytest.raises(ValidationError, match="no modes"):
+            dp.run_damping_experiment(empty, 1.0, 1.0, sample_times=[0.0, 1.0])
+
     @pytest.mark.parametrize("d_eta", [0.0, -0.1, np.nan, np.inf])
     def test_bad_lattice_spacing_rejected(self, d_eta):
         with pytest.raises(ValidationError, match="d_eta"):

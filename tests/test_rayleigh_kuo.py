@@ -11,6 +11,7 @@ from betaplane.errors import (
 from betaplane.grid import build_grid
 from betaplane.rayleigh_kuo import (
     RayleighKuoSpec,
+    ShearProfile,
     couette,
     lambda_1_singular,
     lambda_n_general,
@@ -200,6 +201,23 @@ class TestLambdaGeneral:
         c = float(g.nodes[10])
         with pytest.raises((SingularPotentialError, SingularSpeedError)):
             lambda_n_general(couette(), 1.0, c, 1, 64)
+
+    def test_singular_node_outside_flat_zone(self):
+        # u = y^2 has its critical layers at +-y0; +y0 lies in the removable
+        # zone, and its mirror -y0 is a grid node outside it
+        y0 = float(build_grid(64).nodes[45])
+        prof = ShearProfile(
+            u=lambda y: np.asarray(y, dtype=float) ** 2,
+            du=lambda y: 2.0 * np.asarray(y, dtype=float),
+            d2u=lambda y: np.full(np.shape(y), 2.0),
+            range_lo=0.0,
+            range_hi=1.0,
+            label="parabola",
+            flat_zone=(y0 - 0.05, y0 + 0.05),
+            flat_d2u=1.0,
+        )
+        with pytest.raises(SingularPotentialError, match=f"node y={-y0}"):
+            lambda_n_general(prof, 1.0, y0**2, 1, 64)
 
 
 class TestSection3Properties:
