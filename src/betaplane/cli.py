@@ -340,7 +340,7 @@ def cmd_bifurcate(args, cfg: RunConfig) -> CurveTable:
 
 
 def cmd_damping(args, cfg: RunConfig) -> CurveTable:
-    samples = _parse_floats(args.samples, "--samples") if args.samples else None
+    samples = _parse_floats(args.samples, "--samples") if args.samples is not None else None
     if samples == []:
         raise ValidationError("--samples names no sample time")
     ens = damping.ModeEnsemble.from_profile(args.profile)

@@ -28,25 +28,26 @@ one purely imaginary factor and the step multiplier is, exactly,
 with x1, x2, x4 taken at t, t + dt/2 and t + dt.  The step's endpoint t + dt
 is the same float as the next step's t, so x4 is kept as the next x1 and
 each endpoint is evaluated once: two rate evaluations per step, not three.
-All of it runs in float64 buffers that each call allocates once; only the
-amplitude update is complex.
+Over a sample interval of n steps, a mode is multiplied by the product of
+its n multipliers.
 
-Steps go in blocks of B = max(1, 32768 // modes) (``BLOCK_MODE_STEPS``),
-modes counted over the full lattice, conjugate partners included: one rate
-pass evaluates the 2B times t + (dt/2) [1..2B] of a block, and t advances
-by B dt between blocks.  The default 4806-mode lattice steps 6 at a time,
-and a single ``evolve_rk4`` mode makes one pass per 32768 steps.  The
-multipliers are applied step by step, in order.  The block size moves only
-the last bits, through the rounding of the times t + (dt/2) j, and the
-tables stay within 1e-13 of the complex textbook tableau stepped one step
-at a time (``tests/oracles.py``).
+The vorticity is real: fhat(-k, -eta) = conj fhat(k, eta).  Under (k, eta)
+-> (-k, -eta) every rate x changes sign exactly in IEEE arithmetic, so the
+multiplier is exactly conj M.  A mode with k < 0 therefore takes the
+conjugate of the product of (-k, -eta), and mirrored modes share it.
 
-The vorticity is real, so its modes are Hermitian:
-fhat(-k, -eta) = conj fhat(k, eta).  Under (k, eta) -> (-k, -eta) every
-rate x changes sign exactly in IEEE arithmetic, so the multiplier is
-exactly conj M, and a conjugate pair stays one bitwise.  The experiment
-steps one mode of each pair and rebuilds its partner by conjugation at the
-sample times; modes without an exact partner are stepped as they are.
+On the lattice eta = g q, g = dt/2, q an integer, half-step h from t0 has
+the shear g (q - k h) - k t0, so all modes of one k > 0 read x at
+p = q - k h of one sequence anchored at p = 0.  Step j's multiplier M(p0),
+p0 = q - 2kj, takes x at p0, p0 - k and p0 - 2k, and a mode's product is
+the window p0 = q, q - 2k, .., q - 2k(n-1) of M, taken from doubling
+levels.  Per |k| and interval, x is evaluated at (q range) + 2n|k| points;
+the default lattice (d_eta = 0.05 = 20 g at dt = 5e-3) is one.  Every
+other mode (an eta off the lattice, or a |k| whose sequence is no shorter
+than n steps of each eta, as for one ``evolve_rk4`` mode) is stepped on its
+own, once per distinct (|k|, +-eta), in blocks multiplied pairwise.  Either
+way the tables stay within 1e-13 of the complex textbook tableau
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ DEFAULT_K_SET = (-3, -2, -1, 1, 2, 3)
 DEFAULT_ETA_MAX = 20.0
 DEFAULT_D_ETA = 0.05
 FIT_WINDOW_START = 10.0
-BLOCK_MODE_STEPS = 32768  # mode-steps per rate pass; 16384 and 65536 were no faster
+MAX_TERMS = 16384  # multipliers held at once, besides a lattice's q range
 
 
 @dataclass(frozen=True)
@@ -152,22 +153,20 @@ def _require_finite(**values) -> None:
             raise ValidationError(f"{name} must be finite, got {value}")
 
 
-def _block_steps(modes: int) -> int:
-    """B = max(1, BLOCK_MODE_STEPS // modes): steps per rate pass for a lattice of ``modes``.
-
-    ``modes`` is the full lattice, conjugate partners included, so a paired
-    run and the same run stepping every mode use the same blocks.
-    """
-    return max(1, BLOCK_MODE_STEPS // modes)
+def _rates(u, c, out) -> np.ndarray:
+    """out = c / (1 + u^2): x = step a = step beta k / (k^2 + s^2) at u = s / k and c = step beta / k."""
+    np.square(u, out)
+    np.add(out, 1.0, out)
+    return np.divide(c, out, out)
 
 
 def _rk4_multiplier(x1, x2, x4, work, m) -> np.ndarray:
     """Classical RK4 step multipliers M for d/dt f = i a(t) f, in real arithmetic.
 
-    x1, x2 and x4 are dt a(tau) at the starts, midpoints and ends of a block
-    of steps, flat, one run of modes per step; M is written into ``m`` in
-    the same layout.  ``work`` is three float64 rows as long as x1, and
-    every ufunc writes into its third argument, so a block allocates nothing.
+    x1, x2 and x4 are dt a(tau) at the starts, midpoints and ends of the
+    steps, each one flat array; M is written into ``m`` in the same layout.
+    ``work`` is three float64 rows as long as x1, and every ufunc writes
+    into its third argument, so a call allocates nothing.
     """
     p, q, r = work
     # 6 Im M = (x1 + x4)(1 - x2^2/2) + 4 x2
@@ -191,51 +190,112 @@ def _rk4_multiplier(x1, x2, x4, work, m) -> np.ndarray:
     return m
 
 
-def _advance(amps, k, eta, beta: float, block: int, t0: float, t1: float, dt: float) -> None:
+def _window_products(m, stride: int, n: int, starts) -> np.ndarray:
+    """prod_{j<n} m[i + j stride] for each i of ``starts``, by doubling.
+
+    Level b holds T_b[i] = T_{b-1}[i] T_{b-1}[i + 2^(b-1) stride], and a
+    window takes one entry per set bit of n, low bits first: the same tree
+    of its terms, about log2(n) levels deep, wherever it starts (the sparse
+    table of Bender and Farach-Colton, LATIN 2000, without overlap).
+    """
+    prod, offset, level = np.ones(len(starts), dtype=complex), 0, m
+    for b in range(n.bit_length()):
+        if b:
+            level = level[: -(stride << (b - 1))] * level[stride << (b - 1) :]
+        if n >> b & 1:
+            prod *= level[starts + offset]
+            offset += stride << b
+    return prod
+
+
+def _tree_products(rows) -> np.ndarray:
+    """The products down the columns of ``rows``, multiplied pairwise, level by level.
+
+    A running product of factors near 1 piles up correlated roundings along
+    a smooth sequence (2.8e-13 from the textbook over 16384 steps of one
+    mode); a tree does not.
+    """
+    while len(rows) > 1:
+        half = len(rows) // 2
+        paired = rows[:half] * rows[half : 2 * half]
+        if len(rows) % 2:
+            paired[-1] *= rows[-1]
+        rows = paired
+    return rows[0]
+
+
+def _lattice_products(k: int, q, beta: float, t0: float, step: float, n: int) -> np.ndarray:
+    """Products over n steps from t0 of the lattice modes (k, q step/2), k > 0.
+
+    x is indexed by r = max(q) - p, forward in time, so mode q's window starts
+    at max(q) - q with stride 2k.  Pieces of MAX_TERMS // 2k steps bound x.
+    """
+    top = q.max()
+    starts = (top - q).astype(np.int64)
+    piece = max(1, MAX_TERMS // (2 * k))
+    prod = np.ones(q.size, dtype=complex)
+    for j0 in range(0, n, piece):
+        b = min(piece, n - j0)
+        size = int(starts.max()) + 1 + 2 * k * (b - 1)  # step starts p0
+        x = np.multiply(top - np.arange(size + 2 * k), step / (2 * k))  # u + tau = g p / k
+        _rates(np.subtract(x, t0 + j0 * step, x), step * beta / k, x)
+        work, m = np.empty((3, size)), np.empty(size, dtype=complex)
+        _rk4_multiplier(x[:size], x[k : size + k], x[2 * k :], work, m)
+        prod *= _window_products(m, 2 * k, b, starts)
+    return prod
+
+
+def _stepped_products(k, eta, beta: float, t0: float, step: float, n: int) -> np.ndarray:
+    """Products over n steps from t0 of the modes (k, eta), each stepped on its own.
+
+    A block of B <= MAX_TERMS // modes steps fills ``rows[1:]`` at the
+    half-steps [2, 4, .., 2B, 1, 3, .., 2B-1], so that ``rows[:b]``,
+    ``rows[1:b+1]`` and ``rows[B+1:B+1+b]`` are the flat x1, x4 and x2 of
+    its first b steps; row B is the next block's x1.
+    """
+    modes = k.size
+    block = min(n, max(1, MAX_TERMS // modes))
+    half = np.r_[2 : 2 * block + 1 : 2, 1 : 2 * block : 2][:, None]
+    rows = np.empty((2 * block + 1, modes))
+    work, m = np.empty((3, block * modes)), np.empty(block * modes, dtype=complex)
+    prod = np.ones(modes, dtype=complex)
+    u0, c = eta / k, step * beta / k
+    _rates(np.subtract(u0, t0, rows[0]), c, rows[0])
+    for j0 in range(0, n, block):
+        b = min(block, n - j0)
+        _rates(np.subtract(u0, t0 + 0.5 * step * (2 * j0 + half), rows[1:]), c, rows[1:])
+        x1, x4, x2 = (rows[i : i + b].reshape(-1) for i in (0, 1, block + 1))
+        m_b = _rk4_multiplier(x1, x2, x4, work[:, : x1.size], m[: x1.size])
+        prod *= _tree_products(m_b.reshape(b, modes))
+        rows[0] = rows[block]
+    return prod
+
+
+def _advance(amps, k, eta, beta: float, t0: float, t1: float, dt: float) -> None:
     """Advance amps, of the modes (k, eta), in place from t0 to t1 in max(1, round((t1 - t0)/dt)) steps.
 
-    The steps go in blocks of ``block``, and t advances by ``block`` steps
-    between blocks.  A block of b steps from t fills ``rows[1:2b+1]`` with
-    x = step a(tau) in one pass, at tau = t + (step/2) [2, 4, .., 2b, 1, 3,
-    .., 2b-1]: ``rows[:b]`` holds x1 at the steps' starts, ``rows[1:b+1]``
-    x4 at their ends and ``rows[b+1:2b+1]`` x2 at their midpoints, each one
-    flat, contiguous run.  Row b, the block's last x4, is the next block's
-    first x1.  The multipliers are applied one step at a time, in order.
+    An eta within 4 ulps of a multiple of step/2 counts as on the lattice.
+    Lattice modes of one |k| go in groups of q range under MAX_TERMS.
     """
     n = max(1, int(round((t1 - t0) / dt)))
     step = (t1 - t0) / n
     k, eta = np.asarray(k, dtype=float), np.asarray(eta, dtype=float)
-    modes = k.size
-    k2, bk = k * k, beta * k
-    rows = np.empty((2 * block + 1, modes))
-    work = np.empty((3, block * modes))
-    m = np.empty(block * modes, dtype=complex)
-
-    def rate(tau, out):
-        """out = step a(tau) = step beta k / (k^2 + (eta - k tau)^2), a row per time of ``tau``."""
-        np.multiply(k, tau, out)
-        np.subtract(eta, out, out)
-        np.square(out, out)
-        np.add(k2, out, out)
-        np.divide(bk, out, out)
-        np.multiply(out, step, out)
-
-    def views(b):
-        """Time offsets, rate rows, flat (x1, x2, x4), work rows and M of a block of b steps."""
-        size = b * modes
-        j = np.concatenate((np.arange(2, 2 * b + 1, 2), np.arange(1, 2 * b, 2)))
-        x = (rows[:b].reshape(size), rows[b + 1 : 2 * b + 1].reshape(size), rows[1 : b + 1].reshape(size))
-        return (0.5 * step * j)[:, None], rows[1 : 2 * b + 1], x, work[:, :size], m[:size]
-
-    blocks = [views(block)] * (n // block) + ([views(n % block)] if n % block else [])
-    rate(t0, rows[0])
-    t = t0
-    for offsets, rates, (x1, x2, x4), w, mb in blocks:
-        rate(t + offsets, rates)
-        for row in _rk4_multiplier(x1, x2, x4, w, mb).reshape(-1, modes):
-            amps *= row
-        rows[0] = x4[-modes:]
-        t += block * step
+    mirrored = k < 0
+    k, eta = np.abs(k), np.where(mirrored, -eta, eta)
+    q = np.rint(eta / (step / 2))
+    lattice = (np.abs(q * (step / 2) - eta) <= 4 * np.finfo(float).eps * np.abs(eta)) & (k == np.rint(k))
+    groups = k + 1j * (np.where(lattice, q - q[lattice].min(initial=0.0), 0.0) // MAX_TERMS)
+    prod = np.empty(amps.size, dtype=complex)
+    for key in np.unique(groups[lattice]):
+        group, kk = lattice & (groups == key), key.real
+        if np.ptp(q[group]) + 1 + 2 * kk * (n - 1) < np.unique(q[group]).size * n:
+            prod[group] = _lattice_products(int(kk), q[group], beta, t0, step, n)
+        else:
+            lattice &= ~group
+    if not lattice.all():
+        keys, inverse = np.unique(k[~lattice] + 1j * eta[~lattice], return_inverse=True)
+        prod[~lattice] = _stepped_products(keys.real.copy(), keys.imag.copy(), beta, t0, step, n)[inverse]
+    amps *= np.where(mirrored, prod.conj(), prod)
 
 
 def evolve_rk4(state: ModeState, beta: float, t0: float, t1: float, dt: float) -> ModeState:
@@ -246,7 +306,7 @@ def evolve_rk4(state: ModeState, beta: float, t0: float, t1: float, dt: float) -
     if t1 <= t0:
         raise ValidationError(f"t1 must exceed t0, got {t0} -> {t1}")
     amps = np.array([state.amp], dtype=complex)
-    _advance(amps, [state.k], [state.eta], beta, _block_steps(1), t0, t1, dt)
+    _advance(amps, [state.k], [state.eta], beta, t0, t1, dt)
     return replace(state, amp=complex(amps[0]))
 
 
@@ -265,31 +325,6 @@ def velocity_norms(ens: ModeEnsemble) -> tuple[float, float]:
     return float(np.sqrt(ux2)), float(np.sqrt(uy2))
 
 
-def _conjugate_pairs(ks, etas, amps) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (reps, partners), reps < partners, of the conjugate-paired modes.
-
-    A pair has exactly mirrored keys, (k, eta) and (-k, -eta), that no
-    other mode shares, and amplitudes with amps[partner] == conj(amps[rep])
-    exactly.  Every other mode (NaN, a shared key, no mirror, amplitudes
-    not conjugate) stays unpaired.
-    """
-    key = np.asarray(ks, dtype=float) + 0j
-    key.imag = etas
-    order = np.argsort(key)
-    ordered = key[order]
-    shared = np.zeros(key.size, dtype=bool)
-    same = ordered[1:] == ordered[:-1]
-    shared[order[1:]] |= same
-    shared[order[:-1]] |= same
-    mirror = order[np.minimum(np.searchsorted(ordered, -key), max(key.size - 1, 0))]
-    i = np.arange(key.size)
-    paired = (
-        (i < mirror) & (key[mirror] == -key) & ~shared & ~shared[mirror]
-        & (amps[mirror] == np.conj(amps))
-    )
-    return i[paired], mirror[paired]
-
-
 def run_damping_experiment(
     init: ModeEnsemble,
     beta: float,
@@ -298,9 +333,6 @@ def run_damping_experiment(
     sample_times=None,
 ) -> CurveTable:
     """Evolve the ensemble with RK4 and tabulate norms and modulus drift.
-
-    One mode of each conjugate pair is stepped, and its partner is rebuilt
-    by conjugation at the sample times: bitwise the same as stepping both.
 
     Rows are (t, ux_nonzero_norm, uy_norm, modulus_drift); the fitted
     log-log decay exponents over sample times >= 10 (past the Orr window)
@@ -313,6 +345,8 @@ def run_damping_experiment(
         raise ValidationError(f"t_end={t_end} is before the ensemble's time {init.t}")
     if init.amps.size == 0:
         raise ValidationError("the ensemble has no modes")
+    if np.any(init.ks == 0):
+        raise ValidationError("zero-wavenumber: k = 0 modes are excluded (zero mean)")
     if sample_times is None:
         sample_times = np.arange(init.t, t_end + 1e-12, 5.0)
     sample_times = sorted(float(s) for s in sample_times)
@@ -324,11 +358,6 @@ def run_damping_experiment(
         raise ValidationError(f"t_end={t_end} is before the last sample time {sample_times[-1]}")
 
     ens = init.copy()
-    reps, partners = _conjugate_pairs(ens.ks, ens.etas, ens.amps)
-    stepped = np.delete(np.arange(ens.amps.size), partners)
-    rep_at = np.searchsorted(stepped, reps)  # where each representative sits in `amps`
-    amps = ens.amps[stepped]
-    ks, etas, block = ens.ks[stepped], ens.etas[stepped], _block_steps(ens.amps.size)
     mod0 = np.abs(ens.amps)
     table = CurveTable(
         name="damping-experiment",
@@ -337,9 +366,7 @@ def run_damping_experiment(
     )
     for ts in sample_times:
         if ts > ens.t:
-            _advance(amps, ks, etas, beta, block, ens.t, ts, dt)
-            ens.amps[stepped] = amps
-            ens.amps[partners] = np.conj(amps[rep_at])
+            _advance(ens.amps, ens.ks, ens.etas, beta, ens.t, ts, dt)
         ens.t = ts
         ux, uy = velocity_norms(ens)
         drift = float(np.max(np.abs(np.abs(ens.amps) - mod0)))

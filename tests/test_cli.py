@@ -178,12 +178,13 @@ class TestListFlags:
     @pytest.mark.parametrize("argv, message", [
         (["damping", "--beta", "1", "--t-end", "1", "--samples", "0,abc"], "--samples: 'abc' is not a number"),
         (["damping", "--beta", "1", "--t-end", "1", "--samples", ","], "--samples names no sample time"),
+        (["damping", "--beta", "1", "--t-end", "1", "--samples="], "--samples names no sample time"),
         (["bifurcate", "--beta", "2", "--gamma", "0.02", "--kappas", "1e-2,x"], "--kappas: 'x' is not a number"),
         (["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--emit", "sweep", "--gamma-sweep", "0.01,q"],
          "--gamma-sweep: 'q' is not a number"),
         (["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--emit", "sweep", "--gamma-sweep", ","],
          "--emit sweep requires --gamma-sweep g1,g2,..."),
-    ], ids=["samples-bad", "samples-empty", "kappas-bad", "gamma-sweep-bad", "gamma-sweep-empty"])
+    ], ids=["samples-bad", "samples-empty", "samples-empty-string", "kappas-bad", "gamma-sweep-bad", "gamma-sweep-empty"])
     def test_malformed_list_exit_2_before_any_solve(self, argv, message, monkeypatch, capsys):
         from betaplane import bifurcation, cli, damping, modified_flow
 

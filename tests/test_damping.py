@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,15 @@ class TestExperiment:
         with pytest.raises(ValidationError, match="zero-wavenumber"):
             dp.ModeEnsemble.from_profile("gaussian", k_set=(0, 1))
 
+    def test_zero_wavenumber_mode_rejected_before_any_step(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped a k = 0 mode")
+
+        monkeypatch.setattr(dp, "_rk4_multiplier", no_step)
+        ens = dp.ModeEnsemble(np.array([1, 0]), np.array([0.5, 0.5]), np.ones(2, dtype=complex), 0.05)
+        with pytest.raises(ValidationError, match="zero-wavenumber"):
+            dp.run_damping_experiment(ens, 1.0, 1.0, sample_times=[0.0, 1.0])
+
     def test_empty_lattice_rejected(self):
         with pytest.raises(ValidationError, match="at least one wavenumber"):
             dp.ModeEnsemble.from_profile("gaussian", k_set=())
@@ -229,8 +240,7 @@ class TestExperiment:
         assert table.rows[0][1:3] == dp.velocity_norms(ens)
 
 
-def assert_experiment_matches_textbook(ens, beta, samples=(0.0, 5.0, 10.0, 20.0, 30.0, 40.0)):
-    dt = 5e-3
+def assert_experiment_matches_textbook(ens, beta, samples=(0.0, 5.0, 10.0, 20.0, 30.0, 40.0), dt=5e-3):
     table = dp.run_damping_experiment(ens, beta, samples[-1], dt=dt, sample_times=samples)
     amps, t = ens.amps, ens.t
     mod0 = np.abs(amps)
@@ -246,6 +256,19 @@ def assert_experiment_matches_textbook(ens, beta, samples=(0.0, 5.0, 10.0, 20.0,
         assert abs(row[3] - drift) <= 1e-13
 
 
+def multiplier_sizes(monkeypatch):
+    """The list that len(x1) of every later _rk4_multiplier call is appended to."""
+    sizes = []
+    kernel = dp._rk4_multiplier
+
+    def counting(*args, **kwargs):
+        sizes.append(len(args[0]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(dp, "_rk4_multiplier", counting)
+    return sizes
+
+
 class TestRealKernel:
     """The real-arithmetic step against the complex textbook tableau."""
 
@@ -254,16 +277,14 @@ class TestRealKernel:
         assert_experiment_matches_textbook(small_ensemble(), beta)
 
     def test_unpaired_asymmetric_lattice_matches_textbook(self):
-        # k = 2 has no k = -2 partner: its modes are stepped, k = +-1 are paired
+        # k = 2 has no k = -2 partner: its modes alone read the |k| = 2 sequence
         ens = dp.ModeEnsemble.from_profile("gaussian", k_set=(1, 2, -1), eta_max=10.0, d_eta=0.1)
-        reps, partners = dp._conjugate_pairs(ens.ks, ens.etas, ens.amps)
-        assert reps.size == 201 and set(ens.ks[reps]) | set(ens.ks[partners]) == {-1, 1}
         assert_experiment_matches_textbook(ens, 1.7)
 
     def test_unpaired_random_phases_match_textbook(self, rng):
+        # mirrored modes share one product, whatever their amplitudes
         ens = small_ensemble()
         ens.amps = ens.amps * np.exp(1j * rng.uniform(0, 2 * np.pi, ens.amps.size))
-        assert dp._conjugate_pairs(ens.ks, ens.etas, ens.amps)[0].size == 0
         assert_experiment_matches_textbook(ens, -1.7)
 
     def test_evolve_matches_textbook(self):
@@ -279,52 +300,63 @@ class TestRealKernel:
             ref = rk4_evolve_textbook([k], [eta], [amp], beta, t0, t1, 1e-2)[0]
             assert abs(out.amp - ref) <= 1e-13
 
-    def test_multiplier_called_once_per_block(self, monkeypatch):
-        sizes = []
-        kernel = dp._rk4_multiplier
+    @pytest.mark.parametrize("dt", [1e-3, 3e-3], ids=["lattice", "off-lattice"])
+    def test_amplitudes_match_textbook(self, dt, rng, monkeypatch):
+        # The tables read moduli only, so the phases are checked here.  At dt
+        # 1e-3, q = 200 m: each |k| goes in three groups of q range under
+        # 16384, in pieces of 16384 // 2k steps, so no multiplier call holds
+        # more than 2 x 16384 terms; one eta a hair off the lattice is stepped.
+        sizes = multiplier_sizes(monkeypatch)
+        ens = small_ensemble()
+        ens.etas[(ens.ks == -1) & (ens.etas == 0.0)] = 1e-9
+        amps = ens.amps * np.exp(1j * rng.uniform(0, 2 * np.pi, ens.amps.size))
+        out = amps.copy()
+        dp._advance(out, ens.ks, ens.etas, 1.7, 2.0, 12.0, dt)
+        ref = rk4_evolve_textbook(ens.ks, ens.etas, amps, 1.7, 2.0, 12.0, dt)
+        assert np.max(np.abs(out - ref)) <= 1e-13
+        assert max(sizes) <= 2 * dp.MAX_TERMS
 
-        def counting(*args, **kwargs):
-            sizes.append(len(args[0]))
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(dp, "_rk4_multiplier", counting)
+    def test_multiplier_called_once_per_k_and_interval(self, monkeypatch):
+        sizes = multiplier_sizes(monkeypatch)
         ens = small_ensemble()
         dp.run_damping_experiment(ens, 1.0, 2.5, dt=1e-2, sample_times=[0.0, 1.0, 2.5])
-        # 100 + 150 steps of one mode per conjugate pair, in blocks of 32768 // 804 = 40 steps
-        assert dp._block_steps(ens.amps.size) == 40
-        half = ens.amps.size // 2
-        assert sizes == [b * half for b in [40, 40, 20] + [40, 40, 40, 30]]
+        # etas 0.1 m = g q with g = step/2 = 0.005, so q = 20 m spans 4001 values.  Per
+        # |k| and interval, x is evaluated at 4001 + 2 n |k| points, and the
+        # multiplier at the 4001 + 2 (n - 1) |k| step starts among them
+        assert sizes == [4001 + 2 * k * (n - 1) for n in (100, 150) for k in (1, 2)]
         sizes.clear()
         dp.evolve_rk4(dp.ModeState(1, 0.5, 1.0 + 0.0j), 1.0, 0.0, 3.0, 1e-2)
-        assert sizes == [300]  # 300 mode-steps in ceil(300 / 32768) = 1 block
-
-    @pytest.mark.parametrize("modes, block", [(1, 32768), (804, 40), (4806, 6), (40000, 1)])
-    def test_block_steps(self, modes, block):
-        assert dp._block_steps(modes) == block
+        assert sizes == [300]  # a single mode is stepped on its own: 300 steps in one block
 
     def test_evolve_across_two_blocks_matches_textbook(self):
         st = dp.ModeState(-2, 3.7, 0.6 - 0.8j)
-        out = dp.evolve_rk4(st, 1.3, 0.5, 40.5, 1e-3)  # 40000 steps: blocks of 32768 and 7232
+        out = dp.evolve_rk4(st, 1.3, 0.5, 40.5, 1e-3)  # 40000 steps: blocks of 16384, 16384 and 7232
         ref = rk4_evolve_textbook([st.k], [st.eta], [st.amp], 1.3, 0.5, 40.5, 1e-3)[0]
         assert abs(out.amp - ref) <= 1e-13
 
     @pytest.mark.parametrize("profile, beta", [("gaussian", 1.3), ("bump", -2.1)])
-    def test_default_lattice_matches_textbook(self, profile, beta):
-        # Blocks of 6 steps on the 4806 default modes, against the textbook one
-        # step at a time.  Each interval is advanced on its own, so the row at
-        # t = 5 is that of a short run and the row at t = 20 that of a long
-        # one (4000 steps); the oracle takes about 0.8 s per 20 time units.
+    def test_default_lattice_matches_textbook(self, profile, beta, monkeypatch):
+        # One multiplier sequence per |k| and interval (q = 20 m spans 16001
+        # values), against the textbook one step at a time.  Each interval is
+        # advanced on its own, so the row at t = 5 is that of a short run and
+        # the row at t = 20 that of a long one (3000 steps, which |k| = 3 takes
+        # in pieces of 16384 // 6 = 2730 and 270); the oracle takes about 0.8 s
+        # per 20 time units.
+        sizes = multiplier_sizes(monkeypatch)
         ens = dp.ModeEnsemble.from_profile(profile)
-        assert dp._block_steps(ens.amps.size) == 6
         assert_experiment_matches_textbook(ens, beta, (0.0, 5.0, 20.0))
+        steps = [(1, 1000), (2, 1000), (3, 1000), (1, 3000), (2, 3000), (3, 2730), (3, 270)]
+        assert sizes == [16001 + 2 * k * (n - 1) for k, n in steps]
 
 
 class TestConjugatePairs:
-    """One mode per conjugate pair is stepped; the rest are stepped as they are."""
+    """A mode (-k, -eta) takes the conjugate of the product of (k, eta)."""
 
     @pytest.mark.parametrize("beta", [1.7, -1.7, 0.0])
     def test_paired_bitwise_equal_to_full_lattice(self, beta, monkeypatch):
-        # the table reads moduli only, so the amplitudes are compared too
+        # the table reads moduli only, so the amplitudes are compared: the k > 0
+        # half advanced alone, the full lattice's k > 0 modes and the conjugates
+        # of its k < 0 modes are the same numbers
         seen = []
         norms = dp.velocity_norms
 
@@ -333,33 +365,133 @@ class TestConjugatePairs:
             return norms(ens)
 
         monkeypatch.setattr(dp, "velocity_norms", recording)
-        ens = small_ensemble()
+        full = small_ensemble()
+        right = full.ks > 0
+        half = dp.ModeEnsemble(full.ks[right], full.etas[right], full.amps[right], full.d_eta)
         samples = [0.0, 5.0, 12.5, 30.0]
-        paired = dp.run_damping_experiment(ens, beta, 30.0, dt=5e-3, sample_times=samples)
-        paired_amps, seen[:] = seen[:], []
-        none = (np.array([], dtype=int), np.array([], dtype=int))
-        monkeypatch.setattr(dp, "_conjugate_pairs", lambda ks, etas, amps: none)
-        full = dp.run_damping_experiment(ens, beta, 30.0, dt=5e-3, sample_times=samples)
-        assert paired.rows == full.rows
-        assert paired.metadata == full.metadata
-        assert len(seen) == len(paired_amps) == len(samples)
-        for a, b in zip(paired_amps, seen):
-            assert np.array_equal(a, b)
+        dp.run_damping_experiment(full, beta, 30.0, dt=5e-3, sample_times=samples)
+        full_amps, seen[:] = seen[:], []
+        dp.run_damping_experiment(half, beta, 30.0, dt=5e-3, sample_times=samples)
+        assert len(seen) == len(full_amps) == len(samples)
+        for a, b in zip(full_amps, seen):
+            assert np.array_equal(a[right], b)
+            assert np.array_equal(a[::-1], np.conj(a))
+            if beta == 0.0:
+                assert np.array_equal(a, full.amps)  # frozen exactly
+
+    @pytest.mark.parametrize("dt", [1e-2, 3e-3], ids=["lattice", "off-lattice"])
+    def test_mirror_product_is_conjugate(self, dt, rng):
+        ens = small_ensemble()
+        products = np.ones(ens.amps.size, dtype=complex)
+        dp._advance(products, ens.ks, ens.etas, 1.7, 0.5, 3.0, dt)
+        assert np.array_equal(products[::-1], np.conj(products))
+        amps = rng.normal(size=ens.amps.size) + 1j * rng.normal(size=ens.amps.size)
+        out = amps.copy()
+        dp._advance(out, ens.ks, ens.etas, 1.7, 0.5, 3.0, dt)
+        assert np.array_equal(out, amps * products)
+
+    def test_shared_and_nan_keys(self):
+        ks = np.array([1, -1, 3, -3, -3, 2, -2])
+        etas = np.array([0.5, -0.5, 1.0, -1.0, -1.0, np.nan, np.nan])
+        products = np.ones(ks.size, dtype=complex)
+        dp._advance(products, ks, etas, 1.7, 0.0, 2.5, 1e-2)
+        assert products[1] == np.conj(products[0])
+        assert products[3] == products[4] == np.conj(products[2])
+        assert np.all(np.isfinite(products[:5])) and np.all(np.isnan(products[5:]))
 
     def test_default_lattice_fully_paired(self):
+        # the mirror (-k, -eta) of mode i is mode size - 1 - i, with the conjugate amplitude
         ens = dp.ModeEnsemble.from_profile("bump")
-        reps, partners = dp._conjugate_pairs(ens.ks, ens.etas, ens.amps)
-        assert reps.size == ens.amps.size // 2
-        assert np.all(reps < partners)
-        assert np.array_equal(ens.ks[partners], -ens.ks[reps])
-        assert np.array_equal(ens.etas[partners], -ens.etas[reps])
-        assert np.array_equal(ens.amps[partners], np.conj(ens.amps[reps]))
+        assert np.array_equal(ens.ks[::-1], -ens.ks)
+        assert np.array_equal(ens.etas[::-1], -ens.etas)
+        assert np.array_equal(ens.amps[::-1], np.conj(ens.amps))
 
-    def test_only_exact_unique_mirrors_pair(self):
-        ks = np.array([1, -1, 2, -2, 3, -3, -3, 0, 1, -1])
-        etas = np.array([0.5, -0.5, np.nan, np.nan, 1.0, -1.0, -1.0, 0.0, 2.0, -2.0])
-        amps = np.array([1 + 2j, 1 - 2j, 1, 1, 1, 1, 1, 1, 1j, 1j])
-        reps, partners = dp._conjugate_pairs(ks, etas, amps)
-        # NaN keys, a shared mirror key, the self-mirror (0, 0) and amplitudes
-        # that are not conjugate are all left unpaired
-        assert reps.tolist() == [0] and partners.tolist() == [1]
+
+class TestOffLattice:
+    """Etas that are not multiples of step/2 are stepped on their own, key by key."""
+
+    @staticmethod
+    def no_lattice(monkeypatch):
+        def window_products(*args, **kwargs):
+            raise AssertionError("took the lattice path")
+
+        monkeypatch.setattr(dp, "_window_products", window_products)
+
+    def test_default_lattice_at_dt_3e_3(self, monkeypatch):
+        # eta / g = 33.34 m: only the etas that are multiples of 2.5 lie on the
+        # lattice, too sparse to pay for its sequence
+        self.no_lattice(monkeypatch)
+        ens = dp.ModeEnsemble.from_profile("gaussian")
+        assert_experiment_matches_textbook(ens, 1.3, (0.0, 5.0), dt=3e-3)
+
+    def test_odd_sample_times(self, monkeypatch):
+        self.no_lattice(monkeypatch)
+        assert_experiment_matches_textbook(small_ensemble(), -1.7, (0.0, 1.0 / 3.0, 2.9))
+
+    def test_random_etas(self, monkeypatch):
+        self.no_lattice(monkeypatch)
+        ens = small_ensemble()
+        ens.etas = np.random.default_rng(41).uniform(-10.0, 10.0, ens.etas.size)
+        assert_experiment_matches_textbook(ens, 1.7, (0.0, 5.0, 20.0))
+
+    def test_asymmetric_lattice_at_dt_3e_3(self):
+        # From t = 5 on, g = 0.0015 and the etas 0.3 j lie on the lattice while
+        # the others are stepped: both paths advance one interval
+        ens = dp.ModeEnsemble.from_profile("gaussian", k_set=(1, 2, -1), eta_max=10.0, d_eta=0.1)
+        assert_experiment_matches_textbook(ens, 1.7, (0.0, 5.0, 20.0), dt=3e-3)
+
+
+class TestWindowProducts:
+    """The doubling window product against the sequential product of the same terms.
+
+    Every one of the n - 1 products rounds, so only (n - 1) sqrt(5)/2 ulps is
+    guaranteed; on random phases the roundings cancel, and for these lengths
+    a product stays within a few (here 3) log2(n) ulps of the exact one.
+    """
+
+    @staticmethod
+    def error(product, terms):
+        """|product - prod(terms)|, the reference product carried to 40 digits."""
+        with decimal.localcontext(decimal.Context(prec=40)):
+            re, im = decimal.Decimal(1), decimal.Decimal(0)
+            for z in terms:
+                a, b = decimal.Decimal(z.real), decimal.Decimal(z.imag)
+                re, im = re * a - im * b, re * b + im * a
+            return abs(complex(float(decimal.Decimal(product.real) - re),
+                               float(decimal.Decimal(product.imag) - im)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 6000])
+    def test_matches_sequential_product(self, n):
+        rng = np.random.default_rng(n)
+        stride = 3
+        m = np.exp(1j * rng.uniform(-np.pi, np.pi, stride * n + 5))
+        starts = np.array([0, 4])
+        products = dp._window_products(m, stride, n, starts)
+        if n == 1:
+            assert np.array_equal(products, m[starts])
+            return
+        for start, product in zip(starts, products):
+            terms = m[start : start + stride * n : stride]
+            assert self.error(product, terms) <= 3 * np.log2(n) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 6000])
+    def test_tree_matches_sequential_product(self, n):
+        # the stepped path's pairwise product of a block's rows, two columns
+        terms = np.exp(1j * np.random.default_rng(n).uniform(-np.pi, np.pi, (n, 2)))
+        products = dp._tree_products(terms)
+        if n == 1:
+            assert np.array_equal(products, terms[0])
+            return
+        for column, product in zip(terms.T, products):
+            assert self.error(product, column) <= 3 * np.log2(n) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [3, 7, 1000])
+    def test_independent_of_where_the_sequence_starts(self, n):
+        rng = np.random.default_rng(n)
+        terms = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        results = []
+        for pad in (0, 1, 6, 13):
+            m = np.exp(1j * rng.uniform(-np.pi, np.pi, pad + 2 * n))
+            m[pad : pad + 2 * n : 2] = terms
+            results.append(dp._window_products(m, 2, n, np.array([pad]))[0])
+        assert all(r == results[0] for r in results)
