@@ -41,13 +41,18 @@ the shear g (q - k h) - k t0, so all modes of one k > 0 read x at
 p = q - k h of one sequence anchored at p = 0.  Step j's multiplier M(p0),
 p0 = q - 2kj, takes x at p0, p0 - k and p0 - 2k, and a mode's product is
 the window p0 = q, q - 2k, .., q - 2k(n-1) of M, taken from doubling
-levels.  Per |k| and interval, x is evaluated at (q range) + 2n|k| points;
-the default lattice (d_eta = 0.05 = 20 g at dt = 5e-3) is one.  Every
-other mode (an eta off the lattice, or a |k| whose sequence is no shorter
-than n steps of each eta, as for one ``evolve_rk4`` mode) is stepped on its
-own, once per distinct (|k|, +-eta), in blocks multiplied pairwise.  Either
-way the tables stay within 1e-13 of the complex textbook tableau
-(``tests/oracles.py``).
+levels.  Windows whose q agree mod 2k form a residue class: its steps are
+one sequence with stride 1, which reads x only at p of that class mod k.
+Per class and interval, the multiplier is evaluated at (class start range)
++ n step starts and x at twice as many points.  The default lattice
+(d_eta = 0.05 = 20 g at dt = 5e-3) has one class for |k| = 1 and 2 and
+three for |k| = 3, and every multiplier evaluated on it is read.  Every other mode (an eta off the
+lattice, or a |k| whose sequence is no shorter than n steps of each eta, as
+for one ``evolve_rk4`` mode) is stepped on its own, once per distinct
+(|k|, +-eta), in blocks multiplied pairwise.  Which modes go which way
+depends only on the modes, n and the step, so a run plans it once and
+reuses the plan while (n, step) repeats.  Either way the tables stay within 1e-13 of the complex
+textbook tableau (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -148,9 +153,12 @@ def phase_closed_form(k: int, eta: float, beta: float, t: float) -> float:
 
 
 def _require_finite(**values) -> None:
+    """Raise ValidationError naming the first non-finite entry of each scalar or array."""
     for name, value in values.items():
-        if not np.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+        bad = np.flatnonzero(~np.isfinite(value))
+        if bad.size:
+            where = f" at index {bad[0]}" if np.ndim(value) else ""
+            raise ValidationError(f"{name} must be finite, got {np.ravel(value)[bad[0]]}{where}")
 
 
 def _rates(u, c, out) -> np.ndarray:
@@ -190,21 +198,21 @@ def _rk4_multiplier(x1, x2, x4, work, m) -> np.ndarray:
     return m
 
 
-def _window_products(m, stride: int, n: int, starts) -> np.ndarray:
-    """prod_{j<n} m[i + j stride] for each i of ``starts``, by doubling.
+def _window_products(m, n: int, starts) -> np.ndarray:
+    """prod_{j<n} m[i + j] for each i of ``starts``, by doubling.
 
-    Level b holds T_b[i] = T_{b-1}[i] T_{b-1}[i + 2^(b-1) stride], and a
-    window takes one entry per set bit of n, low bits first: the same tree
-    of its terms, about log2(n) levels deep, wherever it starts (the sparse
-    table of Bender and Farach-Colton, LATIN 2000, without overlap).
+    Level b holds T_b[i] = T_{b-1}[i] T_{b-1}[i + 2^(b-1)], and a window
+    takes one entry per set bit of n, low bits first: the same tree of its
+    terms, about log2(n) levels deep, wherever it starts (the sparse table
+    of Bender and Farach-Colton, LATIN 2000, without overlap).
     """
     prod, offset, level = np.ones(len(starts), dtype=complex), 0, m
     for b in range(n.bit_length()):
         if b:
-            level = level[: -(stride << (b - 1))] * level[stride << (b - 1) :]
+            level = level[: -(1 << (b - 1))] * level[1 << (b - 1) :]
         if n >> b & 1:
             prod *= level[starts + offset]
-            offset += stride << b
+            offset += 1 << b
     return prod
 
 
@@ -224,24 +232,45 @@ def _tree_products(rows) -> np.ndarray:
     return rows[0]
 
 
-def _lattice_products(k: int, q, beta: float, t0: float, step: float, n: int) -> np.ndarray:
-    """Products over n steps from t0 of the lattice modes (k, q step/2), k > 0.
+def _residue_classes(k: int, idx, q) -> list:
+    """Split the lattice modes ``idx`` of one k > 0, at q, by residue class.
 
     x is indexed by r = max(q) - p, forward in time, so mode q's window starts
-    at max(q) - q with stride 2k.  Pieces of MAX_TERMS // 2k steps bound x.
+    at r0 = max(q) - q with stride 2k.  Modes with one r0 mod 2k share a
+    sequence from their least r0 = lo, at p = max(q) - lo, and start at class
+    step (r0 - lo) / 2k.  Returns (k, p, mode indices, starts) per class.
     """
     top = q.max()
-    starts = (top - q).astype(np.int64)
+    r0 = (top - q).astype(np.int64)
+    residue = r0 % (2 * k)
+    classes = []
+    for c in np.unique(residue):
+        sel = residue == c
+        lo = r0[sel].min()
+        classes.append((k, top - lo, idx[sel], (r0[sel] - lo) // (2 * k)))
+    return classes
+
+
+def _lattice_products(k: int, p: float, starts, beta: float, t0: float, step: float, n: int) -> np.ndarray:
+    """Products over n steps from t0 of one residue class of lattice modes, k > 0.
+
+    Class step i reads x at p - 2ki, p - k(2i + 1) and p - 2k(i + 1), and a
+    mode's product is the window of n class steps from its start.  Per
+    interval the multiplier is evaluated at (start range) + n class steps and
+    x at 2 (start range + n + 1) points.  Pieces of MAX_TERMS // 2k steps
+    bound x.
+    """
     piece = max(1, MAX_TERMS // (2 * k))
-    prod = np.ones(q.size, dtype=complex)
+    prod = np.ones(starts.size, dtype=complex)
     for j0 in range(0, n, piece):
         b = min(piece, n - j0)
-        size = int(starts.max()) + 1 + 2 * k * (b - 1)  # step starts p0
-        x = np.multiply(top - np.arange(size + 2 * k), step / (2 * k))  # u + tau = g p / k
+        size = int(starts.max()) + b  # class steps
+        # rows: x at the step starts (and the last end) and at the midpoints; u + tau = g p / k
+        x = np.multiply(p - (2 * k * np.arange(size + 1) + np.array([[0], [k]])), step / (2 * k))
         _rates(np.subtract(x, t0 + j0 * step, x), step * beta / k, x)
         work, m = np.empty((3, size)), np.empty(size, dtype=complex)
-        _rk4_multiplier(x[:size], x[k : size + k], x[2 * k :], work, m)
-        prod *= _window_products(m, 2 * k, b, starts)
+        _rk4_multiplier(x[0, :size], x[1, :size], x[0, 1:], work, m)
+        prod *= _window_products(m, b, starts)
     return prod
 
 
@@ -271,36 +300,73 @@ def _stepped_products(k, eta, beta: float, t0: float, step: float, n: int) -> np
     return prod
 
 
-def _advance(amps, k, eta, beta: float, t0: float, t1: float, dt: float) -> None:
-    """Advance amps, of the modes (k, eta), in place from t0 to t1 in max(1, round((t1 - t0)/dt)) steps.
+@dataclass(frozen=True)
+class _Plan:
+    """How ``_apply`` advances a set of modes over n steps of length ``step``.
+
+    ``classes`` lists the lattice residue classes as ``_residue_classes``
+    returns them; ``stepped`` holds the indices of the other modes, their
+    distinct |k| and +-eta, and the map from the modes to those keys.
+    """
+
+    n: int
+    step: float
+    mirrored: np.ndarray
+    classes: list
+    stepped: tuple
+
+
+def _interval(t0: float, t1: float, dt: float) -> tuple[int, float]:
+    """(n, step): max(1, round((t1 - t0)/dt)) steps of equal length from t0 to t1."""
+    n = max(1, int(round((t1 - t0) / dt)))
+    return n, (t1 - t0) / n
+
+
+def _plan(k, eta, n: int, step: float) -> _Plan:
+    """Route the modes (k, eta) for n steps of length ``step``; no rate is evaluated.
 
     An eta within 4 ulps of a multiple of step/2 counts as on the lattice.
-    Lattice modes of one |k| go in groups of q range under MAX_TERMS.
+    Lattice modes of one |k| go in groups of q range under MAX_TERMS, and a
+    group takes the lattice only if its sequence is shorter than n steps of
+    each of its etas.
     """
-    n = max(1, int(round((t1 - t0) / dt)))
-    step = (t1 - t0) / n
     k, eta = np.asarray(k, dtype=float), np.asarray(eta, dtype=float)
     mirrored = k < 0
     k, eta = np.abs(k), np.where(mirrored, -eta, eta)
     q = np.rint(eta / (step / 2))
     lattice = (np.abs(q * (step / 2) - eta) <= 4 * np.finfo(float).eps * np.abs(eta)) & (k == np.rint(k))
     groups = k + 1j * (np.where(lattice, q - q[lattice].min(initial=0.0), 0.0) // MAX_TERMS)
-    prod = np.empty(amps.size, dtype=complex)
+    classes = []
     for key in np.unique(groups[lattice]):
-        group, kk = lattice & (groups == key), key.real
+        group, kk = lattice & (groups == key), int(key.real)
         if np.ptp(q[group]) + 1 + 2 * kk * (n - 1) < np.unique(q[group]).size * n:
-            prod[group] = _lattice_products(int(kk), q[group], beta, t0, step, n)
+            classes += _residue_classes(kk, np.flatnonzero(group), q[group])
         else:
             lattice &= ~group
-    if not lattice.all():
-        keys, inverse = np.unique(k[~lattice] + 1j * eta[~lattice], return_inverse=True)
-        prod[~lattice] = _stepped_products(keys.real.copy(), keys.imag.copy(), beta, t0, step, n)[inverse]
-    amps *= np.where(mirrored, prod.conj(), prod)
+    rest = np.flatnonzero(~lattice)
+    keys, inverse = np.unique(k[rest] + 1j * eta[rest], return_inverse=True)
+    return _Plan(n, step, mirrored, classes, (rest, keys.real.copy(), keys.imag.copy(), inverse))
+
+
+def _apply(plan: _Plan, amps, beta: float, t0: float) -> None:
+    """Advance amps, of the modes that ``plan`` routes, in place over its n steps from t0."""
+    prod = np.empty(amps.size, dtype=complex)
+    for k, p, idx, starts in plan.classes:
+        prod[idx] = _lattice_products(k, p, starts, beta, t0, plan.step, plan.n)
+    rest, ks, etas, inverse = plan.stepped
+    if rest.size:
+        prod[rest] = _stepped_products(ks, etas, beta, t0, plan.step, plan.n)[inverse]
+    amps *= np.where(plan.mirrored, prod.conj(), prod)
+
+
+def _advance(amps, k, eta, beta: float, t0: float, t1: float, dt: float) -> None:
+    """Advance amps, of the modes (k, eta), in place from t0 to t1: one plan, applied once."""
+    _apply(_plan(k, eta, *_interval(t0, t1, dt)), amps, beta, t0)
 
 
 def evolve_rk4(state: ModeState, beta: float, t0: float, t1: float, dt: float) -> ModeState:
     """Advance one mode from t0 to t1 with classical fourth-order steps."""
-    _require_finite(beta=beta, t0=t0, t1=t1, dt=dt)
+    _require_finite(beta=beta, t0=t0, t1=t1, dt=dt, eta=state.eta, amplitude=state.amp)
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if t1 <= t0:
@@ -347,6 +413,7 @@ def run_damping_experiment(
         raise ValidationError("the ensemble has no modes")
     if np.any(init.ks == 0):
         raise ValidationError("zero-wavenumber: k = 0 modes are excluded (zero mean)")
+    _require_finite(k=init.ks, eta=init.etas, amplitude=init.amps)
     if sample_times is None:
         sample_times = np.arange(init.t, t_end + 1e-12, 5.0)
     sample_times = sorted(float(s) for s in sample_times)
@@ -364,9 +431,13 @@ def run_damping_experiment(
         columns=["t", "ux_nonzero_norm", "uy_norm", "modulus_drift"],
         metadata={"beta": beta, "dt": dt, "t_end": t_end, "n_modes": int(ens.amps.size)},
     )
+    plan = None
     for ts in sample_times:
         if ts > ens.t:
-            _advance(ens.amps, ens.ks, ens.etas, beta, ens.t, ts, dt)
+            n, step = _interval(ens.t, ts, dt)
+            if plan is None or (plan.n, plan.step) != (n, step):
+                plan = _plan(ens.ks, ens.etas, n, step)
+            _apply(plan, ens.amps, beta, ens.t)
         ens.t = ts
         ux, uy = velocity_norms(ens)
         drift = float(np.max(np.abs(np.abs(ens.amps) - mod0)))

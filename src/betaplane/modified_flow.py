@@ -91,15 +91,21 @@ def _bump_prime(x):
 
 
 _TABLE_POINTS = 8193
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], built (with numpy.polynomial) on first use."""
+    return np.polynomial.legendre.leggauss(16)
 
 
 def _panel_integrals(f, lo, hi, panels):
     """16-point Gauss-Legendre integrals of f over `panels` equal panels of [lo, hi]."""
+    nodes, weights = _gauss_legendre()
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    return half * f(mids[:, None] + half * _GL_NODES[None, :]) @ _GL_WEIGHTS
+    return half * f(mids[:, None] + half * nodes[None, :]) @ weights
 
 
 @lru_cache(maxsize=1)

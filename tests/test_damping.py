@@ -97,6 +97,16 @@ class TestRK4:
         with pytest.raises(ValidationError, match="zero-wavenumber"):
             dp.ModeState(0, 1.0, 1.0 + 0.0j)
 
+    @pytest.mark.parametrize("eta, amp", [(np.nan, 1.0 + 0.0j), (np.inf, 1.0 + 0.0j), (-np.inf, 1.0 + 0.0j),
+                                          (0.5, complex(np.nan, 0.0)), (0.5, complex(1.0, np.inf))])
+    def test_non_finite_mode_rejected_before_any_step(self, eta, amp, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped a non-finite mode")
+
+        monkeypatch.setattr(dp, "_rk4_multiplier", no_step)
+        with pytest.raises(ValidationError, match="finite"):
+            dp.evolve_rk4(dp.ModeState(1, eta, amp), 1.0, 0.0, 1.0, 1e-2)
+
 
 class TestVelocityNorms:
     def test_single_mode_exact_value(self):
@@ -222,6 +232,18 @@ class TestExperiment:
         with pytest.raises(ValidationError, match="finite"):
             dp.run_damping_experiment(small_ensemble(), **args)
 
+    @pytest.mark.parametrize("field, value", [("etas", np.nan), ("etas", -np.inf),
+                                              ("amps", complex(np.nan, 0.0)), ("amps", complex(0.0, np.inf))])
+    def test_non_finite_mode_rejected_before_any_step(self, field, value, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped a non-finite mode")
+
+        monkeypatch.setattr(dp, "_rk4_multiplier", no_step)
+        ens = small_ensemble()
+        getattr(ens, field)[17] = value
+        with pytest.raises(ValidationError, match="finite.* at index 17"):
+            dp.run_damping_experiment(ens, 1.0, 2.0, dt=1e-2)
+
     def test_sample_before_ensemble_time_rejected(self):
         with pytest.raises(ValidationError, match="before the ensemble's time"):
             dp.run_damping_experiment(small_ensemble(), 1.0, 1.0, sample_times=[-5, 0, 1])
@@ -320,10 +342,10 @@ class TestRealKernel:
         sizes = multiplier_sizes(monkeypatch)
         ens = small_ensemble()
         dp.run_damping_experiment(ens, 1.0, 2.5, dt=1e-2, sample_times=[0.0, 1.0, 2.5])
-        # etas 0.1 m = g q with g = step/2 = 0.005, so q = 20 m spans 4001 values.  Per
-        # |k| and interval, x is evaluated at 4001 + 2 n |k| points, and the
-        # multiplier at the 4001 + 2 (n - 1) |k| step starts among them
-        assert sizes == [4001 + 2 * k * (n - 1) for n in (100, 150) for k in (1, 2)]
+        # etas 0.1 m = g q with g = step/2 = 0.005, so q = 20 m spans 4001 values and
+        # every window start 2000 - q is one residue class mod 2|k|, 0: per |k| and
+        # interval the multiplier is evaluated at the 4000 / 2|k| + n class steps
+        assert sizes == [2100, 1100, 2150, 1150]
         sizes.clear()
         dp.evolve_rk4(dp.ModeState(1, 0.5, 1.0 + 0.0j), 1.0, 0.0, 3.0, 1e-2)
         assert sizes == [300]  # a single mode is stepped on its own: 300 steps in one block
@@ -336,17 +358,107 @@ class TestRealKernel:
 
     @pytest.mark.parametrize("profile, beta", [("gaussian", 1.3), ("bump", -2.1)])
     def test_default_lattice_matches_textbook(self, profile, beta, monkeypatch):
-        # One multiplier sequence per |k| and interval (q = 20 m spans 16001
-        # values), against the textbook one step at a time.  Each interval is
-        # advanced on its own, so the row at t = 5 is that of a short run and
-        # the row at t = 20 that of a long one (3000 steps, which |k| = 3 takes
-        # in pieces of 16384 // 6 = 2730 and 270); the oracle takes about 0.8 s
-        # per 20 time units.
+        # One multiplier sequence per residue class and interval, against the
+        # textbook one step at a time.  q = 20 m spans 16001 values, so the
+        # window starts 16000 - q (0, 20, .., 16000) are one class for |k| = 1
+        # and 2, 8000 and 4000 class steps from first to last, and three for
+        # |k| = 3 (20 m mod 6 in {0, 2, 4}, starts 60 apart), 2660 class steps
+        # each.  Each interval is advanced on its
+        # own, so the row at t = 5 is that of a short run and the row at t = 20
+        # that of a long one (3000 steps, which |k| = 3 takes in pieces of
+        # 16384 // 6 = 2730 and 270); the oracle takes about 0.8 s per 20 time
+        # units.
         sizes = multiplier_sizes(monkeypatch)
         ens = dp.ModeEnsemble.from_profile(profile)
         assert_experiment_matches_textbook(ens, beta, (0.0, 5.0, 20.0))
-        steps = [(1, 1000), (2, 1000), (3, 1000), (1, 3000), (2, 3000), (3, 2730), (3, 270)]
-        assert sizes == [16001 + 2 * k * (n - 1) for k, n in steps]
+        assert sizes == [8000 + 1000, 4000 + 1000] + 3 * [2660 + 1000] + \
+            [8000 + 3000, 4000 + 3000] + 3 * [2660 + 2730, 2660 + 270]
+
+
+class TestResidueClasses:
+    """Lattice windows go one sequence per residue class of their starts mod 2|k|."""
+
+    @staticmethod
+    def windows(monkeypatch):
+        """The list that (len(m), n, starts) of every later _window_products call is appended to."""
+        calls = []
+        products = dp._window_products
+
+        def recording(m, n, starts):
+            calls.append((len(m), n, starts.copy()))
+            return products(m, n, starts)
+
+        monkeypatch.setattr(dp, "_window_products", recording)
+        return calls
+
+    @pytest.mark.parametrize("dt", [5e-3, 1e-2])
+    def test_every_multiplier_is_read(self, dt, monkeypatch):
+        # on the default lattice, with the pieces of |k| = 3 at 3000 steps of 5e-3
+        calls = self.windows(monkeypatch)
+        dp.run_damping_experiment(dp.ModeEnsemble.from_profile("gaussian"), 1.3, 20.0, dt=dt,
+                                  sample_times=[0.0, 5.0, 20.0])
+        assert len(calls) >= 10
+        for size, n, starts in calls:
+            read = np.zeros(size, dtype=bool)
+            for i in starts:
+                read[i : i + n] = True
+            assert read.all()
+
+    @staticmethod
+    def strided_products(k, q, beta, t0, step, n):
+        """Windows of stride 2k over one sequence of every step start (the unsplit scheme)."""
+        top = q.max()
+        starts = (top - q).astype(np.int64)
+        piece = max(1, dp.MAX_TERMS // (2 * k))
+        prod = np.ones(q.size, dtype=complex)
+        for j0 in range(0, n, piece):
+            b = min(piece, n - j0)
+            size = int(starts.max()) + 1 + 2 * k * (b - 1)
+            x = np.multiply(top - np.arange(size + 2 * k), step / (2 * k))
+            dp._rates(np.subtract(x, t0 + j0 * step, x), step * beta / k, x)
+            m = dp._rk4_multiplier(x[:size], x[k : size + k], x[2 * k :], np.empty((3, size)),
+                                   np.empty(size, dtype=complex))
+            window, offset, level = np.ones(q.size, dtype=complex), 0, m
+            for bit in range(b.bit_length()):
+                if bit:
+                    level = level[: -(2 * k << (bit - 1))] * level[2 * k << (bit - 1) :]
+                if b >> bit & 1:
+                    window *= level[starts + offset]
+                    offset += 2 * k << bit
+            prod *= window
+        return prod
+
+    @pytest.mark.parametrize("k, n", [(1, 7), (2, 100), (3, 1000), (3, 3000), (5, 2000)])
+    def test_class_products_bitwise_equal_to_strided_windows(self, k, n):
+        rng = np.random.default_rng(10 * k + n)
+        q = np.unique(rng.integers(-3000, 3000, 400)).astype(float)
+        beta, t0, step = 1.7, 2.5, 5e-3
+        classes = dp._residue_classes(k, np.arange(q.size), q)
+        assert len(classes) == len(np.unique((q.max() - q) % (2 * k)))
+        prod = np.empty(q.size, dtype=complex)
+        for kk, p, idx, starts in classes:
+            prod[idx] = dp._lattice_products(kk, p, starts, beta, t0, step, n)
+        reference = self.strided_products(k, q, beta, t0, step, n)
+        assert np.array_equal(prod.view(np.uint64), reference.view(np.uint64))
+
+    def test_plan_built_once_per_distinct_interval(self, monkeypatch):
+        built = []
+        plan = dp._plan
+
+        def counting(k, eta, n, step):
+            built.append((n, step))
+            return plan(k, eta, n, step)
+
+        monkeypatch.setattr(dp, "_plan", counting)
+        dp.run_damping_experiment(small_ensemble(), 1.0, 20.0, dt=1e-2)  # samples 0, 5, .., 20
+        assert built == [(500, 1e-2)]
+        built.clear()
+        dp.run_damping_experiment(small_ensemble(), 1.0, 4.0, dt=1e-2,
+                                  sample_times=[0.0, 1.0, 2.0, 3.0, 3.5, 4.0])
+        assert built == [(100, 1e-2), (50, 1e-2)]
+        built.clear()
+        dp.evolve_rk4(dp.ModeState(1, 0.5, 1.0 + 0.0j), 1.0, 0.0, 3.0, 1e-2)
+        assert built == [(300, 1e-2)]
 
 
 class TestConjugatePairs:
@@ -463,15 +575,14 @@ class TestWindowProducts:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 6000])
     def test_matches_sequential_product(self, n):
         rng = np.random.default_rng(n)
-        stride = 3
-        m = np.exp(1j * rng.uniform(-np.pi, np.pi, stride * n + 5))
+        m = np.exp(1j * rng.uniform(-np.pi, np.pi, n + 5))
         starts = np.array([0, 4])
-        products = dp._window_products(m, stride, n, starts)
+        products = dp._window_products(m, n, starts)
         if n == 1:
             assert np.array_equal(products, m[starts])
             return
         for start, product in zip(starts, products):
-            terms = m[start : start + stride * n : stride]
+            terms = m[start : start + n]
             assert self.error(product, terms) <= 3 * np.log2(n) * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 6000])
@@ -491,7 +602,7 @@ class TestWindowProducts:
         terms = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
         results = []
         for pad in (0, 1, 6, 13):
-            m = np.exp(1j * rng.uniform(-np.pi, np.pi, pad + 2 * n))
-            m[pad : pad + 2 * n : 2] = terms
-            results.append(dp._window_products(m, 2, n, np.array([pad]))[0])
+            m = np.exp(1j * rng.uniform(-np.pi, np.pi, pad + n + 5))
+            m[pad : pad + n] = terms
+            results.append(dp._window_products(m, n, np.array([pad]))[0])
         assert all(r == results[0] for r in results)

@@ -54,6 +54,14 @@ def test_import_loads_none_of_the_deferred_modules():
     assert loaded_after("import betaplane") == set()
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rule of the modified-flow set-up is built on first use
+    code = "import sys, betaplane; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("argv", [
     ["--version"],
     ["damping", "--beta", "1", "--t-end", "1", "--dt", "0.05", "--samples", "0,1"],

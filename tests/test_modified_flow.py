@@ -138,6 +138,13 @@ class TestB0:
     def test_negative(self):
         assert mf.b0() < 0
 
+    def test_set_up_constants_pinned(self):
+        # bitwise: the Gauss-Legendre rule is built on first use, not at import
+        c = mf.cutoff_constants()
+        assert (c.M, c.M0, c.M1, c.M2, c.normalizer) == (
+            4.917330890744651, 2.461431389378077, 2.6054065145200336, 11.0355651489934, 0.00702985840660964)
+        assert mf.b0() == -0.020840287781420455
+
     def test_integrand_vanishes_at_zero(self):
         val = (1 / 5.0**3 - 1 / 5.0**3) * mf.erf(0.0) * mf.cutoff_I(0.0)
         assert val == 0.0
