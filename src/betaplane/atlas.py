@@ -221,8 +221,10 @@ def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict
     """
     alpha = float(alpha)
     beta = float(beta)
-    if alpha <= 0:
-        raise ValidationError(f"wavenumber alpha must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValidationError(f"wavenumber alpha must be finite and positive, got {alpha}")
+    if not math.isfinite(beta):
+        raise ValidationError(f"beta must be finite, got {beta}")
     _require_tol(tol)
     bstar = find_beta_star(resolution=resolution)
     if abs(beta) <= bstar:

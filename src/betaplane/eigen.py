@@ -160,15 +160,18 @@ def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12) -> float:
     return float(w[0])
 
 
+def _norm_bound(op: TridiagOperator) -> float:
+    return float(np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off), initial=0.0))
+
+
 def eigenvalue_floor(op: TridiagOperator, tol: float = 1e-12) -> float:
     """Bound max(2 tol, 8 eps ||A||) on the error of ``nth_eigenvalue(op, n, tol)``.
 
-    ||A|| is taken as max |a_ii| + 2 max |a_i,i+1| >= ||A||_inf.  Sturm counts
-    are backward stable only to a few eps ||A||, so on fine grids
+    ||A|| is taken as max |a_ii| + 2 max |a_i,i+1| >= ||A||_inf (``_norm_bound``).
+    Sturm counts are backward stable only to a few eps ||A||, so on fine grids
     (||A|| ~ 4 / h^2) this floor, not ``tol``, limits the accuracy.
     """
-    norm = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off), initial=0.0)
-    return max(2.0 * tol, 8.0 * np.finfo(float).eps * float(norm))
+    return max(2.0 * tol, 8.0 * np.finfo(float).eps * _norm_bound(op))
 
 
 def _apply_sign_convention(v: np.ndarray) -> np.ndarray:
@@ -202,8 +205,7 @@ def eigenvector(op: TridiagOperator, lam: float) -> np.ndarray:
 
 
 def eigen_residual(op: TridiagOperator, lam: float, v: np.ndarray) -> float:
-    norm_a = max(np.max(np.abs(op.diag)) + 2 * (np.max(np.abs(op.off)) if op.dim > 1 else 0.0), 1e-300)
-    return float(np.linalg.norm(op.matvec(v) - lam * v) / norm_a)
+    return float(np.linalg.norm(op.matvec(v) - lam * v) / max(_norm_bound(op), 1e-300))
 
 
 def extrapolate(values, floors=None) -> tuple[float, float]:

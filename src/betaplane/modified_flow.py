@@ -19,6 +19,9 @@ the cutoff stays monotone and nonnegative; its derivatives are analytic.
 ``b0`` uses the same Gauss-Legendre rule.  ``erf`` is the C library's error
 function (``math.erf``) applied elementwise where |x| < 6 and sign(x)
 beyond, where erf rounds to +-1; scipy.special is never imported.
+
+The monotonicity guard's constants M and M0 are universal literals
+(``cutoff_constants``); the tests recompute both bitwise by a sweep of [0, 2].
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
 ]
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
+_MIN_RESOLUTION = 256  # the coarsest grid suggested_resolution returns
 
 
 def erf(x):
@@ -164,32 +168,17 @@ def cutoff_I_second(x):
 
 @dataclass(frozen=True)
 class CutoffConstants:
-    """Sup norms of the cutoff combinations entering the monotonicity guard."""
+    """M = sup |2x I + x^2 I'| and M0 = sup |erf' I + erf I'| over [0, 2]."""
 
     M: float
     M0: float
-    M1: float
-    M2: float
-    normalizer: float
 
 
-@lru_cache(maxsize=1)
+_CUTOFF_CONSTANTS = CutoffConstants(M=4.917330890744651, M0=2.461431389378077)
+
+
 def cutoff_constants() -> CutoffConstants:
-    xs = np.linspace(0.0, 2.0, 200001)
-    i0, i1, i2 = cutoff_I(xs), cutoff_I_prime(xs), cutoff_I_second(xs)
-    m = float(np.max(np.abs(2.0 * xs * i0 + xs**2 * i1)))
-    g0 = erf_prime(xs) * i0
-    live = i1 != 0.0  # erf enters only as erf(x) I'(x), and I' vanishes off (1, 2)
-    g0[live] += erf(xs[live]) * i1[live]
-    m0 = float(np.max(np.abs(g0)))
-    _, norm = _cutoff_table()
-    return CutoffConstants(
-        M=m,
-        M0=m0,
-        M1=float(np.max(np.abs(i1))),
-        M2=float(np.max(np.abs(i2))),
-        normalizer=norm,
-    )
+    return _CUTOFF_CONSTANTS
 
 
 @dataclass(frozen=True)
@@ -206,6 +195,8 @@ class ModifiedFlowParams:
     a: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.beta, self.gamma, self.a))):
+            raise ValidationError(f"invariant-violation: beta, gamma and a must be finite, got {self}")
         if self.beta == 0.0:
             raise ValidationError("invariant-violation: beta != 0 is required")
         if self.a < 0.0:
@@ -216,7 +207,7 @@ class ModifiedFlowParams:
                 "invariant-violation: gamma < min(1/2, 1/(10|beta|)) = "
                 f"{lim} is required, got gamma={self.gamma}"
             )
-        consts = cutoff_constants()
+        consts = _CUTOFF_CONSTANTS
         guard = 1.0 / (0.5 * abs(self.beta) * consts.M + self.a * consts.M0)
         if self.gamma >= guard:
             raise ValidationError(
@@ -291,10 +282,10 @@ def b0() -> float:
     return 2.0 * float(np.sum(_panel_integrals(integrand, 0.0, 2.0, 256)))
 
 
-def suggested_resolution(gamma: float, floor: int = 256) -> int:
+def suggested_resolution(gamma: float) -> int:
     """Base grid size that resolves the gamma-scale potential features."""
     need = 8.0 / gamma
-    res = floor
+    res = _MIN_RESOLUTION
     while res < need:
         res *= 2
     return res

@@ -174,6 +174,36 @@ class TestDampingCommand:
         assert captured.out == ""
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("argv, message", [
+        (["atlas", "region", "--alpha", "nan", "--beta", "5"], "alpha must be finite and positive, got nan"),
+        (["atlas", "region", "--alpha", "inf", "--beta", "5"], "alpha must be finite and positive, got inf"),
+        (["atlas", "region", "--alpha", "1", "--beta", "nan"], "beta must be finite, got nan"),
+        (["atlas", "region", "--alpha", "1", "--beta=-inf"], "beta must be finite, got -inf"),
+        (["modified-flow", "--beta", "nan", "--gamma", "0.01", "--emit", "profile", "--samples", "3"],
+         "beta, gamma and a must be finite"),
+        (["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--a", "nan", "--n-max", "1"],
+         "beta, gamma and a must be finite"),
+        (["bifurcate", "--beta", "2", "--gamma", "nan", "--kappas", "1e-2,5e-3"],
+         "beta, gamma and a must be finite"),
+    ], ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-inf", "mf-beta-nan", "mf-a-nan", "bif-gamma-nan"])
+    def test_exit_2_before_any_solve(self, argv, message, monkeypatch, capsys):
+        from betaplane import atlas, bifurcation, cli, modified_flow
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting a non-finite parameter")
+
+        monkeypatch.setattr(atlas, "find_beta_star", no_solve)
+        monkeypatch.setattr(atlas, "alpha_beta", no_solve)
+        monkeypatch.setattr(bifurcation, "lambda_n_general", no_solve)
+        monkeypatch.setattr(modified_flow, "lambda_n_general", no_solve)
+        monkeypatch.setattr(modified_flow, "profile", no_solve)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+
 class TestListFlags:
     @pytest.mark.parametrize("argv, message", [
         (["damping", "--beta", "1", "--t-end", "1", "--samples", "0,abc"], "--samples: 'abc' is not a number"),

@@ -315,6 +315,32 @@ class TestEigenvector:
         assert np.array_equal(v1, v2)
 
 
+class TestNormBound:
+    """eigenvalue_floor and eigen_residual share one ||A|| bound, with their own floors."""
+
+    @staticmethod
+    def ops(rng):
+        for n in (1, 2, 3, 7, 12):
+            diag, off, grid = random_tridiag(rng, n)
+            yield TridiagOperator(diag=diag, off=off, grid=grid)
+        yield TridiagOperator(diag=np.zeros(4), off=np.zeros(3), grid=build_grid(4))
+        yield TridiagOperator(diag=np.zeros(1), off=np.zeros(0), grid=None)
+
+    def test_floor_is_the_norm_bound(self, rng):
+        for op in self.ops(rng):
+            norm = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off), initial=0.0)
+            for tol in (1e-12, 1e-3):
+                expected = max(2.0 * tol, 8.0 * np.finfo(float).eps * float(norm))
+                assert eigen.eigenvalue_floor(op, tol) == expected
+
+    def test_residual_divides_by_the_norm_bound(self, rng):
+        for op in self.ops(rng):
+            v = rng.standard_normal(op.dim)
+            norm_a = max(np.max(np.abs(op.diag)) + 2 * (np.max(np.abs(op.off)) if op.dim > 1 else 0.0), 1e-300)
+            expected = float(np.linalg.norm(op.matvec(v) - 0.7 * v) / norm_a)
+            assert eigen.eigen_residual(op, 0.7, v) == expected
+
+
 class TestMonotoneRoot:
     @pytest.mark.parametrize("f, lo, hi, root", [
         (lambda x: x**3 - 2.0, 0.0, 2.0, 2.0 ** (1 / 3)),

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,14 +126,31 @@ class TestCutoff:
 
     def test_constants_positive_finite(self):
         c = mf.cutoff_constants()
-        for v in (c.M, c.M0, c.M1, c.M2, c.normalizer):
+        _, norm = mf._cutoff_table()
+        for v in (c.M, c.M0, norm):
             assert v > 0 and np.isfinite(v)
 
+    def test_m_equals_full_sweep(self):
+        xs = np.linspace(0.0, 2.0, 200001)
+        full = 2.0 * xs * mf.cutoff_I(xs) + xs**2 * mf.cutoff_I_prime(xs)
+        assert mf.cutoff_constants().M == float(np.max(np.abs(full))) == 4.917330890744651
+
     def test_m0_equals_full_sweep(self):
-        # erf is evaluated only where I' != 0; the sup over all of [0, 2] is the same float
         xs = np.linspace(0.0, 2.0, 200001)
         full = mf.erf_prime(xs) * mf.cutoff_I(xs) + mf.erf(xs) * mf.cutoff_I_prime(xs)
         assert mf.cutoff_constants().M0 == float(np.max(np.abs(full))) == 2.461431389378077
+
+    def test_params_build_no_cutoff_table(self):
+        # the guard reads literals: a fresh process that builds parameters tabulates nothing
+        code = (
+            "from betaplane import modified_flow as mf\n"
+            "mf.ModifiedFlowParams(0.5, 0.01, 1.0)\n"
+            "mf.cutoff_constants()\n"
+            "print(mf._cutoff_table.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestB0:
@@ -141,8 +160,7 @@ class TestB0:
     def test_set_up_constants_pinned(self):
         # bitwise: the Gauss-Legendre rule is built on first use, not at import
         c = mf.cutoff_constants()
-        assert (c.M, c.M0, c.M1, c.M2, c.normalizer) == (
-            4.917330890744651, 2.461431389378077, 2.6054065145200336, 11.0355651489934, 0.00702985840660964)
+        assert (c.M, c.M0, mf._cutoff_table()[1]) == (4.917330890744651, 2.461431389378077, 0.00702985840660964)
         assert mf.b0() == -0.020840287781420455
 
     def test_integrand_vanishes_at_zero(self):
@@ -171,6 +189,14 @@ class TestParamsAndProfile:
     def test_monotonicity_guard_named(self):
         with pytest.raises(ValidationError, match="M0"):
             mf.ModifiedFlowParams(0.5, 0.02, 40.0)
+
+    @pytest.mark.parametrize("beta, gamma, a", [
+        (math.nan, 0.01, 0.0), (0.5, math.nan, 0.0), (0.5, 0.01, math.nan),
+        (math.inf, 0.01, 0.0), (0.5, math.inf, 0.0), (0.5, 0.01, math.inf), (-math.inf, 0.01, 1.0),
+    ])
+    def test_non_finite_rejected(self, beta, gamma, a):
+        with pytest.raises(ValidationError, match="beta, gamma and a must be finite"):
+            mf.ModifiedFlowParams(beta, gamma, a)
 
     def test_beta_nonzero(self):
         with pytest.raises(ValidationError, match="beta"):
