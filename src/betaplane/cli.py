@@ -186,6 +186,8 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
     elif args.atlas_cmd == "curve":
         if args.steps < 1:
             raise ValidationError(f"--steps must be >= 1, got {args.steps}")
+        if not math.isfinite(args.beta_max):
+            raise ValidationError(f"--beta-max must be finite, got {args.beta_max}")
         lo = args.beta_min
         if lo is None:
             lo = atlas.find_beta_star(tol=cfg.tol("beta-star"), resolution=cfg.resolution)

@@ -36,28 +36,28 @@ The vorticity is real: fhat(-k, -eta) = conj fhat(k, eta).  Under (k, eta)
 multiplier is exactly conj M.  A mode with k < 0 therefore takes the
 conjugate of the product of (-k, -eta), and mirrored modes share it.
 
-On the lattice eta = g q, g = dt/2, q an integer, half-step h from t0 has
-the shear g (q - k h) - k t0, so all modes of one k > 0 read x at
-p = q - k h of one sequence anchored at p = 0.  Step j's multiplier M(p0),
-p0 = q - 2kj, takes x at p0, p0 - k and p0 - 2k, and a mode's product is
-the window p0 = q, q - 2k, .., q - 2k(n-1) of M, taken from doubling
-levels.  Windows whose q agree mod 2k form a residue class: its steps are
-one sequence with stride 1, which reads x only at p of that class mod k.
-Per class and interval, the multiplier is evaluated at (class start range)
-+ n step starts and x at twice as many points.  The default lattice
-(d_eta = 0.05 = 20 g at dt = 5e-3) has one class for |k| = 1 and 2 and
-three for |k| = 3, and every multiplier evaluated on it is read.  Every other mode (an eta off the
-lattice, or a |k| whose sequence is no shorter than n steps of each eta, as
-for one ``evolve_rk4`` mode) is stepped on its own, once per distinct
-(|k|, +-eta), in blocks multiplied pairwise.  Which modes go which way
-depends only on the modes, n and the step, so a run plans it once and
-reuses the plan while (n, step) repeats.  Either way the tables stay within 1e-13 of the complex
-textbook tableau (``tests/oracles.py``).
+A mode's product is a window of n consecutive terms of a multiplier
+sequence, taken from doubling levels, and one kernel evaluates every
+sequence: sequence c reads x at half-step h from t0 at the shear
+g (p_c - k_c h) / k_c - t0, g = dt/2, k_c > 0.  On the lattice eta = g q, q
+an integer, the step j of mode q starts at p = q - 2kj, so the windows of one
+k whose q agree mod 2k form a residue class: one sequence with stride 1 and
+one start per window.  Per class and interval the multiplier is evaluated
+at (class start range) + n steps and x at twice as many points.  The default
+lattice (d_eta = 0.05 = 20 g at dt = 5e-3) has one class for |k| = 1 and 2
+and three for |k| = 3, and every multiplier evaluated on it is read.  Every
+other mode (an eta off the lattice, or a |k| whose sequence is no shorter
+than n steps of each eta, as for one ``evolve_rk4`` mode) reads, from step
+0, the sequence of its key (|k|, +-eta) at p = eta / g; all such keys go in
+one batch with their steps interleaved.  Which modes go which way depends
+only on the modes, n and the step, so a run plans it once and reuses the
+plan while (n, step) repeats.  Either way the tables stay within 1e-13 of
+the complex textbook tableau (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -198,47 +198,37 @@ def _rk4_multiplier(x1, x2, x4, work, m) -> np.ndarray:
     return m
 
 
-def _window_products(m, n: int, starts) -> np.ndarray:
-    """prod_{j<n} m[i + j] for each i of ``starts``, by doubling.
+def _window_products(m, n: int, starts, stride: int, prod) -> np.ndarray:
+    """Multiply prod, in place, by prod_{j<n} m[i + j stride] for each i of ``starts``, by doubling.
 
-    Level b holds T_b[i] = T_{b-1}[i] T_{b-1}[i + 2^(b-1)], and a window
-    takes one entry per set bit of n, low bits first: the same tree of its
-    terms, about log2(n) levels deep, wherever it starts (the sparse table
-    of Bender and Farach-Colton, LATIN 2000, without overlap).
+    Level b holds T_b[i] = T_{b-1}[i] T_{b-1}[i + stride 2^(b-1)], and a
+    window takes one entry per set bit of n, low bits first: the same tree of
+    its terms, about log2(n) levels deep, wherever it starts (the sparse table
+    of Bender and Farach-Colton, LATIN 2000, without overlap).  A running
+    product of factors near 1 piles up correlated roundings along a smooth
+    sequence (2.8e-13 from the textbook over 16384 steps of one mode); the
+    tree does not.
     """
-    prod, offset, level = np.ones(len(starts), dtype=complex), 0, m
+    offset, level = 0, m
     for b in range(n.bit_length()):
         if b:
-            level = level[: -(1 << (b - 1))] * level[1 << (b - 1) :]
+            shift = stride << (b - 1)
+            level = level[:-shift] * level[shift:]
         if n >> b & 1:
             prod *= level[starts + offset]
-            offset += 1 << b
+            offset += stride << b
     return prod
 
 
-def _tree_products(rows) -> np.ndarray:
-    """The products down the columns of ``rows``, multiplied pairwise, level by level.
-
-    A running product of factors near 1 piles up correlated roundings along
-    a smooth sequence (2.8e-13 from the textbook over 16384 steps of one
-    mode); a tree does not.
-    """
-    while len(rows) > 1:
-        half = len(rows) // 2
-        paired = rows[:half] * rows[half : 2 * half]
-        if len(rows) % 2:
-            paired[-1] *= rows[-1]
-        rows = paired
-    return rows[0]
-
-
 def _residue_classes(k: int, idx, q) -> list:
-    """Split the lattice modes ``idx`` of one k > 0, at q, by residue class.
+    """Split the lattice modes ``idx`` of one k > 0, at q, into one batch per residue class.
 
     x is indexed by r = max(q) - p, forward in time, so mode q's window starts
     at r0 = max(q) - q with stride 2k.  Modes with one r0 mod 2k share a
     sequence from their least r0 = lo, at p = max(q) - lo, and start at class
-    step (r0 - lo) / 2k.  Returns (k, p, mode indices, starts) per class.
+    step (r0 - lo) / 2k.  Returns per class the batch (k, p, starts, mode
+    indices, inverse): one window per distinct start, read by the modes at
+    ``inverse``, so mirrored modes share one window.
     """
     top = q.max()
     r0 = (top - q).astype(np.int64)
@@ -247,56 +237,37 @@ def _residue_classes(k: int, idx, q) -> list:
     for c in np.unique(residue):
         sel = residue == c
         lo = r0[sel].min()
-        classes.append((k, top - lo, idx[sel], (r0[sel] - lo) // (2 * k)))
+        starts, inverse = np.unique((r0[sel] - lo) // (2 * k), return_inverse=True)
+        classes.append((np.array([k]), np.array([top - lo]), starts, idx[sel], inverse))
     return classes
 
 
-def _lattice_products(k: int, p: float, starts, beta: float, t0: float, step: float, n: int) -> np.ndarray:
-    """Products over n steps from t0 of one residue class of lattice modes, k > 0.
+def _sequence_products(k, p, starts, beta: float, t0: float, step: float, n: int) -> np.ndarray:
+    """Window products over n steps from t0 of a batch of C multiplier sequences.
 
-    Class step i reads x at p - 2ki, p - k(2i + 1) and p - 2k(i + 1), and a
-    mode's product is the window of n class steps from its start.  Per
-    interval the multiplier is evaluated at (start range) + n class steps and
-    x at 2 (start range + n + 1) points.  Pieces of MAX_TERMS // 2k steps
-    bound x.
+    Sequence c reads x at half-step h, time t0 + g h with g = step/2, at the
+    shear g (p_c - k_c h) / k_c - t0, and its step i at half-steps 2i, 2i + 1
+    and 2i + 2.  Step i of sequence c is multiplier i C + c, and window w runs
+    over n steps of one sequence from multiplier ``starts[w]``.  Pieces of
+    MAX_TERMS // C steps bound the multipliers held at once.
     """
-    piece = max(1, MAX_TERMS // (2 * k))
+    width = k.size  # C
+    piece = min(n, max(1, MAX_TERMS // width))
+    size = int(starts.max()) // width + piece  # steps of each sequence in a whole piece
+    # the shear plus t: row 0 at the start of step i (i = size: the end of the last), row 1 at its midpoint
+    shear = np.multiply(k, np.arange(2.0 * size + 2).reshape(-1, 2).T[..., None], order="C")
+    np.multiply(np.subtract(p, shear, shear), step / 2 / k, shear)
+    x, rate = shear if piece == n else np.empty_like(shear), step * beta / k
+    work, m = np.empty((3, size * width)), np.empty(size * width, dtype=complex)
     prod = np.ones(starts.size, dtype=complex)
     for j0 in range(0, n, piece):
         b = min(piece, n - j0)
-        size = int(starts.max()) + b  # class steps
-        # rows: x at the step starts (and the last end) and at the midpoints; u + tau = g p / k
-        x = np.multiply(p - (2 * k * np.arange(size + 1) + np.array([[0], [k]])), step / (2 * k))
-        _rates(np.subtract(x, t0 + j0 * step, x), step * beta / k, x)
-        work, m = np.empty((3, size)), np.empty(size, dtype=complex)
-        _rk4_multiplier(x[0, :size], x[1, :size], x[0, 1:], work, m)
-        prod *= _window_products(m, b, starts)
-    return prod
-
-
-def _stepped_products(k, eta, beta: float, t0: float, step: float, n: int) -> np.ndarray:
-    """Products over n steps from t0 of the modes (k, eta), each stepped on its own.
-
-    A block of B <= MAX_TERMS // modes steps fills ``rows[1:]`` at the
-    half-steps [2, 4, .., 2B, 1, 3, .., 2B-1], so that ``rows[:b]``,
-    ``rows[1:b+1]`` and ``rows[B+1:B+1+b]`` are the flat x1, x4 and x2 of
-    its first b steps; row B is the next block's x1.
-    """
-    modes = k.size
-    block = min(n, max(1, MAX_TERMS // modes))
-    half = np.r_[2 : 2 * block + 1 : 2, 1 : 2 * block : 2][:, None]
-    rows = np.empty((2 * block + 1, modes))
-    work, m = np.empty((3, block * modes)), np.empty(block * modes, dtype=complex)
-    prod = np.ones(modes, dtype=complex)
-    u0, c = eta / k, step * beta / k
-    _rates(np.subtract(u0, t0, rows[0]), c, rows[0])
-    for j0 in range(0, n, block):
-        b = min(block, n - j0)
-        _rates(np.subtract(u0, t0 + 0.5 * step * (2 * j0 + half), rows[1:]), c, rows[1:])
-        x1, x4, x2 = (rows[i : i + b].reshape(-1) for i in (0, 1, block + 1))
-        m_b = _rk4_multiplier(x1, x2, x4, work[:, : x1.size], m[: x1.size])
-        prod *= _tree_products(m_b.reshape(b, modes))
-        rows[0] = rows[block]
+        steps = size - piece + b
+        xs = np.subtract(shear[:, : steps + 1], t0 + j0 * step, x[:, : steps + 1])
+        _rates(xs, rate, xs)
+        x1, x2, x4 = xs[0, :steps].reshape(-1), xs[1, :steps].reshape(-1), xs[0, 1:].reshape(-1)
+        m_piece = _rk4_multiplier(x1, x2, x4, work[:, : x1.size], m[: x1.size])
+        _window_products(m_piece, b, starts, width, prod)
     return prod
 
 
@@ -304,16 +275,17 @@ def _stepped_products(k, eta, beta: float, t0: float, step: float, n: int) -> np
 class _Plan:
     """How ``_apply`` advances a set of modes over n steps of length ``step``.
 
-    ``classes`` lists the lattice residue classes as ``_residue_classes``
-    returns them; ``stepped`` holds the indices of the other modes, their
-    distinct |k| and +-eta, and the map from the modes to those keys.
+    ``batches`` lists (k, p, starts, mode indices, inverse): the modes take
+    the window products of ``_sequence_products(k, p, starts, ..)`` at
+    ``inverse``.  There is one batch per lattice residue class, as
+    ``_residue_classes`` returns them, and one for every other mode, whose
+    distinct (|k|, +-eta) keys are sequences of their own.
     """
 
     n: int
     step: float
     mirrored: np.ndarray
-    classes: list
-    stepped: tuple
+    batches: list
 
 
 def _interval(t0: float, t1: float, dt: float) -> tuple[int, float]:
@@ -328,7 +300,8 @@ def _plan(k, eta, n: int, step: float) -> _Plan:
     An eta within 4 ulps of a multiple of step/2 counts as on the lattice.
     Lattice modes of one |k| go in groups of q range under MAX_TERMS, and a
     group takes the lattice only if its sequence is shorter than n steps of
-    each of its etas.
+    each of its etas.  Every other mode reads the sequence of its key
+    (|k|, +-eta), at p = eta / g from start 0.
     """
     k, eta = np.asarray(k, dtype=float), np.asarray(eta, dtype=float)
     mirrored = k < 0
@@ -336,26 +309,25 @@ def _plan(k, eta, n: int, step: float) -> _Plan:
     q = np.rint(eta / (step / 2))
     lattice = (np.abs(q * (step / 2) - eta) <= 4 * np.finfo(float).eps * np.abs(eta)) & (k == np.rint(k))
     groups = k + 1j * (np.where(lattice, q - q[lattice].min(initial=0.0), 0.0) // MAX_TERMS)
-    classes = []
+    batches = []
     for key in np.unique(groups[lattice]):
         group, kk = lattice & (groups == key), int(key.real)
         if np.ptp(q[group]) + 1 + 2 * kk * (n - 1) < np.unique(q[group]).size * n:
-            classes += _residue_classes(kk, np.flatnonzero(group), q[group])
+            batches += _residue_classes(kk, np.flatnonzero(group), q[group])
         else:
             lattice &= ~group
     rest = np.flatnonzero(~lattice)
-    keys, inverse = np.unique(k[rest] + 1j * eta[rest], return_inverse=True)
-    return _Plan(n, step, mirrored, classes, (rest, keys.real.copy(), keys.imag.copy(), inverse))
+    if rest.size:
+        keys, inverse = np.unique(k[rest] + 1j * eta[rest], return_inverse=True)
+        batches.append((keys.real, keys.imag / (step / 2), np.arange(keys.size), rest, inverse))
+    return _Plan(n, step, mirrored, batches)
 
 
 def _apply(plan: _Plan, amps, beta: float, t0: float) -> None:
     """Advance amps, of the modes that ``plan`` routes, in place over its n steps from t0."""
     prod = np.empty(amps.size, dtype=complex)
-    for k, p, idx, starts in plan.classes:
-        prod[idx] = _lattice_products(k, p, starts, beta, t0, plan.step, plan.n)
-    rest, ks, etas, inverse = plan.stepped
-    if rest.size:
-        prod[rest] = _stepped_products(ks, etas, beta, t0, plan.step, plan.n)[inverse]
+    for k, p, starts, idx, inverse in plan.batches:
+        prod[idx] = _sequence_products(k, p, starts, beta, t0, plan.step, plan.n)[inverse]
     amps *= np.where(plan.mirrored, prod.conj(), prod)
 
 

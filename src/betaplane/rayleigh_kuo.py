@@ -27,6 +27,7 @@ grid, are built only when a pair's ``vector`` or ``residual`` is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,8 @@ def couette() -> ShearProfile:
 
 def scaled_couette(a: float) -> ShearProfile:
     """The scaled flow u(y) = a y with 0 < a."""
-    if a <= 0:
-        raise ValidationError(f"scale a must be positive, got {a}")
+    if not (a > 0 and math.isfinite(a)):
+        raise ValidationError(f"scale a must be finite and positive, got {a}")
     return ShearProfile(
         u=lambda y, a=a: a * np.asarray(y, dtype=float),
         du=lambda y, a=a: np.full_like(np.asarray(y, dtype=float), a),
@@ -241,7 +242,11 @@ def lambda_n_general(
     beta there, in which case the potential is set to its removable value 0
     on that zone; any other speed raises SingularSpeedError before a solve.
     At an endpoint speed the potential is finite at every interior node.
+    A non-finite beta or c raises ValidationError before anything is assembled.
     """
+    for name, value in (("beta", beta), ("c", c)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     zone = profile.flat_zone
     removable = zone is not None and profile.flat_d2u == beta
     if profile.range_lo < c < profile.range_hi:

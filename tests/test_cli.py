@@ -186,17 +186,28 @@ class TestNonFiniteParameters:
          "beta, gamma and a must be finite"),
         (["bifurcate", "--beta", "2", "--gamma", "nan", "--kappas", "1e-2,5e-3"],
          "beta, gamma and a must be finite"),
-    ], ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-inf", "mf-beta-nan", "mf-a-nan", "bif-gamma-nan"])
+        (["eigen", "--beta", "nan", "--c", "2"], "beta must be finite, got nan"),
+        (["eigen", "--beta", "nan", "--c", "-1"], "beta must be finite, got nan"),
+        (["eigen", "--beta", "1", "--c", "nan"], "c must be finite, got nan"),
+        (["atlas", "speed", "--beta", "nan", "--lambda0", "-1"], "beta must be finite, got nan"),
+        (["atlas", "curve", "--beta-max", "nan"], "--beta-max must be finite, got nan"),
+        (["atlas", "curve", "--beta-min", "nan", "--beta-max", "6"], "beta must be finite, got nan"),
+        (["bifurcate", "--base", "scaled-couette", "--beta", "1", "--scale", "nan", "--c", "2"],
+         "scale a must be finite and positive, got nan"),
+        (["bifurcate", "--base", "scaled-couette", "--beta", "nan", "--c", "2"], "beta must be finite, got nan"),
+        (["bifurcate", "--base", "scaled-couette", "--beta", "1", "--c", "nan"], "c must be finite, got nan"),
+    ], ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-inf", "mf-beta-nan", "mf-a-nan", "bif-gamma-nan",
+            "eigen-beta-nan", "eigen-wall-beta-nan", "eigen-c-nan", "speed-beta-nan", "curve-beta-max-nan",
+            "curve-beta-min-nan", "couette-scale-nan", "couette-beta-nan", "couette-c-nan"])
     def test_exit_2_before_any_solve(self, argv, message, monkeypatch, capsys):
-        from betaplane import atlas, bifurcation, cli, modified_flow
+        from betaplane import atlas, cli, modified_flow, rayleigh_kuo
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before rejecting a non-finite parameter")
 
+        # every Rayleigh-Kuo solve goes through _solve_extrapolated; beta* is memoized
         monkeypatch.setattr(atlas, "find_beta_star", no_solve)
-        monkeypatch.setattr(atlas, "alpha_beta", no_solve)
-        monkeypatch.setattr(bifurcation, "lambda_n_general", no_solve)
-        monkeypatch.setattr(modified_flow, "lambda_n_general", no_solve)
+        monkeypatch.setattr(rayleigh_kuo, "_solve_extrapolated", no_solve)
         monkeypatch.setattr(modified_flow, "profile", no_solve)
         assert cli.main(argv) == 2
         captured = capsys.readouterr()

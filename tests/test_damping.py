@@ -326,8 +326,9 @@ class TestRealKernel:
     def test_amplitudes_match_textbook(self, dt, rng, monkeypatch):
         # The tables read moduli only, so the phases are checked here.  At dt
         # 1e-3, q = 200 m: each |k| goes in three groups of q range under
-        # 16384, in pieces of 16384 // 2k steps, so no multiplier call holds
-        # more than 2 x 16384 terms; one eta a hair off the lattice is stepped.
+        # 16384, each in one piece of the 10000 steps, so no multiplier call
+        # holds more than 2 x 16384 terms; one eta a hair off the lattice is a
+        # sequence of its own.
         sizes = multiplier_sizes(monkeypatch)
         ens = small_ensemble()
         ens.etas[(ens.ks == -1) & (ens.etas == 0.0)] = 1e-9
@@ -348,11 +349,11 @@ class TestRealKernel:
         assert sizes == [2100, 1100, 2150, 1150]
         sizes.clear()
         dp.evolve_rk4(dp.ModeState(1, 0.5, 1.0 + 0.0j), 1.0, 0.0, 3.0, 1e-2)
-        assert sizes == [300]  # a single mode is stepped on its own: 300 steps in one block
+        assert sizes == [300]  # a single mode is a sequence of its own: 300 steps in one piece
 
     def test_evolve_across_two_blocks_matches_textbook(self):
         st = dp.ModeState(-2, 3.7, 0.6 - 0.8j)
-        out = dp.evolve_rk4(st, 1.3, 0.5, 40.5, 1e-3)  # 40000 steps: blocks of 16384, 16384 and 7232
+        out = dp.evolve_rk4(st, 1.3, 0.5, 40.5, 1e-3)  # 40000 steps: pieces of 16384, 16384 and 7232
         ref = rk4_evolve_textbook([st.k], [st.eta], [st.amp], 1.3, 0.5, 40.5, 1e-3)[0]
         assert abs(out.amp - ref) <= 1e-13
 
@@ -363,16 +364,15 @@ class TestRealKernel:
         # window starts 16000 - q (0, 20, .., 16000) are one class for |k| = 1
         # and 2, 8000 and 4000 class steps from first to last, and three for
         # |k| = 3 (20 m mod 6 in {0, 2, 4}, starts 60 apart), 2660 class steps
-        # each.  Each interval is advanced on its
-        # own, so the row at t = 5 is that of a short run and the row at t = 20
-        # that of a long one (3000 steps, which |k| = 3 takes in pieces of
-        # 16384 // 6 = 2730 and 270); the oracle takes about 0.8 s per 20 time
-        # units.
+        # each.  Each interval is advanced on its own, so the row at t = 5 is
+        # that of a short run and the row at t = 20 that of a long one (3000
+        # steps, one piece for every class); the oracle takes about 0.8 s per
+        # 20 time units.
         sizes = multiplier_sizes(monkeypatch)
         ens = dp.ModeEnsemble.from_profile(profile)
         assert_experiment_matches_textbook(ens, beta, (0.0, 5.0, 20.0))
         assert sizes == [8000 + 1000, 4000 + 1000] + 3 * [2660 + 1000] + \
-            [8000 + 3000, 4000 + 3000] + 3 * [2660 + 2730, 2660 + 270]
+            [8000 + 3000, 4000 + 3000] + 3 * [2660 + 3000]
 
 
 class TestResidueClasses:
@@ -380,28 +380,31 @@ class TestResidueClasses:
 
     @staticmethod
     def windows(monkeypatch):
-        """The list that (len(m), n, starts) of every later _window_products call is appended to."""
+        """The list that (len(m), n, starts, stride) of every later _window_products call is appended to."""
         calls = []
         products = dp._window_products
 
-        def recording(m, n, starts):
-            calls.append((len(m), n, starts.copy()))
-            return products(m, n, starts)
+        def recording(m, n, starts, stride, prod):
+            calls.append((len(m), n, starts.copy(), stride))
+            return products(m, n, starts, stride, prod)
 
         monkeypatch.setattr(dp, "_window_products", recording)
         return calls
 
-    @pytest.mark.parametrize("dt", [5e-3, 1e-2])
-    def test_every_multiplier_is_read(self, dt, monkeypatch):
-        # on the default lattice, with the pieces of |k| = 3 at 3000 steps of 5e-3
+    @pytest.mark.parametrize("dt, samples", [
+        (5e-3, [0.0, 5.0, 20.0]), (1e-2, [0.0, 5.0, 20.0]), (1e-3, [0.0, 2.74]),
+    ], ids=["0.005", "0.01", "0.001"])
+    def test_every_multiplier_is_read(self, dt, samples, monkeypatch):
+        # on the default lattice; at dt 1e-3 one interval of 2740 steps, which
+        # every class takes in one piece
         calls = self.windows(monkeypatch)
-        dp.run_damping_experiment(dp.ModeEnsemble.from_profile("gaussian"), 1.3, 20.0, dt=dt,
-                                  sample_times=[0.0, 5.0, 20.0])
+        dp.run_damping_experiment(dp.ModeEnsemble.from_profile("gaussian"), 1.3, samples[-1], dt=dt,
+                                  sample_times=samples)
         assert len(calls) >= 10
-        for size, n, starts in calls:
+        for size, n, starts, stride in calls:
             read = np.zeros(size, dtype=bool)
             for i in starts:
-                read[i : i + n] = True
+                read[i : i + n * stride : stride] = True
             assert read.all()
 
     @staticmethod
@@ -409,7 +412,7 @@ class TestResidueClasses:
         """Windows of stride 2k over one sequence of every step start (the unsplit scheme)."""
         top = q.max()
         starts = (top - q).astype(np.int64)
-        piece = max(1, dp.MAX_TERMS // (2 * k))
+        piece = dp.MAX_TERMS
         prod = np.ones(q.size, dtype=complex)
         for j0 in range(0, n, piece):
             b = min(piece, n - j0)
@@ -418,26 +421,27 @@ class TestResidueClasses:
             dp._rates(np.subtract(x, t0 + j0 * step, x), step * beta / k, x)
             m = dp._rk4_multiplier(x[:size], x[k : size + k], x[2 * k :], np.empty((3, size)),
                                    np.empty(size, dtype=complex))
-            window, offset, level = np.ones(q.size, dtype=complex), 0, m
+            offset, level = 0, m
             for bit in range(b.bit_length()):
                 if bit:
                     level = level[: -(2 * k << (bit - 1))] * level[2 * k << (bit - 1) :]
                 if b >> bit & 1:
-                    window *= level[starts + offset]
+                    prod *= level[starts + offset]
                     offset += 2 * k << bit
-            prod *= window
         return prod
 
-    @pytest.mark.parametrize("k, n", [(1, 7), (2, 100), (3, 1000), (3, 3000), (5, 2000)])
+    @pytest.mark.parametrize("k, n", [(1, 7), (2, 100), (3, 1000), (3, 3000), (5, 2000), (2, 20000)])
     def test_class_products_bitwise_equal_to_strided_windows(self, k, n):
+        # (2, 20000) takes two pieces, of 16384 and 3616 steps
         rng = np.random.default_rng(10 * k + n)
         q = np.unique(rng.integers(-3000, 3000, 400)).astype(float)
         beta, t0, step = 1.7, 2.5, 5e-3
         classes = dp._residue_classes(k, np.arange(q.size), q)
         assert len(classes) == len(np.unique((q.max() - q) % (2 * k)))
         prod = np.empty(q.size, dtype=complex)
-        for kk, p, idx, starts in classes:
-            prod[idx] = dp._lattice_products(kk, p, starts, beta, t0, step, n)
+        for kk, p, starts, idx, inverse in classes:
+            assert kk.size == p.size == 1
+            prod[idx] = dp._sequence_products(kk, p, starts, beta, t0, step, n)[inverse]
         reference = self.strided_products(k, q, beta, t0, step, n)
         assert np.array_equal(prod.view(np.uint64), reference.view(np.uint64))
 
@@ -520,35 +524,53 @@ class TestConjugatePairs:
 
 
 class TestOffLattice:
-    """Etas that are not multiples of step/2 are stepped on their own, key by key."""
+    """Etas that are not multiples of step/2 go key by key, each key a sequence of its own."""
 
     @staticmethod
-    def no_lattice(monkeypatch):
-        def window_products(*args, **kwargs):
-            raise AssertionError("took the lattice path")
+    def own_sequences(monkeypatch, ens, intervals):
+        """Check, after the run, that each interval went as one batch of start-0 sequences, one per key."""
+        calls = []
+        products = dp._sequence_products
 
-        monkeypatch.setattr(dp, "_window_products", window_products)
+        def recording(k, p, starts, *args):
+            calls.append((k.copy(), starts.copy()))
+            return products(k, p, starts, *args)
+
+        monkeypatch.setattr(dp, "_sequence_products", recording)
+        keys = np.unique(np.abs(ens.ks) + 1j * np.where(ens.ks < 0, -ens.etas, ens.etas))
+
+        def check():
+            assert len(calls) == intervals
+            for k, starts in calls:
+                assert np.array_equal(k, keys.real)
+                assert np.array_equal(starts, np.arange(keys.size))
+
+        return check
 
     def test_default_lattice_at_dt_3e_3(self, monkeypatch):
         # eta / g = 33.34 m: only the etas that are multiples of 2.5 lie on the
         # lattice, too sparse to pay for its sequence
-        self.no_lattice(monkeypatch)
         ens = dp.ModeEnsemble.from_profile("gaussian")
+        check = self.own_sequences(monkeypatch, ens, 1)
         assert_experiment_matches_textbook(ens, 1.3, (0.0, 5.0), dt=3e-3)
+        check()
 
     def test_odd_sample_times(self, monkeypatch):
-        self.no_lattice(monkeypatch)
-        assert_experiment_matches_textbook(small_ensemble(), -1.7, (0.0, 1.0 / 3.0, 2.9))
+        ens = small_ensemble()
+        check = self.own_sequences(monkeypatch, ens, 2)
+        assert_experiment_matches_textbook(ens, -1.7, (0.0, 1.0 / 3.0, 2.9))
+        check()
 
     def test_random_etas(self, monkeypatch):
-        self.no_lattice(monkeypatch)
         ens = small_ensemble()
         ens.etas = np.random.default_rng(41).uniform(-10.0, 10.0, ens.etas.size)
+        check = self.own_sequences(monkeypatch, ens, 2)
         assert_experiment_matches_textbook(ens, 1.7, (0.0, 5.0, 20.0))
+        check()
 
     def test_asymmetric_lattice_at_dt_3e_3(self):
         # From t = 5 on, g = 0.0015 and the etas 0.3 j lie on the lattice while
-        # the others are stepped: both paths advance one interval
+        # the others are keys of their own: both kinds of batch advance one interval
         ens = dp.ModeEnsemble.from_profile("gaussian", k_set=(1, 2, -1), eta_max=10.0, d_eta=0.1)
         assert_experiment_matches_textbook(ens, 1.7, (0.0, 5.0, 20.0), dt=3e-3)
 
@@ -577,7 +599,7 @@ class TestWindowProducts:
         rng = np.random.default_rng(n)
         m = np.exp(1j * rng.uniform(-np.pi, np.pi, n + 5))
         starts = np.array([0, 4])
-        products = dp._window_products(m, n, starts)
+        products = dp._window_products(m, n, starts, 1, np.ones(starts.size, dtype=complex))
         if n == 1:
             assert np.array_equal(products, m[starts])
             return
@@ -587,9 +609,10 @@ class TestWindowProducts:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 6000])
     def test_tree_matches_sequential_product(self, n):
-        # the stepped path's pairwise product of a block's rows, two columns
+        # stride 2: the rows of two interleaved columns, as a batch of two
+        # sequences holds its steps, each column one window from step 0
         terms = np.exp(1j * np.random.default_rng(n).uniform(-np.pi, np.pi, (n, 2)))
-        products = dp._tree_products(terms)
+        products = dp._window_products(terms.reshape(-1), n, np.arange(2), 2, np.ones(2, dtype=complex))
         if n == 1:
             assert np.array_equal(products, terms[0])
             return
@@ -604,5 +627,5 @@ class TestWindowProducts:
         for pad in (0, 1, 6, 13):
             m = np.exp(1j * rng.uniform(-np.pi, np.pi, pad + n + 5))
             m[pad : pad + n] = terms
-            results.append(dp._window_products(m, n, np.array([pad]))[0])
+            results.append(dp._window_products(m, n, np.array([pad]), 1, np.ones(1, dtype=complex))[0])
         assert all(r == results[0] for r in results)

@@ -191,6 +191,23 @@ class TestLambdaGeneral:
         with pytest.raises(SingularSpeedError, match="essential spectrum"):
             lambda_n_general(prof, beta, c, 1, 256)
 
+    @pytest.mark.parametrize("beta, c, name", [(np.nan, 2.0, "beta"), (np.inf, -1.0, "beta"),
+                                               (1.0, np.nan, "c"), (1.0, -np.inf, "c")])
+    def test_non_finite_beta_or_c_rejected_before_solve(self, beta, c, name, monkeypatch):
+        import betaplane.rayleigh_kuo as rk
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with a non-finite parameter")
+
+        monkeypatch.setattr(rk, "_solve_extrapolated", no_solve)
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            lambda_n_general(couette(), beta, c, 1, 256)
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, 0.0, -1.0])
+    def test_scaled_couette_scale_finite_and_positive(self, a):
+        with pytest.raises(ValidationError, match="scale a must be finite and positive"):
+            scaled_couette(a)
+
     @pytest.mark.parametrize("scale, c", [(1.0, -1.0), (1.0, 1.0), (0.9, -0.9), (0.9, 0.9)])
     def test_endpoint_speeds_allowed(self, scale, c):
         assert np.isfinite(lambda_n_general(scaled_couette(scale), 1.0, c, 1, 64).value)
