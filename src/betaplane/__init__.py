@@ -9,12 +9,10 @@ rates of the linearized vorticity dynamics in sheared coordinates.
 from .grid import Grid1D, TridiagOperator, assemble, build_grid
 from .eigen import EigenPair, eigenvector, extrapolate, nth_eigenvalue
 from .rayleigh_kuo import (
-    RayleighKuoSpec,
     ShearProfile,
     couette,
-    lambda_1_singular,
+    lambda_n_couette,
     lambda_n_general,
-    lambda_n_regular,
     scaled_couette,
 )
 from .atlas import (
@@ -59,13 +57,11 @@ __all__ = [
     "eigenvector",
     "extrapolate",
     "nth_eigenvalue",
-    "RayleighKuoSpec",
     "ShearProfile",
     "couette",
     "scaled_couette",
-    "lambda_1_singular",
+    "lambda_n_couette",
     "lambda_n_general",
-    "lambda_n_regular",
     "RegionVerdict",
     "alpha_beta",
     "alpha_beta_curve",

@@ -36,12 +36,7 @@ from .errors import (
     WrongSignBetaError,
 )
 from .eigen import monotone_root
-from .rayleigh_kuo import (
-    RayleighKuoSpec,
-    lambda_1_singular,
-    lambda_n_regular,
-    wall_beta,
-)
+from .rayleigh_kuo import lambda_n_couette, wall_beta
 from .tables import CurveTable
 
 __all__ = [
@@ -123,18 +118,18 @@ def lambda1_wall(beta, resolution=256, cache=None):
     beta = float(beta)
 
     def compute():
-        pair = lambda_1_singular(beta, "left" if beta >= 0 else "right", int(resolution))
+        pair = lambda_n_couette(beta, -1.0 if beta >= 0 else 1.0, 1, int(resolution))
         return pair.value, pair.error_estimate
 
     return _disk_cached(cache, "lambda1-wall-direct", {"beta": beta}, resolution, compute)
 
 
 def lambda1_regular(beta, c, resolution=256, cache=None):
-    """lam1(beta, c) for a speed c strictly outside [-1, 1]; (value, error)."""
+    """lam1(beta, c) for a speed c outside (-1, 1) (``lambda_n_couette``); (value, error)."""
     beta, c = float(beta), float(c)
 
     def compute():
-        pair = lambda_n_regular(RayleighKuoSpec.for_couette(beta, c), 1, int(resolution))
+        pair = lambda_n_couette(beta, c, 1, int(resolution))
         return pair.value, pair.error_estimate
 
     return _disk_cached(cache, "lambda1-regular", {"beta": beta, "c": c}, resolution, compute)

@@ -22,12 +22,7 @@ import numpy as np
 from . import __version__, atlas, bifurcation, damping, modified_flow
 from .cache import CurveCache
 from .errors import BracketFailureError, NoConvergenceError, ValidationError
-from .rayleigh_kuo import (
-    RayleighKuoSpec,
-    lambda_1_singular,
-    lambda_n_regular,
-    scaled_couette,
-)
+from .rayleigh_kuo import lambda_n_couette, scaled_couette
 from .svgplot import table_to_svg
 from .tables import CurveTable
 
@@ -152,21 +147,13 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def cmd_eigen(args, cfg: RunConfig) -> CurveTable:
-    beta, c, n = args.beta, args.c, args.n
+    pair = lambda_n_couette(args.beta, args.c, args.n, cfg.resolution)
     table = CurveTable(
         name="eigen",
         columns=["beta", "c", "n", "lambda", "error_estimate", "resolution"],
         metadata={"version": __version__},
     )
-    if c in (-1.0, 1.0):
-        if n != 1:
-            raise ValidationError("endpoint speeds support the principal eigenvalue only (n=1)")
-        side = "left" if c == -1.0 else "right"
-        pair = lambda_1_singular(beta, side, cfg.resolution)
-    else:
-        spec = RayleighKuoSpec.for_couette(beta, c)
-        pair = lambda_n_regular(spec, n, cfg.resolution)
-    table.add_row(beta, c, n, pair.value, pair.error_estimate, cfg.resolution)
+    table.add_row(args.beta, args.c, args.n, pair.value, pair.error_estimate, cfg.resolution)
     return table
 
 
@@ -271,6 +258,8 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
             pair = modified_flow.lambda_n_modified(params, 1, resolution)
             table.add_row(g, pair.value, pair.error_estimate, bound)
         return table
+    if args.n_max < 1:
+        raise ValidationError(f"--n-max must be >= 1, got {args.n_max}")
     params = modified_flow.ModifiedFlowParams(args.beta, args.gamma, args.a)
     b0 = modified_flow.b0()
     table = CurveTable(

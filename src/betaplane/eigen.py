@@ -65,36 +65,20 @@ _flapack = _load_flapack()
 
 
 class EigenPair:
-    """One eigenvalue of the discretized problem with its certificate data.
+    """One extrapolated eigenvalue with its error estimate and, on demand, its eigenvector.
 
-    ``vector`` is normalized to unit discrete L2 norm with a nonnegative
-    first extremum; ``residual`` is ||(A - lambda I) v|| / ||A||;
-    ``error_estimate`` combines extrapolation residuals when
-    ``extrapolated`` is set.  Instead of ``vector`` and ``residual`` a pair
-    may carry ``source``, a callable returning both; it is called on the
-    first read of either, so a pair whose vector is never read never builds
-    one.
+    ``source`` is a callable returning the eigenvector on ``grid``, normalized
+    to unit discrete L2 norm with a nonnegative first extremum, and its
+    residual ||(A - lambda I) v|| / ||A||.  It is called on the first read of
+    ``vector`` or ``residual``, so a pair whose vector is never read never
+    builds one.
     """
 
-    def __init__(
-        self,
-        index: int,
-        value: float,
-        vector: np.ndarray | None = None,
-        residual: float | None = None,
-        extrapolated: bool = False,
-        error_estimate: float = 0.0,
-        grid: Grid1D | None = None,
-        *,
-        source=None,
-    ):
-        self.index = index
+    def __init__(self, value: float, error_estimate: float, grid: Grid1D, source):
         self.value = value
-        self.extrapolated = extrapolated
         self.error_estimate = error_estimate
         self.grid = grid
-        self._vector = vector
-        self._residual = residual
+        self._vector = self._residual = None
         self._source = source
 
     def _build(self) -> None:

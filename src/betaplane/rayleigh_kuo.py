@@ -4,18 +4,17 @@ Solves
 
     -phi'' + (u''(y) - beta) / (u(y) - c) phi = lambda phi,   phi(+-1) = 0
 
-for a shear profile u.  Three routes are provided:
+for a shear profile u.  ``lambda_n_general`` solves it for a monotone
+profile at a speed outside the open flow range, or at a speed whose
+critical layer falls where u'' - beta vanishes identically, so that the
+potential is removable there (the modified flows).
 
-* ``lambda_n_regular`` -- Couette flow with the speed c outside the closed
-  flow range, where the potential -beta/(y-c) is smooth.
-* ``lambda_1_singular`` -- the endpoint speeds c = -1 (beta >= 0) and
-  c = +1 (beta <= 0) for Couette flow.  The potential -beta/(y-c) is finite
-  at every interior node and the eigenfunction is (y-c) times a power
-  series, so the uniform-grid eigenvalue converges at second order like
-  the regular one, and is solved the same way.
-* ``lambda_n_general`` -- arbitrary monotone profiles, including those whose
-  potential has a removable singularity on an interval where u'' - beta
-  vanishes identically (the modified flows).
+``lambda_n_couette`` is the Couette entry point.  At the wall speeds
+c = -1 (beta >= 0) and c = +1 (beta <= 0) it gives the principal
+eigenvalue only: the potential -beta/(y-c) is finite at every interior
+node and the eigenfunction is (y-c) times a power series, so the
+uniform-grid eigenvalue converges at second order as at a regular speed,
+and is solved the same way.
 
 ``wall_beta`` inverts the wall curve: the beta with lambda_1(beta, -1) =
 -alpha^2 is itself the principal eigenvalue of a weighted problem.
@@ -50,11 +49,9 @@ from .grid import TridiagOperator, assemble, build_grid
 
 __all__ = [
     "ShearProfile",
-    "RayleighKuoSpec",
     "couette",
     "scaled_couette",
-    "lambda_n_regular",
-    "lambda_1_singular",
+    "lambda_n_couette",
     "wall_beta",
     "lambda_n_general",
 ]
@@ -86,9 +83,6 @@ class ShearProfile:
     flat_zone: tuple[float, float] | None = None
     flat_d2u: float = 0.0
 
-    def speed_in_range(self, c: float) -> bool:
-        return self.range_lo <= c <= self.range_hi
-
 
 def couette() -> ShearProfile:
     """The Couette flow u(y) = y."""
@@ -116,33 +110,6 @@ def scaled_couette(a: float) -> ShearProfile:
     )
 
 
-@dataclass(frozen=True)
-class RayleighKuoSpec:
-    """Profile, Coriolis parameter, and wave speed for one eigenproblem."""
-
-    profile: ShearProfile
-    beta: float
-    c: float
-    singular: bool
-
-    def __post_init__(self):
-        at_endpoint = self.c in (self.profile.range_lo, self.profile.range_hi)
-        if self.singular and not at_endpoint:
-            raise ValidationError(
-                f"singular spec requires c at an endpoint of the flow range, got c={self.c}"
-            )
-        if not self.singular and self.profile.speed_in_range(self.c):
-            raise SingularSpeedError(
-                f"singular-speed: c={self.c} lies in the flow range "
-                f"[{self.profile.range_lo}, {self.profile.range_hi}] (essential spectrum)"
-            )
-
-    @classmethod
-    def for_couette(cls, beta: float, c: float) -> "RayleighKuoSpec":
-        prof = couette()
-        return cls(profile=prof, beta=beta, c=c, singular=c in (-1.0, 1.0))
-
-
 def _solve_extrapolated(operator, n: int, resolution: int):
     """Eigenvalue n of operator(grid) over uniform grids {r, 2r, 4r}, extrapolated.
 
@@ -162,46 +129,21 @@ def _solve_extrapolated(operator, n: int, resolution: int):
     return value, err, grid, op, lam_h
 
 
-def _pair_from_solution(n, value, err, grid, op, lam_h):
-    """EigenPair whose vector is built by LAPACK ``stein`` on first read."""
+def lambda_n_couette(beta: float, c: float, n: int = 1, resolution: int = 256) -> EigenPair:
+    """n-th eigenvalue of the Couette flow u(y) = y at the speed c.
 
-    def source():
-        vec = eigenvector(op, lam_h)
-        return vec, eigen_residual(op, lam_h, vec)
-
-    return EigenPair(
-        index=n,
-        value=value,
-        extrapolated=True,
-        error_estimate=max(err, 1e-16),
-        grid=grid,
-        source=source,
-    )
-
-
-def lambda_n_regular(spec: RayleighKuoSpec, n: int, resolution: int = 256) -> EigenPair:
-    """n-th eigenvalue for a speed strictly outside the closed flow range."""
-    if spec.singular:
-        raise SingularSpeedError(
-            "singular-speed: use lambda_1_singular for endpoint speeds"
-        )
-    return lambda_n_general(spec.profile, spec.beta, spec.c, n, resolution)
-
-
-def lambda_1_singular(beta: float, side: str, resolution: int = 256) -> EigenPair:
-    """Principal eigenvalue at the singular endpoint speeds c = -1 or c = +1.
-
-    ``side="left"`` solves the c = -1 problem (requires beta >= 0),
-    ``side="right"`` the c = +1 problem (requires beta <= 0).  The two are
-    mirror images, and give identical bits for (beta, -1) and (-beta, +1).
+    The wall speeds give the principal eigenvalue only, c = -1 for
+    beta >= 0 and c = +1 for beta <= 0; the two are mirror images, and give
+    identical bits for (beta, -1) and (-beta, +1).  Any other speed must lie
+    outside [-1, 1].
     """
-    if side not in ("left", "right"):
-        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    if side == "left" and beta < 0:
-        raise WrongSignBetaError("wrong-sign-beta: left endpoint requires beta >= 0")
-    if side == "right" and beta > 0:
-        raise WrongSignBetaError("wrong-sign-beta: right endpoint requires beta <= 0")
-    return lambda_n_general(couette(), beta, -1.0 if side == "left" else 1.0, 1, resolution)
+    if c in (-1.0, 1.0):
+        if n != 1:
+            raise ValidationError("endpoint speeds support the principal eigenvalue only (n=1)")
+        if c * beta > 0:
+            side, sign = ("left", ">=") if c < 0 else ("right", "<=")
+            raise WrongSignBetaError(f"wrong-sign-beta: {side} endpoint requires beta {sign} 0")
+    return lambda_n_general(couette(), beta, c, n, resolution)
 
 
 def wall_beta(alpha: float, resolution: int = 256) -> tuple[float, float]:
@@ -280,4 +222,9 @@ def lambda_n_general(
         return out
 
     value, err, grid, op, lam_h = _solve_extrapolated(lambda g: assemble(g, Q), n, resolution)
-    return _pair_from_solution(n, value, err, grid, op, lam_h)
+
+    def source():  # the finest grid's eigenvector, by LAPACK ``stein``
+        vec = eigenvector(op, lam_h)
+        return vec, eigen_residual(op, lam_h, vec)
+
+    return EigenPair(value, max(err, 1e-16), grid, source)

@@ -149,7 +149,7 @@ def eps_route_wall_eigenvalue(beta, side, eps_schedule=DEFAULT_EPS_SCHEDULE, res
     """(value, error) of lambda_1 at c = -1 (left) or +1 (right) by the eps route.
 
     Solves the regular problem at c = -+(1 + eps) along the schedule through
-    ``rayleigh_kuo.lambda_n_regular``, certifies that the values decrease
+    ``rayleigh_kuo.lambda_n_couette``, certifies that the values decrease
     (within the grid error budget), and extrapolates them to eps = 0.
     """
     eps = [float(e) for e in eps_schedule]
@@ -160,8 +160,7 @@ def eps_route_wall_eigenvalue(beta, side, eps_schedule=DEFAULT_EPS_SCHEDULE, res
     sign = -1.0 if side == "left" else 1.0
     lams, herrs = [], []
     for e in eps:
-        pair = rk.lambda_n_regular(rk.RayleighKuoSpec.for_couette(beta, sign * (1.0 + e)), 1,
-                                   resolution)
+        pair = rk.lambda_n_couette(beta, sign * (1.0 + e), 1, resolution)
         lams.append(pair.value)
         herrs.append(pair.error_estimate)
     slack = max(1e-10, 10.0 * max(herrs))

@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from betaplane import atlas, bifurcation as bif, damping as dp, modified_flow as mf
-from betaplane.rayleigh_kuo import (
-    RayleighKuoSpec,
-    lambda_1_singular,
-    lambda_n_regular,
-    scaled_couette,
-)
+from betaplane.rayleigh_kuo import lambda_n_couette, scaled_couette
 
 PI2_4 = np.pi**2 / 4
 RUN = [sys.executable, "-m", "betaplane"]
@@ -34,12 +29,12 @@ def test_criterion_1_couette_baseline():
     worst = 0.0
     times = []
     t0 = time.monotonic()
-    lam = lambda_1_singular(0.0, "left").value
+    lam = lambda_n_couette(0.0, -1.0).value
     times.append(time.monotonic() - t0)
     worst = max(worst, abs(lam - PI2_4))
     for c in (-2.0, -5.0, -50.0):
         t0 = time.monotonic()
-        lam = lambda_n_regular(RayleighKuoSpec.for_couette(0.0, c), 1, 256).value
+        lam = lambda_n_couette(0.0, c, 1, 256).value
         times.append(time.monotonic() - t0)
         worst = max(worst, abs(lam - PI2_4))
     ok = worst <= 1e-5 and max(times) < 5.0
@@ -50,19 +45,15 @@ def test_criterion_2_symmetry_suite():
     worst = 0.0
     for beta in (0.5, 1.0, 2.0, 4.0, 8.0):
         for c in (-1.0, -1.5, -2.0, -4.0):
-            if c == -1.0:
-                left = lambda_1_singular(beta, "left").value
-                right = lambda_1_singular(-beta, "right").value
-            else:
-                left = lambda_n_regular(RayleighKuoSpec.for_couette(beta, c), 1, 256).value
-                right = lambda_n_regular(RayleighKuoSpec.for_couette(-beta, -c), 1, 256).value
+            left = lambda_n_couette(beta, c).value
+            right = lambda_n_couette(-beta, -c).value
             worst = max(worst, abs(left - right))
     ok = worst <= 1e-7
     report("2", ok, f"max |lam(beta,c) - lam(-beta,-c)| = {worst:.2e} over the 5x4 grid")
 
 
 def test_criterion_3_monotonicity_suites():
-    wall = [lambda_1_singular(b, "left") for b in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
+    wall = [lambda_n_couette(b, -1.0) for b in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
     ok = True
     min_ratio = np.inf
     for lo, hi in zip(wall, wall[1:]):
@@ -72,10 +63,10 @@ def test_criterion_3_monotonicity_suites():
         min_ratio = min(min_ratio, ratio)
     for beta in (1.0, 4.0):
         pairs = [
-            lambda_n_regular(RayleighKuoSpec.for_couette(beta, c), 1, 256)
+            lambda_n_couette(beta, c, 1, 256)
             for c in (-4.0, -2.0, -1.5, -1.1)
         ]
-        pairs.append(lambda_1_singular(beta, "left"))
+        pairs.append(lambda_n_couette(beta, -1.0))
         for lo, hi in zip(pairs, pairs[1:]):
             gap = lo.value - hi.value
             ratio = gap / max(lo.error_estimate, hi.error_estimate)

@@ -317,7 +317,7 @@ class TestConfigAndOutputs:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before rejecting --plot")
 
-        monkeypatch.setattr(cli, "lambda_n_regular", no_solve)
+        monkeypatch.setattr(cli, "lambda_n_couette", no_solve)
         assert cli.main(["eigen", "--beta", "1", "--c", "2", "--plot"]) == 2
         captured = capsys.readouterr()
         assert "--plot requires --out" in captured.err
@@ -410,10 +410,18 @@ class TestArgumentRanges:
          "--samples=-3"],
         ["atlas", "curve", "--beta-min", "3", "--beta-max", "6", "--steps", "0"],
         ["atlas", "curve", "--beta-max", "6", "--steps=-1"],
+        ["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--n-max", "0"],
+        ["modified-flow", "--beta", "0.5", "--gamma", "0.01", "--n-max=-2"],
     ])
-    def test_counts_at_least_one(self, argv, capsys):
+    def test_counts_at_least_one(self, argv, monkeypatch, capsys):
+        from betaplane import atlas, modified_flow
         from betaplane.cli import main
 
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting the count")
+
+        monkeypatch.setattr(atlas, "find_beta_star", no_solve)
+        monkeypatch.setattr(modified_flow, "lambda_n_modified", no_solve)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "must be >= 1" in captured.err

@@ -10,9 +10,13 @@ pieces, so scipy.integrate and scipy.interpolate (which pull in
 scipy.optimize and scipy.sparse) are not imported either: not by
 ``import betaplane``, not by any command, and not by the modified-flow
 set-up.  Each check runs in a fresh interpreter.
+
+Every name that the package and its submodules list in ``__all__`` resolves.
 """
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -48,6 +52,19 @@ def cli(argv):
         "        code = exc.code\n"
         "assert code == 0, code\n"
     )
+
+
+def test_every_name_in_all_resolves():
+    import betaplane
+
+    modules = [betaplane] + [
+        importlib.import_module(f"betaplane.{info.name}")
+        for info in pkgutil.iter_modules(betaplane.__path__)
+        if info.name != "__main__"
+    ]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_import_loads_none_of_the_deferred_modules():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,10 @@ from betaplane.errors import (
 )
 from betaplane.grid import build_grid
 from betaplane.rayleigh_kuo import (
-    RayleighKuoSpec,
     ShearProfile,
     couette,
-    lambda_1_singular,
+    lambda_n_couette,
     lambda_n_general,
-    lambda_n_regular,
     scaled_couette,
 )
 
@@ -38,106 +38,124 @@ def modified_profile(beta, gamma, a):
 class TestSpecValidation:
     def test_speed_inside_range_rejected(self):
         with pytest.raises(SingularSpeedError, match="essential spectrum"):
-            RayleighKuoSpec.for_couette(1.0, 0.5)
+            lambda_n_couette(1.0, 0.5)
 
     def test_endpoint_flagged_singular(self):
-        spec = RayleighKuoSpec.for_couette(1.0, -1.0)
-        assert spec.singular
+        # the wall speeds give the principal eigenvalue only
+        for beta, c in ((1.0, -1.0), (-1.0, 1.0)):
+            with pytest.raises(ValidationError, match=r"principal eigenvalue only \(n=1\)"):
+                lambda_n_couette(beta, c, 2)
 
     def test_regular_spec_outside_range(self):
-        spec = RayleighKuoSpec.for_couette(1.0, -2.0)
-        assert not spec.singular
+        # just outside either wall the speed is regular, and every n is solved
+        for beta, c in ((1.0, -1.05), (-1.0, 1.05)):
+            assert np.isfinite(lambda_n_couette(beta, c, 2, 64).value)
+
+    @pytest.mark.parametrize("beta, c, n, error, message", [
+        pytest.param(1.0, 0.5, 1, SingularSpeedError, "essential spectrum", id="inside-range"),
+        pytest.param(0.0, -1.0, 2, ValidationError, r"principal eigenvalue only", id="left-n2"),
+        pytest.param(0.0, 1.0, 2, ValidationError, r"principal eigenvalue only", id="right-n2"),
+        pytest.param(-1.0, -1.0, 1, WrongSignBetaError, "left endpoint requires beta >= 0",
+                     id="left-wrong-sign"),
+        pytest.param(1.0, 1.0, 1, WrongSignBetaError, "right endpoint requires beta <= 0",
+                     id="right-wrong-sign"),
+        pytest.param(np.nan, -1.0, 1, ValidationError, "beta must be finite", id="beta-nan"),
+        pytest.param(1.0, np.nan, 1, ValidationError, "c must be finite", id="c-nan"),
+    ])
+    def test_couette_guards_raise_before_solve(self, beta, c, n, error, message, monkeypatch):
+        import betaplane.rayleigh_kuo as rk
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before a guard of lambda_n_couette")
+
+        monkeypatch.setattr(rk, "_solve_extrapolated", no_solve)
+        with pytest.raises(error, match=message):
+            lambda_n_couette(beta, c, n)
 
 
 class TestLambdaRegular:
     def test_beta0_gives_quarter_pi_squared(self):
-        pair = lambda_n_regular(RayleighKuoSpec.for_couette(0.0, -2.0), 1, 256)
+        pair = lambda_n_couette(0.0, -2.0, 1, 256)
         assert pair.value == pytest.approx(PI2_4, abs=1e-6)
 
     def test_negative_potential_lowers_eigenvalue(self):
-        pair = lambda_n_regular(RayleighKuoSpec.for_couette(1.0, -2.0), 1, 256)
+        pair = lambda_n_couette(1.0, -2.0, 1, 256)
         assert pair.value < PI2_4
         assert pair.value == pytest.approx(SHOOT_L1_BETA1_CM2, abs=1e-6)
 
     def test_positive_potential_raises_eigenvalue(self):
-        pair = lambda_n_regular(RayleighKuoSpec.for_couette(1.0, 2.0), 1, 256)
+        pair = lambda_n_couette(1.0, 2.0, 1, 256)
         assert pair.value > PI2_4
         assert pair.value == pytest.approx(SHOOT_L1_BETA1_CP2, abs=1e-6)
 
     def test_second_eigenvalue_against_shooting(self):
-        pair = lambda_n_regular(RayleighKuoSpec.for_couette(1.0, -2.0), 2, 256)
+        pair = lambda_n_couette(1.0, -2.0, 2, 256)
         assert pair.value == pytest.approx(SHOOT_L2_BETA1_CM2, abs=1e-5)
 
     def test_near_wall_regular_speed(self):
-        pair = lambda_n_regular(RayleighKuoSpec.for_couette(2.0, -1.05), 1, 256)
+        pair = lambda_n_couette(2.0, -1.05, 1, 256)
         assert pair.value == pytest.approx(SHOOT_L1_BETA2_CNEAR, abs=1e-5)
 
     def test_residual_certificate(self):
-        pair = lambda_n_regular(RayleighKuoSpec.for_couette(1.0, -2.0), 1, 128)
+        pair = lambda_n_couette(1.0, -2.0, 1, 128)
         assert pair.residual <= 1e-10
-        assert pair.extrapolated
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_higher_vectors_without_reorthogonalization(self, n):
-        spec = RayleighKuoSpec.for_couette(1.0, -2.0)
-        pairs = [lambda_n_regular(spec, k, 256) for k in range(1, n + 1)]
+        pairs = [lambda_n_couette(1.0, -2.0, k, 256) for k in range(1, n + 1)]
         v = pairs[-1].vector
         assert np.count_nonzero(np.diff(np.sign(v[v != 0])) != 0) == n - 1
         for lower in pairs[:-1]:
             assert abs(lower.vector @ v) <= 1e-10
         assert pairs[-1].residual <= 1e-10
 
-    def test_singular_spec_rejected(self):
-        with pytest.raises(SingularSpeedError):
-            lambda_n_regular(RayleighKuoSpec.for_couette(1.0, -1.0), 1, 256)
-
     def test_resolution_floor(self):
         with pytest.raises(ValidationError, match="resolution"):
-            lambda_n_regular(RayleighKuoSpec.for_couette(1.0, -2.0), 1, 32)
+            lambda_n_couette(1.0, -2.0, 1, 32)
 
 
 class TestLambdaSingular:
     def test_beta0_left_is_quarter_pi_squared(self):
-        pair = lambda_1_singular(0.0, "left")
+        pair = lambda_n_couette(0.0, -1.0)
         assert pair.value == pytest.approx(PI2_4, abs=1e-5)
 
     def test_graded_mesh_cross_check(self):
         # direct solve of the singular problem on a geometrically refined
         # mesh, an independent route to the same limit
         for beta in (1.0, 4.0):
-            reg = lambda_1_singular(beta, "left").value
+            reg = lambda_n_couette(beta, -1.0).value
             direct = oracles.graded_wall_eigenvalue(beta, 2048, 0.998)
             assert direct == pytest.approx(reg, abs=2e-4)
 
     @pytest.mark.parametrize("beta", [1.0, 4.0, 8.0])
     def test_within_estimate_of_shooting_oracle(self, beta):
-        pair = lambda_1_singular(beta, "left")
+        pair = lambda_n_couette(beta, -1.0)
         assert abs(pair.value - oracles.wall_shooting_eigenvalue(beta)) <= pair.error_estimate
 
     def test_hydrogen_closed_form(self):
         # at beta = 2, x (1 - x/2) exp(-x/2) (x = y + 1) is positive on
         # (0, 2), vanishes at both walls and solves the c = -1 problem with
         # lambda = -1/4: the 2s state of -phi'' - (2/x) phi
-        pair = lambda_1_singular(2.0, "left")
+        pair = lambda_n_couette(2.0, -1.0)
         assert abs(pair.value + 0.25) <= pair.error_estimate
 
     def test_eps_route_cross_check(self):
         # the eps-regularized limit lands within its own estimate of the direct value
         for beta in (1.0, 4.0):
             value, err = oracles.eps_route_wall_eigenvalue(beta, "left")
-            assert abs(value - lambda_1_singular(beta, "left").value) <= err
+            assert abs(value - lambda_n_couette(beta, -1.0).value) <= err
 
     def test_left_right_symmetry(self):
         for beta in (0.5, 2.0):
-            left = lambda_1_singular(beta, "left").value
-            right = lambda_1_singular(-beta, "right").value
+            left = lambda_n_couette(beta, -1.0).value
+            right = lambda_n_couette(-beta, 1.0).value
             assert abs(left - right) <= 1e-8
 
     def test_wrong_sign_beta(self):
         with pytest.raises(WrongSignBetaError):
-            lambda_1_singular(-1.0, "left")
+            lambda_n_couette(-1.0, -1.0)
         with pytest.raises(WrongSignBetaError):
-            lambda_1_singular(1.0, "right")
+            lambda_n_couette(1.0, 1.0)
 
     def test_schedule_validation(self):
         with pytest.raises(ValidationError):
@@ -147,8 +165,8 @@ class TestLambdaSingular:
 
     def test_error_estimate_is_honest(self):
         # reference from the same route at four times the resolution
-        ref = lambda_1_singular(1.0, "left", 1024)
-        std = lambda_1_singular(1.0, "left")
+        ref = lambda_n_couette(1.0, -1.0, 1, 1024)
+        std = lambda_n_couette(1.0, -1.0)
         assert abs(std.value - ref.value) <= 3 * std.error_estimate
 
 
@@ -157,12 +175,12 @@ class TestLambdaGeneral:
         # lam for (a y, beta, c) equals the Couette lam at (beta/a, c/a)
         a, beta, c = 0.5, 0.7, -1.0
         scaled = lambda_n_general(scaled_couette(a), beta, c, 1, 128)
-        ref = lambda_n_regular(RayleighKuoSpec.for_couette(beta / a, c / a), 1, 128)
+        ref = lambda_n_couette(beta / a, c / a, 1, 128)
         assert scaled.value == pytest.approx(ref.value, abs=1e-8)
 
     def test_couette_through_general_path(self):
         gen = lambda_n_general(couette(), 1.0, -3.0, 1, 128)
-        reg = lambda_n_regular(RayleighKuoSpec.for_couette(1.0, -3.0), 1, 128)
+        reg = lambda_n_couette(1.0, -3.0, 1, 128)
         assert gen.value == pytest.approx(reg.value, abs=1e-10)
 
     def test_removable_critical_layer(self):
@@ -242,12 +260,12 @@ class TestSection3Properties:
 
     def test_wall_value_bounded_by_quarter_pi_squared(self):
         for beta in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-            pair = lambda_1_singular(beta, "left")
+            pair = lambda_n_couette(beta, -1.0)
             assert pair.value <= PI2_4 + 1e-9
 
     def test_wall_curve_strictly_decreasing_in_beta(self):
         betas = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
-        vals = [lambda_1_singular(b, "left") for b in betas]
+        vals = [lambda_n_couette(b, -1.0) for b in betas]
         for lo, hi in zip(vals, vals[1:]):
             gap = lo.value - hi.value
             assert gap > 0
@@ -256,35 +274,35 @@ class TestSection3Properties:
     def test_strictly_decreasing_in_c(self):
         for beta in (1.0, 4.0):
             vals = [
-                lambda_n_regular(RayleighKuoSpec.for_couette(beta, c), 1, 256).value
+                lambda_n_couette(beta, c, 1, 256).value
                 for c in (-4.0, -3.0, -2.0, -1.5, -1.1)
             ]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_decreasing_past_transition(self):
-        l4 = lambda_1_singular(4.0, "left").value
-        l8 = lambda_1_singular(8.0, "left").value
+        l4 = lambda_n_couette(4.0, -1.0).value
+        l8 = lambda_n_couette(8.0, -1.0).value
         assert l8 < l4 < 0
 
     def test_limit_c_to_minus_infinity(self):
         # the limiting value is pi^2/4; at c=-100 the residual offset is
         # beta * <phi^2/(y+100)> ~ 0.0100000, a hair above 1e-2, so the
         # check carries matching slack and a tenfold-farther confirmation
-        lam = lambda_n_regular(RayleighKuoSpec.for_couette(1.0, -100.0), 1, 256).value
+        lam = lambda_n_couette(1.0, -100.0, 1, 256).value
         assert abs(lam - PI2_4) < 1.05e-2
-        lam_far = lambda_n_regular(RayleighKuoSpec.for_couette(1.0, -1000.0), 1, 256).value
+        lam_far = lambda_n_couette(1.0, -1000.0, 1, 256).value
         assert abs(lam_far - PI2_4) < 1.05e-3
 
     def test_symmetry_regular(self):
         for beta in (0.5, 2.0, 8.0):
             for c in (-1.5, -2.0, -4.0):
-                left = lambda_n_regular(RayleighKuoSpec.for_couette(beta, c), 1, 128).value
-                right = lambda_n_regular(RayleighKuoSpec.for_couette(-beta, -c), 1, 128).value
+                left = lambda_n_couette(beta, c, 1, 128).value
+                right = lambda_n_couette(-beta, -c, 1, 128).value
                 assert abs(left - right) <= 1e-8
 
     def test_positive_for_beta_c_same_sign(self):
         for beta, c in ((0.5, 1.5), (2.0, 1 + 1e-6), (-0.5, -1.5), (-2.0, -(1 + 1e-6))):
-            pair = lambda_n_regular(RayleighKuoSpec.for_couette(beta, c), 1, 256)
+            pair = lambda_n_couette(beta, c, 1, 256)
             assert pair.value >= PI2_4 - 1e-8
 
 
@@ -295,18 +313,9 @@ def test_monotone_certificate_trips(monkeypatch):
 
     canned = iter([1.0, 0.9, 0.95, 0.8])
 
-    def fake_regular(spec, n, resolution=256):
-        grid = build_grid(8)
-        return rk.EigenPair(
-            index=1,
-            value=next(canned),
-            vector=np.ones(8),
-            residual=0.0,
-            extrapolated=True,
-            error_estimate=1e-12,
-            grid=grid,
-        )
+    def fake_couette(beta, c, n=1, resolution=256):
+        return SimpleNamespace(value=next(canned), error_estimate=1e-12)
 
-    monkeypatch.setattr(rk, "lambda_n_regular", fake_regular)
+    monkeypatch.setattr(rk, "lambda_n_couette", fake_couette)
     with pytest.raises(oracles.NonMonotoneSequenceError, match="non-monotone-sequence"):
         oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.05, 0.025, 0.0125))
