@@ -17,11 +17,18 @@ solving the full nonlinear branch.
 The fields hold the single x-harmonic alpha0, so the residual is
 A(y) sin + B(y) sin cos and its x-mean square is exactly A^2/2 + B^2/8:
 the norm is computed from 1-D arrays in y, with no x-grid.
+
+The principal pair does not depend on kappa, so a ladder shares one solve:
+``construct`` and ``period_estimate`` read it from a one-entry memo keyed on
+(profile, beta, c, resolution).  The profile is a frozen dataclass of
+closures, so it compares by the identity of its functions and a profile
+built twice never shares an entry.  The memoized eigenvector is read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +63,20 @@ def check_kappa(kappa: float) -> None:
         raise ValidationError(f"|kappa| <= 0.1 required, got {kappa}")
 
 
+def check_ladder(kappas) -> None:
+    """Reject amplitudes that cannot fit a slope: fewer than two, or a single |kappa|."""
+    if len(kappas) < 2:
+        raise ValidationError("need at least two positive residuals to fit a slope")
+    if len({abs(k) for k in kappas}) < 2:
+        raise ValidationError("need residuals at two distinct |kappa| to fit a slope")
+
+
+@lru_cache(maxsize=1)
+def _principal_pair(profile: ShearProfile, beta: float, c: float, resolution: int):
+    # the module global is looked up per call, so a patched lambda_n_general is seen
+    return lambda_n_general(profile, beta, c, 1, resolution)
+
+
 def construct(
     profile: ShearProfile,
     beta: float,
@@ -71,12 +92,16 @@ def construct(
     cancellation is destroyed on purpose.
     """
     check_kappa(kappa)
-    pair = lambda_n_general(profile, beta, c, 1, resolution)
+    pair = _principal_pair(profile, beta, c, resolution)
     if pair.value >= 0:
         raise PositiveEigenvalueError(
             f"positive-eigenvalue: lambda_1 = {pair.value} >= 0, no bifurcation point"
         )
-    phi0 = pair.vector if phi_override is None else np.asarray(phi_override, dtype=float)
+    if phi_override is None:
+        phi0 = pair.vector
+        phi0.flags.writeable = False  # shared by every wave built from the memo
+    else:
+        phi0 = np.asarray(phi_override, dtype=float)
     if phi0.shape != (pair.grid.n_interior,):
         raise ValidationError("phi_override must match the eigenvector grid")
     return WaveApproximation(
@@ -134,7 +159,7 @@ def residual_norm(wave: WaveApproximation, beta: float) -> float:
 
 def period_estimate(profile: ShearProfile, beta: float, c: float, resolution: int = 256) -> float:
     """Limiting x-period 2 pi / sqrt(-lambda_1) of the bifurcating branch."""
-    lam = lambda_n_general(profile, beta, c, 1, resolution).value
+    lam = _principal_pair(profile, beta, c, resolution).value
     if lam >= 0:
         raise PositiveEigenvalueError(f"positive-eigenvalue: lambda_1 = {lam} >= 0")
     return float(2.0 * np.pi / np.sqrt(-lam))
@@ -143,10 +168,7 @@ def period_estimate(profile: ShearProfile, beta: float, c: float, resolution: in
 def residual_slope(residuals_by_kappa) -> float:
     """Least-squares slope of log(residual) against log|kappa| (the residual is even in kappa)."""
     pts = [(k, r) for k, r in residuals_by_kappa if r > 0]
-    if len(pts) < 2:
-        raise ValidationError("need at least two positive residuals to fit a slope")
-    if len({abs(k) for k, _ in pts}) < 2:
-        raise ValidationError("need residuals at two distinct |kappa| to fit a slope")
+    check_ladder([k for k, _ in pts])
     lk = np.log([abs(k) for k, _ in pts])
     lr = np.log([r for _, r in pts])
     slope, _ = np.polyfit(lk, lr, 1)

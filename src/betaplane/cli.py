@@ -295,6 +295,8 @@ def cmd_bifurcate(args, cfg: RunConfig) -> CurveTable:
         c = args.c
     for kappa in kappas:
         bifurcation.check_kappa(kappa)
+    # a zero amplitude has residual exactly 0, which the slope fit drops
+    bifurcation.check_ladder([k for k in kappas if k != 0])
     table = CurveTable(
         name="bifurcation-residual-ladder",
         columns=(
@@ -304,21 +306,20 @@ def cmd_bifurcate(args, cfg: RunConfig) -> CurveTable:
         ),
         metadata={"base": prof.label, "beta": args.beta, "c": c, "resolution": resolution},
     )
-    if kappas:
-        # every kappa scales the same eigenpair, so the ladder needs one construct
-        base = bifurcation.construct(prof, args.beta, c, kappas[0], resolution=resolution)
-        table.metadata.update(alpha0=base.alpha0, lambda1=base.lambda1)
+    # every kappa scales the same eigenpair, so the ladder needs one construct
+    base = bifurcation.construct(prof, args.beta, c, kappas[0], resolution=resolution)
+    table.metadata.update(alpha0=base.alpha0, lambda1=base.lambda1)
+    if args.control:
+        y = base.grid.nodes
+        phi_fake = np.sin(np.pi * (y + 1) / 2) + 0.3 * np.sin(np.pi * (y + 1))
+        phi_fake /= np.linalg.norm(phi_fake)
+    for kappa in kappas:
+        wave = replace(base, kappa=float(kappa))
+        row = [kappa, bifurcation.residual_norm(wave, args.beta)]
         if args.control:
-            y = base.grid.nodes
-            phi_fake = np.sin(np.pi * (y + 1) / 2) + 0.3 * np.sin(np.pi * (y + 1))
-            phi_fake /= np.linalg.norm(phi_fake)
-        for kappa in kappas:
-            wave = replace(base, kappa=float(kappa))
-            row = [kappa, bifurcation.residual_norm(wave, args.beta)]
-            if args.control:
-                row.append(bifurcation.residual_norm(replace(wave, phi0=phi_fake), args.beta))
-            # discretization floor of the order-kappa cancellation
-            table.add_row(*row, abs(kappa) * base.grid.h**2 * abs(base.lambda1))
+            row.append(bifurcation.residual_norm(replace(wave, phi0=phi_fake), args.beta))
+        # discretization floor of the order-kappa cancellation
+        table.add_row(*row, abs(kappa) * base.grid.h**2 * abs(base.lambda1))
     kappa_column = table.column("kappa")
     table.metadata["slope"] = bifurcation.residual_slope(
         zip(kappa_column, table.column("residual"))

@@ -135,6 +135,102 @@ class TestResidual:
         assert oracles.boundary_velocity_max(wave) <= 1e-12
 
 
+class TestPairMemo:
+    """A ladder's waves share one principal pair per (profile, beta, c, resolution)."""
+
+    @staticmethod
+    def count(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def ladder(prof, beta, c, resolution):
+        """Each kappa's wave and its non-eigenfunction control, as the benchmark builds them."""
+        waves = []
+        for kappa in KAPPAS:
+            wave = bif.construct(prof, beta, c, kappa, resolution=resolution)
+            phi = fake_phi(wave.grid)
+            ctrl = bif.construct(prof, beta, c, kappa, resolution=resolution, phi_override=phi)
+            waves += [wave, ctrl]
+        return waves
+
+    def test_ladder_solves_once(self, monkeypatch):
+        prof = mf.profile(mf.ModifiedFlowParams(2.0, 0.02, 0.0))
+        solves = self.count(monkeypatch, bif, "lambda_n_general")
+        vectors = self.count(monkeypatch, rk, "eigenvector")
+        self.ladder(prof, 2.0, 0.0, 256)
+        assert len(solves) == 1
+        assert len(vectors) == 1
+
+    def test_waves_bitwise_equal_to_fresh_solves(self):
+        prof = mf.profile(mf.ModifiedFlowParams(2.0, 0.02, 0.0))
+        waves = self.ladder(prof, 2.0, 0.0, 256)
+        for i, wave in enumerate(waves):
+            bif._principal_pair.cache_clear()
+            override = wave.phi0 if i % 2 else None  # the controls carry their override
+            fresh = bif.construct(prof, 2.0, 0.0, wave.kappa, resolution=256,
+                                  phi_override=override)
+            assert (fresh.alpha0, fresh.lambda1) == (wave.alpha0, wave.lambda1)
+            assert np.array_equal(fresh.phi0, wave.phi0)
+            assert np.array_equal(fresh.grid.nodes, wave.grid.nodes)
+            assert bif.residual_norm(fresh, 2.0) == bif.residual_norm(wave, 2.0)
+
+    def test_key_change_solves_again(self, monkeypatch):
+        solves = self.count(monkeypatch, bif, "lambda_n_general")
+        prof, twin = scaled_couette(0.9), scaled_couette(0.9)
+        keys = [  # each key differs from the one before in one entry
+            (prof, 4.0, -0.95, 128),
+            (prof, 4.0, -0.95, 256),
+            (prof, 4.5, -0.95, 256),
+            (prof, 4.5, -0.96, 256),
+            (twin, 4.5, -0.96, 256),  # same parameters, a new object
+        ]
+        for p, beta, c, resolution in keys:
+            wave = bif.construct(p, beta, c, 1e-3, resolution=resolution)
+            assert wave.grid.n_interior == 4 * resolution
+        assert solves == [(p, beta, c, 1, resolution) for p, beta, c, resolution in keys]
+        bif.construct(twin, 4.5, -0.96, 5e-3, resolution=256)
+        assert len(solves) == len(keys)
+
+    def test_positive_eigenvalue_raised_on_every_call(self, monkeypatch):
+        solves = self.count(monkeypatch, bif, "lambda_n_general")
+        prof = mf.profile(mf.ModifiedFlowParams(0.5, 0.02, 0.0))
+        for _ in range(2):
+            with pytest.raises(PositiveEigenvalueError, match="no bifurcation point"):
+                bif.construct(prof, 0.5, 0.0, 1e-3, resolution=256)
+        with pytest.raises(PositiveEigenvalueError) as info:
+            bif.period_estimate(prof, 0.5, 0.0, resolution=256)
+        assert "no bifurcation point" not in str(info.value)
+        assert len(solves) == 1
+
+    def test_period_and_construct_share_a_solve(self, monkeypatch):
+        solves = self.count(monkeypatch, bif, "lambda_n_general")
+        prof = mf.profile(mf.ModifiedFlowParams(2.0, 0.02, 0.0))
+        est = bif.period_estimate(prof, 2.0, 0.0, resolution=256)
+        wave = bif.construct(prof, 2.0, 0.0, 1e-3, resolution=256)
+        assert est == wave.period
+        assert len(solves) == 1
+
+    def test_shared_eigenfunction_is_read_only(self):
+        prof = mf.profile(mf.ModifiedFlowParams(2.0, 0.02, 0.0))
+        wave = bif.construct(prof, 2.0, 0.0, 1e-3, resolution=256)
+        before = wave.phi0.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            wave.phi0[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            wave.phi0 *= 2.0
+        again = bif.construct(prof, 2.0, 0.0, 5e-3, resolution=256)
+        assert again.phi0 is wave.phi0
+        assert np.array_equal(again.phi0, before)
+
+
 @pytest.fixture(scope="module")
 def scaled_couette_base(beta_star):
     beta = 2 * beta_star

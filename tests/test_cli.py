@@ -113,7 +113,12 @@ class TestBifurcateCommand:
         ("1e-2,0.5", "|kappa| <= 0.1 required, got 0.5"),
         ("", "need at least two positive residuals to fit a slope"),
         ("nan,1e-2,5e-3", "|kappa| <= 0.1 required, got nan"),
-    ], ids=["kappa-too-large", "empty", "nan"])
+        ("0,0", "need at least two positive residuals to fit a slope"),
+        ("0,1e-2", "need at least two positive residuals to fit a slope"),
+        ("1e-2,1e-2", "need residuals at two distinct |kappa| to fit a slope"),
+        ("1e-2,-1e-2", "need residuals at two distinct |kappa| to fit a slope"),
+    ], ids=["kappa-too-large", "empty", "nan", "zeros", "one-nonzero", "repeated",
+            "mirrored"])
     def test_ladder_rejected_before_any_solve(self, kappas, message, monkeypatch, capsys):
         from betaplane import bifurcation, cli
 
