@@ -20,9 +20,12 @@ the norm is computed from 1-D arrays in y, with no x-grid.
 
 The principal pair does not depend on kappa, so a ladder shares one solve:
 ``construct`` and ``period_estimate`` read it from a one-entry memo keyed on
-(profile, beta, c, resolution).  The profile is a frozen dataclass of
-closures, so it compares by the identity of its functions and a profile
-built twice never shares an entry.  The memoized eigenvector is read-only.
+(profile, beta, c, resolution).  It pays where the same profile object is
+asked again at the same beta, c and resolution, as in a ladder that calls
+``construct`` once per kappa and per control.  The profile is a frozen
+dataclass of closures, so it compares by the identity of its functions and
+a profile built twice never shares an entry.  The memoized eigenvector is
+read-only.
 """
 
 from __future__ import annotations
@@ -64,7 +67,11 @@ def check_kappa(kappa: float) -> None:
 
 
 def check_ladder(kappas) -> None:
-    """Reject amplitudes that cannot fit a slope: fewer than two, or a single |kappa|."""
+    """Reject amplitudes that cannot fit a slope: fewer than two nonzero, or a single |kappa|.
+
+    A zero amplitude has residual exactly 0, which the log-log fit cannot use.
+    """
+    kappas = [k for k in kappas if k != 0]
     if len(kappas) < 2:
         raise ValidationError("need at least two positive residuals to fit a slope")
     if len({abs(k) for k in kappas}) < 2:

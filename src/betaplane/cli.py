@@ -295,8 +295,7 @@ def cmd_bifurcate(args, cfg: RunConfig) -> CurveTable:
         c = args.c
     for kappa in kappas:
         bifurcation.check_kappa(kappa)
-    # a zero amplitude has residual exactly 0, which the slope fit drops
-    bifurcation.check_ladder([k for k in kappas if k != 0])
+    bifurcation.check_ladder(kappas)
     table = CurveTable(
         name="bifurcation-residual-ladder",
         columns=(

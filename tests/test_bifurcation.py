@@ -59,6 +59,7 @@ class TestConstruct:
     def test_override_builds_no_eigenvector(self, modified_base, monkeypatch):
         prof, beta, c = modified_base
         grid = bif.construct(prof, beta, c, 1e-3, resolution=256).grid
+        bif._principal_pair.cache_clear()  # the override construct must solve afresh
         calls = []
         real = rk.eigenvector
 

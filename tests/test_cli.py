@@ -132,6 +132,21 @@ class TestBifurcateCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--beta", "0.5", "--gamma", "0.02", "--kappas", "0,0"],
+         "need at least two positive residuals to fit a slope"),
+        (["--base", "scaled-couette", "--beta", "3", "--c", "0.3001", "--kappas", "1e-2,1e-2"],
+         "need residuals at two distinct |kappa| to fit a slope"),
+    ], ids=["over-positive-eigenvalue", "over-singular-speed"])
+    def test_ladder_fault_reported_before_solve_fault(self, argv, message, capsys):
+        """A ladder that cannot fit a slope is reported even where the solve would also fail."""
+        from betaplane.cli import main
+
+        assert main(["bifurcate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_negative_kappa_ladder(self, capsys):
         from betaplane.cli import main
 
