@@ -21,7 +21,6 @@ cache is supplied, wall and regular eigenvalues are kept on disk.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +33,7 @@ from .errors import (
     OutOfRangeLambdaError,
     ValidationError,
     WrongSignBetaError,
+    require_finite,
 )
 from .eigen import monotone_root
 from .rayleigh_kuo import lambda_n_couette, wall_beta
@@ -65,11 +65,6 @@ REGION_I_MINUS = "I-"
 PI2_OVER_4 = np.pi**2 / 4.0
 
 _MAX_BRACKET_DOUBLINGS = 60
-
-
-def _require_tol(tol):
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,7 @@ def find_beta_star(tol=1e-5, resolution=256):
     (``wall_beta`` at alpha = 0).  Raises NoConvergenceError when its error
     estimate exceeds tol.
     """
-    _require_tol(tol)
+    require_finite("tol", tol, positive=True)
     if tol < 1e-6:
         raise ValidationError(f"tol must be >= 1e-6, got {tol}")
     return _certified(0.0, tol, resolution, "beta-star")
@@ -202,7 +197,7 @@ def beta_T(T, tol=1e-5, resolution=256):
     """
     if not T > 0:
         raise ValidationError(f"period T must be positive, got {T}")
-    _require_tol(tol)
+    require_finite("tol", tol, positive=True)
     return _certified(2.0 * np.pi / T, tol, resolution, "beta_T")
 
 
@@ -216,11 +211,9 @@ def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict
     """
     alpha = float(alpha)
     beta = float(beta)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValidationError(f"wavenumber alpha must be finite and positive, got {alpha}")
-    if not math.isfinite(beta):
-        raise ValidationError(f"beta must be finite, got {beta}")
-    _require_tol(tol)
+    require_finite("wavenumber alpha", alpha, positive=True)
+    require_finite("beta", beta)
+    require_finite("tol", tol, positive=True)
     bstar = find_beta_star(resolution=resolution)
     if abs(beta) <= bstar:
         return RegionVerdict(REGION_O, bstar, None, tol)
@@ -245,7 +238,7 @@ def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, cache=None):
     """
     beta = float(beta)
     lambda0 = float(lambda0)
-    _require_tol(tol)
+    require_finite("tol", tol, positive=True)
     if beta < 0:
         raise WrongSignBetaError(f"wrong-sign-beta: speed inversion requires beta >= 0, got {beta}")
     lam_wall, _ = lambda1_wall(beta, resolution, cache)

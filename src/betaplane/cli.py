@@ -1,9 +1,10 @@
 """Command-line surface for the toolkit.
 
 Subcommands: eigen, atlas {beta-star|curve|region|beta-T|speed},
-modified-flow, bifurcate, damping.  Results are written as CSV (default)
-or JSON with deterministic %.17g formatting, so identical invocations are
-byte-identical; --plot additionally writes a minimal SVG next to --out.
+modified-flow, bifurcate, damping.  Results are written as CSV (default,
+floats as %.17g) or JSON (floats in their shortest round-trip form), so
+identical invocations are byte-identical; --plot additionally writes a
+minimal SVG next to --out.
 
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence,
 4 bracket failure.
@@ -12,7 +13,6 @@ Exit codes: 0 success, 2 validation error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, atlas, bifurcation, damping, modified_flow
 from .cache import CurveCache
-from .errors import BracketFailureError, NoConvergenceError, ValidationError
+from .errors import BracketFailureError, NoConvergenceError, ValidationError, require_finite
 from .rayleigh_kuo import lambda_n_couette, scaled_couette
 from .svgplot import table_to_svg
 from .tables import CurveTable
@@ -39,7 +39,7 @@ class RunConfig:
     resolution: int = 256
     tolerances: dict = field(default_factory=dict)
     cache_dir: str | None = None
-    output_format: str = "csv"
+    format: str = "csv"
     plot: bool = False
     out: str | None = None
 
@@ -53,25 +53,25 @@ class RunConfig:
     def cache(self):
         return CurveCache(self.cache_dir) if self.cache_dir else None
 
+    def modified_resolution(self, gamma: float) -> int:
+        """The resolution, raised to what a modified flow of width gamma needs."""
+        return max(self.resolution, modified_flow.suggested_resolution(gamma))
 
-# value parser per config key (before any ".")
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+# value parser per config key (before any "."); every key but tol names a
+# RunConfig field
 _CONFIG_VALUES = {
     "resolution": int,
     "tol": float,
-    "plot": lambda v: v.lower() in ("1", "true", "yes"),
+    "plot": lambda v: _BOOLS[v.lower()],
     "format": str,
     "cache_dir": str,
     "out": str,
 }
 
-# (config key, RunConfig attribute) for the keys that set one attribute
-_CONFIG_FIELDS = (
-    ("resolution", "resolution"),
-    ("format", "output_format"),
-    ("cache_dir", "cache_dir"),
-    ("plot", "plot"),
-    ("out", "out"),
-)
+_EXIT_CODES = {ValidationError: 2, NoConvergenceError: 3, BracketFailureError: 4}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -92,7 +92,7 @@ def _parse_config_file(path: str) -> dict:
             raise ValidationError(f"{path}:{lineno}: unknown tolerance {key!r} (known: {known})")
         try:
             values[key] = _CONFIG_VALUES[base](val)
-        except ValueError:
+        except (KeyError, ValueError):
             raise ValidationError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from None
     return values
 
@@ -104,28 +104,24 @@ def _config_from(args) -> RunConfig:
     # --tol sets the default tolerance only, so a config tol.<name> still wins
     merged = {**raw, **{k: v for k, v in vars(args).items() if k in _CONFIG_VALUES}}
     cfg = RunConfig()
-    for key, attr in _CONFIG_FIELDS:
-        if key in merged:
-            setattr(cfg, attr, merged[key])
     for key, val in merged.items():
-        if key == "tol":
-            cfg.tolerances["default"] = val
-        elif key.startswith("tol."):
-            cfg.tolerances[key[4:]] = val
-    if cfg.output_format not in ("csv", "json"):
-        raise ValidationError(f"unknown output format {cfg.output_format!r}")
+        if key.split(".", 1)[0] == "tol":
+            cfg.tolerances[key[4:] or "default"] = val
+        else:
+            setattr(cfg, key, val)
+    if cfg.format not in ("csv", "json"):
+        raise ValidationError(f"unknown output format {cfg.format!r}")
     if cfg.resolution < 64:
         raise ValidationError(f"resolution must be >= 64, got {cfg.resolution}")
     for name, value in cfg.tolerances.items():
-        if not (value > 0 and math.isfinite(value)):
-            raise ValidationError(f"tolerance {name} must be finite and positive, got {value}")
+        require_finite(f"tolerance {name}", value, positive=True)
     if cfg.plot and not cfg.out:
         raise ValidationError("--plot requires --out to name the SVG file")
     return cfg
 
 
 def _emit(table: CurveTable, cfg: RunConfig) -> None:
-    text = table.to_csv() if cfg.output_format == "csv" else table.to_json()
+    text = table.to_csv() if cfg.format == "csv" else table.to_json()
     if cfg.out:
         Path(cfg.out).write_text(text, encoding="utf-8", newline="\n")
     else:
@@ -146,15 +142,17 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return values
 
 
+def _one_row(name: str, metadata: dict, row: dict) -> CurveTable:
+    """A table of the single row ``row``, its keys the columns in order."""
+    return CurveTable(name, list(row), [tuple(row.values())], metadata)
+
+
 def cmd_eigen(args, cfg: RunConfig) -> CurveTable:
     pair = lambda_n_couette(args.beta, args.c, args.n, cfg.resolution)
-    table = CurveTable(
-        name="eigen",
-        columns=["beta", "c", "n", "lambda", "error_estimate", "resolution"],
-        metadata={"version": __version__},
-    )
-    table.add_row(args.beta, args.c, args.n, pair.value, pair.error_estimate, cfg.resolution)
-    return table
+    return _one_row("eigen", {"version": __version__}, {
+        "beta": args.beta, "c": args.c, "n": args.n, "lambda": pair.value,
+        "error_estimate": pair.error_estimate, "resolution": cfg.resolution,
+    })
 
 
 def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
@@ -164,58 +162,43 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         tol = cfg.tol("beta-star")
         bstar = atlas.find_beta_star(tol=tol, resolution=cfg.resolution)
         residual, err = atlas.lambda1_wall(bstar, **common)
-        table = CurveTable(
-            name="atlas-beta-star",
-            columns=["beta_star", "lambda_residual", "error_estimate"],
-            metadata={"tol": tol, "resolution": cfg.resolution},
-        )
-        table.add_row(bstar, residual, err)
+        table = _one_row("atlas-beta-star", {"tol": tol, "resolution": cfg.resolution}, {
+            "beta_star": bstar, "lambda_residual": residual, "error_estimate": err,
+        })
     elif args.atlas_cmd == "curve":
         if args.steps < 1:
             raise ValidationError(f"--steps must be >= 1, got {args.steps}")
-        if not math.isfinite(args.beta_max):
-            raise ValidationError(f"--beta-max must be finite, got {args.beta_max}")
+        require_finite("--beta-max", args.beta_max)
         lo = args.beta_min
         if lo is None:
             lo = atlas.find_beta_star(tol=cfg.tol("beta-star"), resolution=cfg.resolution)
+        else:
+            require_finite("--beta-min", lo)
         table = atlas.alpha_beta_curve(np.linspace(lo, args.beta_max, args.steps), **common)
     elif args.atlas_cmd == "region":
         verdict = atlas.classify(args.alpha, args.beta, tol=cfg.tol("region"), **common)
-        table = CurveTable(
-            name="atlas-region",
-            columns=["alpha", "beta", "label", "beta_star", "alpha_beta", "tolerance",
-                     "error_estimate"],
-            metadata={"resolution": cfg.resolution},
-        )
-        table.add_row(
-            args.alpha,
-            args.beta,
-            verdict.label,
-            verdict.beta_star,
-            verdict.alpha_beta if verdict.alpha_beta is not None else float("nan"),
-            verdict.tolerance,
-            verdict.error_estimate,
-        )
+        table = _one_row("atlas-region", {"resolution": cfg.resolution}, {
+            "alpha": args.alpha, "beta": args.beta, "label": verdict.label,
+            "beta_star": verdict.beta_star,
+            "alpha_beta": verdict.alpha_beta if verdict.alpha_beta is not None else float("nan"),
+            "tolerance": verdict.tolerance, "error_estimate": verdict.error_estimate,
+        })
     elif args.atlas_cmd == "beta-T":
         tol = cfg.tol("beta-T")
         bt = atlas.beta_T(args.period, tol=tol, resolution=cfg.resolution)
         lam, err = atlas.lambda1_wall(bt, **common)
-        table = CurveTable(
-            name="atlas-beta-T",
-            columns=["period", "beta_T", "lambda_at_beta_T", "target", "error_estimate"],
-            metadata={"tol": tol, "resolution": cfg.resolution},
-        )
-        table.add_row(args.period, bt, lam, -4 * np.pi**2 / args.period**2, err)
+        table = _one_row("atlas-beta-T", {"tol": tol, "resolution": cfg.resolution}, {
+            "period": args.period, "beta_T": bt, "lambda_at_beta_T": lam,
+            "target": -4 * np.pi**2 / args.period**2, "error_estimate": err,
+        })
     else:  # speed
         tol = cfg.tol("speed")
         c0 = atlas.speed_for_eigenvalue(args.beta, args.lambda0, tol=tol, **common)
-        lam, err = atlas.lambda1_regular(args.beta, c0, resolution=cfg.resolution, cache=cache)
-        table = CurveTable(
-            name="atlas-speed",
-            columns=["beta", "lambda0", "c0", "lambda_at_c0", "error_estimate"],
-            metadata={"tol": tol, "resolution": cfg.resolution},
-        )
-        table.add_row(args.beta, args.lambda0, c0, lam, err)
+        lam, err = atlas.lambda1_regular(args.beta, c0, **common)
+        table = _one_row("atlas-speed", {"tol": tol, "resolution": cfg.resolution}, {
+            "beta": args.beta, "lambda0": args.lambda0, "c0": c0, "lambda_at_c0": lam,
+            "error_estimate": err,
+        })
     if cache is not None:
         print(f"cache: {cache.hits} hits, {cache.misses} misses", file=sys.stderr)
     return table
@@ -245,8 +228,13 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
         gammas = _parse_floats(args.gamma_sweep or "", "--gamma-sweep")
         if not gammas:
             raise ValidationError("--emit sweep requires --gamma-sweep g1,g2,...")
-        b0 = modified_flow.b0()
-        bound = 3.0 + 1.5 * b0 * args.a
+    else:
+        if args.n_max < 1:
+            raise ValidationError(f"--n-max must be >= 1, got {args.n_max}")
+        params = modified_flow.ModifiedFlowParams(args.beta, args.gamma, args.a)
+    b0 = modified_flow.b0()
+    bound = 3.0 + 1.5 * b0 * args.a  # the small-gamma asymptote of lambda_1
+    if args.emit == "sweep":
         table = CurveTable(
             name="modified-flow-gamma-sweep",
             columns=["gamma", "lambda_1", "error_estimate", "asymptote_bound"],
@@ -254,26 +242,16 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
         )
         for g in gammas:
             params = modified_flow.ModifiedFlowParams(args.beta, g, args.a)
-            resolution = max(cfg.resolution, modified_flow.suggested_resolution(g))
-            pair = modified_flow.lambda_n_modified(params, 1, resolution)
+            pair = modified_flow.lambda_n_modified(params, 1, cfg.modified_resolution(g))
             table.add_row(g, pair.value, pair.error_estimate, bound)
         return table
-    if args.n_max < 1:
-        raise ValidationError(f"--n-max must be >= 1, got {args.n_max}")
-    params = modified_flow.ModifiedFlowParams(args.beta, args.gamma, args.a)
-    b0 = modified_flow.b0()
     table = CurveTable(
         name="modified-flow-eigenvalues",
         columns=["n", "lambda_n", "error_estimate"],
-        metadata={
-            "beta": args.beta,
-            "gamma": args.gamma,
-            "a": args.a,
-            "b0": b0,
-            "asymptote_bound": 3.0 + 1.5 * b0 * args.a,
-        },
+        metadata={"beta": args.beta, "gamma": args.gamma, "a": args.a, "b0": b0,
+                  "asymptote_bound": bound},
     )
-    resolution = max(cfg.resolution, modified_flow.suggested_resolution(args.gamma))
+    resolution = cfg.modified_resolution(args.gamma)
     for n in range(1, args.n_max + 1):
         pair = modified_flow.lambda_n_modified(params, n, resolution)
         table.add_row(n, pair.value, pair.error_estimate)
@@ -287,7 +265,7 @@ def cmd_bifurcate(args, cfg: RunConfig) -> CurveTable:
         params = modified_flow.ModifiedFlowParams(args.beta, args.gamma, args.a)
         prof = modified_flow.profile(params)
         c = 0.0
-        resolution = max(resolution, modified_flow.suggested_resolution(args.gamma))
+        resolution = cfg.modified_resolution(args.gamma)
     else:
         prof = scaled_couette(args.scale)
         if args.c is None:
@@ -426,15 +404,9 @@ def main(argv=None) -> int:
         cfg = _config_from(args)
         table = args.func(args, cfg)
         _emit(table, cfg)
-    except ValidationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BracketFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     return 0
 
 

@@ -61,7 +61,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .tables import CurveTable
 
 __all__ = [
@@ -121,10 +121,8 @@ class ModeEnsemble:
             raise ValidationError("k_set must name at least one wavenumber")
         if any(k == 0 for k in k_set):
             raise ValidationError("zero-wavenumber: k = 0 modes are excluded")
-        if not (np.isfinite(d_eta) and d_eta > 0):
-            raise ValidationError(f"d_eta must be finite and positive, got {d_eta}")
-        if not (np.isfinite(eta_max) and eta_max > 0):
-            raise ValidationError(f"eta_max must be finite and positive, got {eta_max}")
+        require_finite("d_eta", d_eta, positive=True)
+        require_finite("eta_max", eta_max, positive=True)
         n = int(round(eta_max / d_eta))
         eta_line = d_eta * np.arange(-n, n + 1)
         ks = np.repeat(np.asarray(k_set, dtype=int), eta_line.size)

@@ -5,9 +5,18 @@ subclasses; solver-level failures are RuntimeError subclasses so callers can
 distinguish "you asked wrong" from "the computation gave up".
 """
 
+import math
+
 
 class ValidationError(ValueError):
     """A precondition on user-supplied parameters is violated."""
+
+
+def require_finite(name, value, positive=False) -> None:
+    """Raise ValidationError unless the scalar ``value`` is finite (and > 0 if ``positive``)."""
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        kind = "finite and positive" if positive else "finite"
+        raise ValidationError(f"{name} must be {kind}, got {value}")
 
 
 class SingularSpeedError(ValidationError):

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoBracketError, ValidationError
+from .errors import NoBracketError, ValidationError, require_finite
 from .eigen import EigenPair, monotone_root
 from .rayleigh_kuo import ShearProfile, lambda_n_general
 
@@ -325,8 +325,7 @@ def level_set_a(
         raise ValidationError(f"scan_steps must be >= 1, got {scan_steps}")
     if a_max is not None and a_max <= 0:
         raise ValidationError(f"a_max must be positive, got {a_max}")
-    if not (tol > 0 and np.isfinite(tol)):
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    require_finite("tol", tol, positive=True)
     if resolution is None:
         resolution = suggested_resolution(gamma)
 

@@ -26,7 +26,6 @@ grid, are built only when a pair's ``vector`` or ``residual`` is read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from .errors import (
     SingularSpeedError,
     ValidationError,
     WrongSignBetaError,
+    require_finite,
 )
 from .eigen import (
     EigenPair,
@@ -98,8 +98,7 @@ def couette() -> ShearProfile:
 
 def scaled_couette(a: float) -> ShearProfile:
     """The scaled flow u(y) = a y with 0 < a."""
-    if not (a > 0 and math.isfinite(a)):
-        raise ValidationError(f"scale a must be finite and positive, got {a}")
+    require_finite("scale a", a, positive=True)
     return ShearProfile(
         u=lambda y, a=a: a * np.asarray(y, dtype=float),
         du=lambda y, a=a: np.full_like(np.asarray(y, dtype=float), a),
@@ -186,9 +185,8 @@ def lambda_n_general(
     At an endpoint speed the potential is finite at every interior node.
     A non-finite beta or c raises ValidationError before anything is assembled.
     """
-    for name, value in (("beta", beta), ("c", c)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+    require_finite("beta", beta)
+    require_finite("c", c)
     zone = profile.flat_zone
     removable = zone is not None and profile.flat_d2u == beta
     if profile.range_lo < c < profile.range_hi:

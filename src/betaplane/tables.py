@@ -58,7 +58,9 @@ class CurveTable:
             "table": self.name,
             "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
             "columns": list(self.columns),
-            "rows": [[_json_num(v) for v in row] for row in self.rows],
+            # json writes each float (np.float64 too) in its shortest
+            # round-trip form: the same doubles as the %.17g CSV cells
+            "rows": self.rows,
         }
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
@@ -96,11 +98,6 @@ def _meta_str(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_meta_str(v) for v in value) + "]"
     return str(value)
-
-
-def _json_num(v):
-    # Rounds through the same %.17g rendering as CSV so the two formats agree.
-    return float(format_number(v)) if isinstance(v, float) else v
 
 
 def _parse_cell(text: str):

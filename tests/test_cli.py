@@ -211,14 +211,16 @@ class TestNonFiniteParameters:
         (["eigen", "--beta", "1", "--c", "nan"], "c must be finite, got nan"),
         (["atlas", "speed", "--beta", "nan", "--lambda0", "-1"], "beta must be finite, got nan"),
         (["atlas", "curve", "--beta-max", "nan"], "--beta-max must be finite, got nan"),
-        (["atlas", "curve", "--beta-min", "nan", "--beta-max", "6"], "beta must be finite, got nan"),
+        (["atlas", "curve", "--beta-min", "nan", "--beta-max", "6"], "--beta-min must be finite, got nan"),
+        (["atlas", "curve", "--beta-min", "inf", "--beta-max", "6"], "--beta-min must be finite, got inf"),
         (["bifurcate", "--base", "scaled-couette", "--beta", "1", "--scale", "nan", "--c", "2"],
          "scale a must be finite and positive, got nan"),
         (["bifurcate", "--base", "scaled-couette", "--beta", "nan", "--c", "2"], "beta must be finite, got nan"),
         (["bifurcate", "--base", "scaled-couette", "--beta", "1", "--c", "nan"], "c must be finite, got nan"),
     ], ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-inf", "mf-beta-nan", "mf-a-nan", "bif-gamma-nan",
             "eigen-beta-nan", "eigen-wall-beta-nan", "eigen-c-nan", "speed-beta-nan", "curve-beta-max-nan",
-            "curve-beta-min-nan", "couette-scale-nan", "couette-beta-nan", "couette-c-nan"])
+            "curve-beta-min-nan", "curve-beta-min-inf", "couette-scale-nan", "couette-beta-nan", "couette-c-nan"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_2_before_any_solve(self, argv, message, monkeypatch, capsys):
         from betaplane import atlas, cli, modified_flow, rayleigh_kuo
 
@@ -276,7 +278,7 @@ class TestConfigAndOutputs:
     @pytest.mark.parametrize("lines, flags, attr, expected", [
         pytest.param("resolution=128", ["--resolution", "256"], "resolution", 256,
                      id="resolution"),
-        pytest.param("format=json", ["--format", "csv"], "output_format", "csv", id="format"),
+        pytest.param("format=json", ["--format", "csv"], "format", "csv", id="format"),
         pytest.param("out=cfg.csv", ["--out", "flag.csv"], "out", "flag.csv", id="out"),
         pytest.param("plot=false\nout=cfg.csv", ["--plot"], "plot", True, id="plot"),
     ])
@@ -347,6 +349,7 @@ class TestConfigAndOutputs:
         pytest.param("resolution=abc", "bad value for", id="resolution=abc"),
         pytest.param("tol=x", "bad value for", id="tol=x"),
         pytest.param("tol.speed=x", "bad value for", id="tol.speed=x"),
+        pytest.param("plot=treu", "bad value for", id="plot=treu"),
         # the eps schedule of the old endpoint route is gone with it
         pytest.param("eps_schedule=a,b", "unknown config key", id="eps_schedule=a,b"),
     ])
@@ -445,4 +448,49 @@ class TestArgumentRanges:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "must be >= 1" in captured.err
+        assert captured.out == ""
+
+
+class TestOneRowTables:
+    @pytest.mark.parametrize("argv, header, keys", [
+        (["eigen", "--beta", "1", "--c", "2"],
+         "beta,c,n,lambda,error_estimate,resolution", ["table", "version"]),
+        (["atlas", "beta-star"],
+         "beta_star,lambda_residual,error_estimate", ["table", "resolution", "tol"]),
+        (["atlas", "beta-T", "--period", "6"],
+         "period,beta_T,lambda_at_beta_T,target,error_estimate", ["table", "resolution", "tol"]),
+        (["atlas", "region", "--alpha", "0.5", "--beta", "5"],
+         "alpha,beta,label,beta_star,alpha_beta,tolerance,error_estimate", ["table", "resolution"]),
+        (["atlas", "speed", "--beta", "4", "--lambda0", "0"],
+         "beta,lambda0,c0,lambda_at_c0,error_estimate", ["table", "resolution", "tol"]),
+    ], ids=["eigen", "beta-star", "beta-T", "region", "speed"])
+    def test_header_and_metadata_keys(self, argv, header, keys, capsys):
+        from betaplane.cli import main
+
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[2:].split(":", 1)[0] for line in lines if line.startswith("# ")] == keys
+        body = [line for line in lines if not line.startswith("#")]
+        assert body[0] == header
+        assert len(body) == 2 and body[1].count(",") == header.count(",")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        ("ValidationError", 2),
+        ("SingularSpeedError", 2),
+        ("NoConvergenceError", 3),
+        ("BracketFailureError", 4),
+        ("NoBracketError", 4),
+    ])
+    def test_exit_code_per_error_class(self, error, code, monkeypatch, capsys):
+        from betaplane import cli, errors
+
+        def fail(*args, **kwargs):
+            raise getattr(errors, error)("the solver gave up")
+
+        monkeypatch.setattr(cli, "lambda_n_couette", fail)
+        assert cli.main(["eigen", "--beta", "1", "--c", "2"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == "error: the solver gave up\n"
         assert captured.out == ""

@@ -50,6 +50,16 @@ class TestCurveTable:
         assert payload["columns"] == t.columns
         assert payload["rows"][0][1] == pytest.approx(np.pi)
 
+    def test_json_floats_shortest_round_trip(self):
+        # the same doubles as the %.17g CSV cells, in their shortest form
+        t = CurveTable(name="short", columns=["x", "y"])
+        t.add_row(0.1, np.float64(0.1))
+        t.add_row(float("nan"), -0.0)
+        text = t.to_json()
+        assert "[\n      0.1,\n      0.1\n    ]" in text
+        assert "[\n      NaN,\n      -0.0\n    ]" in text
+        assert "0.10000000000000001" in t.to_csv()
+
     def test_wrong_arity_rejected(self):
         t = self.make()
         with pytest.raises(ValueError):
