@@ -84,8 +84,8 @@ def _parse_config_file(path: str) -> dict:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        base = key.split(".", 1)[0]
-        if base not in _CONFIG_VALUES:
+        base, dot, _ = key.partition(".")
+        if base not in _CONFIG_VALUES or (dot and base != "tol"):  # only tol takes a .name
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         if base == "tol" and key != "tol" and key[4:] not in _BUILTIN_TOLS:
             known = ", ".join(f"tol.{name}" for name in _BUILTIN_TOLS)

@@ -3,7 +3,9 @@
 The n-th eigenvalue comes from LAPACK's ``stebz`` bisection, after the
 matrix is put in a canonical orientation so that a problem and its mirror
 image (rows reversed) give bit-identical values; the tests certify those
-values with Sturm counts of their own (``tests/oracles.py``).  Eigenvectors
+values with Sturm counts of their own (``tests/oracles.py``).  Given a
+guess, it bisects only a bracket that Sturm counts certify to hold the
+eigenvalue, instead of the whole spectrum.  Eigenvectors
 are built on demand by LAPACK's ``stein``, the inverse iteration paired with
 ``stebz``.  Both are called from scipy's compiled binding, loaded as a file:
 ``import scipy.linalg`` would add about 0.4 s to each process.  Grid
@@ -122,12 +124,30 @@ def _canonical_orientation(diag: np.ndarray, off: np.ndarray):
     return diag, off
 
 
-def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12) -> float:
+def _count(diag: np.ndarray, off: np.ndarray, glo: float, ghi: float, x: float) -> int:
+    """Number of eigenvalues <= x, from one ``stebz`` call that does no bisection.
+
+    ``range='V'`` on (glo, x] with a tolerance as wide as the Gershgorin
+    interval [glo, ghi] stops at the Sturm counts of the ends.
+    """
+    if x <= glo:
+        return 0
+    return int(_flapack.dstebz(diag, off, 1, glo, x, 1, 1, ghi - glo, "E")[0])
+
+
+def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12, near=None) -> float:
     """n-th smallest eigenvalue (1-based) to absolute tolerance ``tol``.
 
     LAPACK ``stebz`` bisects with Sturm counts, so the result lambda
     satisfies count(lambda - d) < n <= count(lambda + d) for
     d = max(tol, a few eps * ||A||), the floor of backward stability.
+
+    Without ``near`` it bisects the whole spectrum for eigenvalue n
+    (``range='I'``).  ``near=(centre, radius)`` says where lambda_n should
+    be: the bracket centre -+ radius has each end widened 8x about the
+    centre until Sturm counts certify count(lo) < n <= count(hi), and only
+    (lo, hi] is bisected (``range='V'``).  The result satisfies the same
+    certificate; the two paths agree to about 2 tol, not bit for bit.
     """
     if not 1 <= n <= op.dim:
         raise ValidationError(f"index-out-of-range: n={n} for dimension {op.dim}")
@@ -135,13 +155,29 @@ def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12) -> float:
         raise ValidationError(f"tol must be positive, got {tol}")
     if not (np.isfinite(op.diag).all() and np.isfinite(op.off).all()):
         raise ValidationError("non-finite entries in the tridiagonal matrix")
+    if near is not None:
+        centre, radius = near
+        if not (np.isfinite(centre) and np.isfinite(radius) and radius > 0):
+            raise ValidationError(f"near must be a finite centre and positive radius, got {near}")
     if op.dim == 1:
         return float(op.diag[0])
     diag, off = _canonical_orientation(op.diag, op.off)
-    m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, n, n, tol, "E")  # il = iu = n
-    if info != 0 or m != 1:
+    if near is None:
+        m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, n, n, tol, "E")  # il = iu = n
+        below, expected = n - 1, 1
+    else:
+        # below glo the count is 0 and above ghi it is dim, so both loops end
+        glo, ghi = gershgorin_interval(op)
+        lo, hi = centre - radius, centre + radius
+        while (below := _count(diag, off, glo, ghi, lo)) >= n:
+            lo = centre - 8.0 * (centre - lo)
+        while (upto := _count(diag, off, glo, ghi, hi)) < n:
+            hi = centre + 8.0 * (hi - centre)
+        m, w, _, _, info = _flapack.dstebz(diag, off, 1, lo, hi, 1, 1, tol, "E")
+        expected = upto - below
+    if info != 0 or m != expected:
         raise NoConvergenceError(f"no-convergence: LAPACK stebz gave {m} values (info={info})")
-    return float(w[0])
+    return float(w[n - 1 - below])  # order "E": w holds the values in (lo, hi] sorted
 
 
 def _norm_bound(op: TridiagOperator) -> float:

@@ -20,8 +20,9 @@ and is solved the same way.
 -alpha^2 is itself the principal eigenvalue of a weighted problem.
 
 Every eigenvalue is Richardson-extrapolated over grids of size
-{resolution, 2*resolution, 4*resolution}.  Eigenvectors, on the finest
-grid, are built only when a pair's ``vector`` or ``residual`` is read.
+{resolution, 2*resolution, 4*resolution}; only the coarsest grid bisects
+the whole spectrum.  Eigenvectors, on the finest grid, are built only when
+a pair's ``vector`` or ``residual`` is read.
 """
 
 from __future__ import annotations
@@ -112,8 +113,11 @@ def scaled_couette(a: float) -> ShearProfile:
 def _solve_extrapolated(operator, n: int, resolution: int):
     """Eigenvalue n of operator(grid) over uniform grids {r, 2r, 4r}, extrapolated.
 
-    The error estimate is the last Richardson correction plus the kernel's
-    rounding floor on each grid carried through the tableau.
+    Grid r bisects the whole spectrum; grid 2r only a certified bracket
+    around lam_r, and grid 4r one around the Richardson prediction of grids
+    r and 2r (``nth_eigenvalue``'s ``near``).  The error estimate is the
+    last Richardson correction plus the kernel's rounding floor on each grid
+    carried through the tableau.
     """
     if resolution < 64:
         raise ValidationError(f"resolution must be >= 64, got {resolution}")
@@ -121,9 +125,17 @@ def _solve_extrapolated(operator, n: int, resolution: int):
     for m in (resolution, 2 * resolution, 4 * resolution):
         grid = build_grid(m)
         op = operator(grid)
-        lam_h = nth_eigenvalue(op, n, tol=_EIG_TOL)
-        seq.append((grid.h, lam_h))
         floors.append(eigenvalue_floor(op, _EIG_TOL))
+        if not seq:
+            near = None
+        elif len(seq) == 1:
+            lam_r = seq[0][1]
+            near = (lam_r, 1e-3 * max(1.0, abs(lam_r)))
+        else:
+            step = seq[0][1] - seq[1][1]
+            near = (seq[1][1] - step / 4.0, abs(step) / 20.0 + 2.0 * floors[-1])
+        lam_h = nth_eigenvalue(op, n, tol=_EIG_TOL, near=near)
+        seq.append((grid.h, lam_h))
     value, err = extrapolate(seq, floors)
     return value, err, grid, op, lam_h
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import hyp1f1, jn_zeros
 
 import oracles
 from betaplane import atlas
@@ -44,6 +46,13 @@ class TestBetaStar:
     def test_mirror_bit_identical(self):
         for beta in (0.5, 1.0, 3.0, 4.0, 8.0):
             assert atlas.lambda1_wall(beta) == atlas.lambda1_wall(-beta)
+
+    def test_within_estimate_of_bessel_zero(self, beta_star):
+        # at lambda = 0 the wall eigenfunction is sqrt(x) J1(2 sqrt(beta x)), x = 1 + y,
+        # so beta* = j_(1,1)^2 / 8
+        value, err = wall_beta(0.0)
+        assert beta_star == value
+        assert abs(value - jn_zeros(1, 1)[0] ** 2 / 8) <= err
 
 
 class TestAlphaBetaCurve:
@@ -111,6 +120,17 @@ class TestBetaT:
         for beta in (1.5 * beta_star, 2 * beta_star):
             alpha, _ = atlas.alpha_beta(beta)
             assert atlas.beta_T(2 * np.pi / alpha) == pytest.approx(beta, abs=1e-3)
+
+    @pytest.mark.parametrize("T", [1.0, 2.0, 6.0, 20.0, 100.0])
+    def test_within_estimate_of_kummer_root(self, T):
+        # at lambda = -alpha^2 the wall eigenfunction is x e^(-alpha x) M(1 - beta/(2 alpha), 2, 2 alpha x),
+        # x = 1 + y, so beta_T is the root in beta of M(1 - beta/(2 alpha), 2, 4 alpha)
+        alpha = 2 * np.pi / T
+        value, err = wall_beta(alpha)
+        assert atlas.beta_T(T) == value
+        exact = brentq(lambda b: hyp1f1(1 - b / (2 * alpha), 2, 4 * alpha),
+                       value - 1e-3, value + 1e-3, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        assert abs(value - exact) <= err
 
     def test_period_validation(self):
         with pytest.raises(ValidationError):

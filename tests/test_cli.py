@@ -352,6 +352,9 @@ class TestConfigAndOutputs:
         pytest.param("plot=treu", "bad value for", id="plot=treu"),
         # the eps schedule of the old endpoint route is gone with it
         pytest.param("eps_schedule=a,b", "unknown config key", id="eps_schedule=a,b"),
+        # only tol takes a dotted name
+        pytest.param("resolution.x=32", "unknown config key", id="resolution.x=32"),
+        pytest.param("format.y=xml", "unknown config key", id="format.y=xml"),
     ])
     def test_malformed_config_value_names_line(self, line, reason, tmp_path, capsys):
         from betaplane.cli import main

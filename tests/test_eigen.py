@@ -149,15 +149,66 @@ class TestLapackKernel:
     @pytest.mark.parametrize("m", [1024, 4096])
     def test_sturm_certifies_lapack_value(self, m):
         op = couette_op(m)
+        rev = TridiagOperator(diag=op.diag[::-1], off=op.off[::-1], grid=op.grid)
         tol = 1e-12
         row_sums = np.abs(op.diag)
         row_sums[:-1] += np.abs(op.off)
         row_sums[1:] += np.abs(op.off)
         delta = max(2 * tol, 8 * np.finfo(float).eps * row_sums.max())
         for n in (1, 2, 5):
-            lam = nth_eigenvalue(op, n, tol=tol)
-            assert sturm_count(op.diag, op.off, lam - delta) < n
-            assert sturm_count(op.diag, op.off, lam + delta) >= n
+            full = nth_eigenvalue(op, n, tol=tol)
+            # a bracket that holds lambda_(n-1) through lambda_(n+1)
+            wide = 1.5 * (nth_eigenvalue(op, n + 1, tol=tol) - nth_eigenvalue(op, max(n - 1, 1), tol=tol))
+            for near in (None, (full, 1e-4), (full - 50.0, 1e-4), (full + 50.0, 1e-4), (full, wide)):
+                lam = nth_eigenvalue(op, n, tol=tol, near=near)
+                below, upto = sturm_count(op.diag, op.off, np.array([lam - delta, lam + delta]))
+                assert below < n <= upto
+                assert abs(lam - full) <= 2 * tol
+                assert nth_eigenvalue(rev, n, tol=tol, near=near) == lam
+
+
+class TestBracketedSolve:
+    """``near=(centre, radius)``: bisect only a bracket that Sturm counts certify."""
+
+    def test_count_matches_sturm_oracle(self, rng):
+        ops = [couette_op(1024), couette_op(256, -3.0, 1.2), laplacian_op(50)]
+        for _ in range(10):
+            diag, off, grid = random_tridiag(rng, int(rng.integers(3, 60)))
+            ops.append(TridiagOperator(diag=diag, off=off, grid=grid))
+        for op in ops:
+            glo, ghi = gershgorin_interval(op)
+            for x in rng.uniform(glo - 1.0, ghi + 1.0, 20):
+                assert eigen._count(op.diag, op.off, glo, ghi, x) == sturm_count(op.diag, op.off, x)
+            assert eigen._count(op.diag, op.off, glo, ghi, glo) == 0
+            assert eigen._count(op.diag, op.off, glo, ghi, ghi) == op.dim
+
+    def test_random_matrices(self, rng):
+        for _ in range(20):
+            size = int(rng.integers(2, 40))
+            diag, off, grid = random_tridiag(rng, size)
+            op = TridiagOperator(diag=diag, off=off, grid=grid)
+            for n in {1, size // 2 + 1, size}:
+                full = nth_eigenvalue(op, n, tol=1e-12)
+                centre = full + rng.uniform(-3.0, 3.0)
+                lam = nth_eigenvalue(op, n, tol=1e-12, near=(centre, rng.uniform(1e-6, 1.0)))
+                assert abs(lam - full) <= 2e-12
+
+    @pytest.mark.parametrize("near", [(1.0, 0.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.inf)])
+    def test_bad_bracket_rejected(self, near):
+        with pytest.raises(ValidationError, match="near"):
+            nth_eigenvalue(laplacian_op(8), 1, near=near)
+
+    def test_count_mismatch_raises(self, monkeypatch):
+        real = eigen._flapack.dstebz
+
+        def dstebz(d, e, kind, vl, vu, il, iu, tol, order):
+            m, *rest = real(d, e, kind, vl, vu, il, iu, tol, order)
+            return (m + 1 if tol == 1e-12 else m), *rest  # the solve, not a count
+
+        monkeypatch.setattr(eigen, "_flapack", types.SimpleNamespace(dstebz=dstebz))
+        op = laplacian_op(8)
+        with pytest.raises(NoConvergenceError, match="stebz"):
+            nth_eigenvalue(op, 1, tol=1e-12, near=(2.0, 0.1))
 
 
 class TestNonFinite:

@@ -17,6 +17,7 @@ from betaplane.rayleigh_kuo import (
     lambda_n_couette,
     lambda_n_general,
     scaled_couette,
+    wall_beta,
 )
 
 PI2_4 = np.pi**2 / 4
@@ -146,10 +147,12 @@ class TestLambdaSingular:
             assert abs(value - lambda_n_couette(beta, -1.0).value) <= err
 
     def test_left_right_symmetry(self):
+        # mirror images are solved in one orientation, so they agree bit for bit
         for beta in (0.5, 2.0):
-            left = lambda_n_couette(beta, -1.0).value
-            right = lambda_n_couette(-beta, 1.0).value
-            assert abs(left - right) <= 1e-8
+            left = lambda_n_couette(beta, -1.0)
+            right = lambda_n_couette(-beta, 1.0)
+            assert left.value == right.value
+            assert left.error_estimate == right.error_estimate
 
     def test_wrong_sign_beta(self):
         with pytest.raises(WrongSignBetaError):
@@ -296,9 +299,10 @@ class TestSection3Properties:
     def test_symmetry_regular(self):
         for beta in (0.5, 2.0, 8.0):
             for c in (-1.5, -2.0, -4.0):
-                left = lambda_n_couette(beta, c, 1, 128).value
-                right = lambda_n_couette(-beta, -c, 1, 128).value
-                assert abs(left - right) <= 1e-8
+                left = lambda_n_couette(beta, c, 1, 128)
+                right = lambda_n_couette(-beta, -c, 1, 128)
+                assert left.value == right.value
+                assert left.error_estimate == right.error_estimate
 
     def test_positive_for_beta_c_same_sign(self):
         for beta, c in ((0.5, 1.5), (2.0, 1 + 1e-6), (-0.5, -1.5), (-2.0, -(1 + 1e-6))):
@@ -319,3 +323,39 @@ def test_monotone_certificate_trips(monkeypatch):
     monkeypatch.setattr(rk, "lambda_n_couette", fake_couette)
     with pytest.raises(oracles.NonMonotoneSequenceError, match="non-monotone-sequence"):
         oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.05, 0.025, 0.0125))
+
+
+class TestBracketedLadder:
+    """Grids 2r and 4r bisect a bracket around the value their coarser grids predict."""
+
+    CASES = [
+        pytest.param(lambda: lambda_n_couette(2.0, -1.5, 1, 128), id="regular"),
+        pytest.param(lambda: lambda_n_couette(1.0, -2.0, 3, 128), id="regular-n3"),
+        pytest.param(lambda: lambda_n_couette(-3.0, 1.0, 1, 256), id="wall"),
+        pytest.param(lambda: wall_beta(2 * np.pi / 6.0, 256), id="wall-beta"),
+        pytest.param(lambda: lambda_n_general(modified_profile(0.5, 0.02, 1.0), 0.5, 0.0, 2, 512),
+                     id="modified-n2"),
+    ]
+
+    @staticmethod
+    def value_and_error(result):
+        return tuple(result) if isinstance(result, tuple) else (result.value, result.error_estimate)
+
+    @pytest.mark.parametrize("solve", CASES)
+    def test_matches_full_spectrum_ladder(self, solve, monkeypatch):
+        import betaplane.rayleigh_kuo as rk
+
+        real, seen, full_spectrum = rk.nth_eigenvalue, [], []
+
+        def nth_eigenvalue(op, n, tol, near=None):
+            seen.append(near)
+            return real(op, n, tol, None if full_spectrum else near)
+
+        monkeypatch.setattr(rk, "nth_eigenvalue", nth_eigenvalue)
+        value, err = self.value_and_error(solve())
+        assert len(seen) == 3
+        assert seen[0] is None and None not in seen[1:]
+        full_spectrum.append(True)
+        full_value, full_err = self.value_and_error(solve())
+        assert abs(value - full_value) <= 1e-11
+        assert abs(err - full_err) <= 1e-11
