@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cache import cache_key
 from .errors import (
     BracketFailureError,
     NoConvergenceError,
@@ -83,26 +82,14 @@ class RegionVerdict:
 _wall_beta_mem = lru_cache(maxsize=256)(wall_beta)
 
 
-def _disk_cached(cache, name, args, resolution, compute):
-    """compute() -> (value, error), read from and written to ``cache`` when one is given.
+def _lambda1(name, args, c, resolution, cache):
+    """lam1(args["beta"], c) as (value, error); a cache keeps it on disk as curve ``name``."""
 
-    ``args`` maps the curve's arguments to their values, in column order.
-    """
-    if cache is None:
-        return compute()
-    key = cache_key(name, resolution=resolution, **args)
-    hit = cache.get(key)
-    if hit is not None:
-        return tuple(hit.rows[0][-2:])
-    value, err = compute()
-    table = CurveTable(
-        name=name,
-        columns=[*args, "lambda1", "error_estimate"],
-        metadata={"resolution": resolution},
-    )
-    table.add_row(*args.values(), value, err)
-    cache.put(key, table)
-    return value, err
+    def solve():
+        pair = lambda_n_couette(args["beta"], c, 1, int(resolution))
+        return pair.value, pair.error_estimate
+
+    return solve() if cache is None else cache.lookup(name, args, resolution, solve)
 
 
 def lambda1_wall(beta, resolution=256, cache=None):
@@ -111,23 +98,14 @@ def lambda1_wall(beta, resolution=256, cache=None):
     Returns (value, error_estimate), kept on disk when a cache is given.
     """
     beta = float(beta)
-
-    def compute():
-        pair = lambda_n_couette(beta, -1.0 if beta >= 0 else 1.0, 1, int(resolution))
-        return pair.value, pair.error_estimate
-
-    return _disk_cached(cache, "lambda1-wall-direct", {"beta": beta}, resolution, compute)
+    wall = -1.0 if beta >= 0 else 1.0
+    return _lambda1("lambda1-wall-direct", {"beta": beta}, wall, resolution, cache)
 
 
 def lambda1_regular(beta, c, resolution=256, cache=None):
     """lam1(beta, c) for a speed c outside (-1, 1) (``lambda_n_couette``); (value, error)."""
     beta, c = float(beta), float(c)
-
-    def compute():
-        pair = lambda_n_couette(beta, c, 1, int(resolution))
-        return pair.value, pair.error_estimate
-
-    return _disk_cached(cache, "lambda1-regular", {"beta": beta, "c": c}, resolution, compute)
+    return _lambda1("lambda1-regular", {"beta": beta, "c": c}, c, resolution, cache)
 
 
 def _certified(alpha, tol, resolution, what):

@@ -219,10 +219,8 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
             columns=["y", "u", "du", "d2u", "error_estimate"],
             metadata={"beta": args.beta, "gamma": args.gamma, "a": args.a},
         )
-        for y in ys:
-            table.add_row(
-                float(y), float(prof.u(y)), float(prof.du(y)), float(prof.d2u(y)), eval_err
-            )
+        for row in zip(ys, prof.u(ys), prof.du(ys), prof.d2u(ys)):
+            table.add_row(*map(float, row), eval_err)
         return table
     if args.emit == "sweep":
         gammas = _parse_floats(args.gamma_sweep or "", "--gamma-sweep")

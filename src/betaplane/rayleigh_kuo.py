@@ -169,13 +169,9 @@ def wall_beta(alpha: float, resolution: int = 256) -> tuple[float, float]:
     """
 
     def weighted(grid):
+        op = assemble(grid, lambda y: alpha**2)
         w = grid.nodes + 1.0
-        inv_h2 = 1.0 / grid.h**2
-        return TridiagOperator(
-            diag=w * (2.0 * inv_h2 + alpha**2),
-            off=-inv_h2 * np.sqrt(w[:-1] * w[1:]),
-            grid=grid,
-        )
+        return TridiagOperator(op.diag * w, op.off * np.sqrt(w[:-1] * w[1:]), grid)
 
     value, err, *_ = _solve_extrapolated(weighted, 1, resolution)
     return value, err

@@ -2,8 +2,9 @@
 
 CSV output: UTF-8, LF line endings, ``#``-prefixed metadata lines above the
 header, all floats rendered with %.17g so files are byte-reproducible and
-round-trip exactly.  The same files double as cache entries and golden
-files.
+round-trip exactly.  Tables are written, never parsed back: a cache entry
+(``cache.CurveCache``) is a one-row table whose reader takes only its last
+two cells.
 """
 
 from __future__ import annotations
@@ -64,33 +65,6 @@ class CurveTable:
         }
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "CurveTable":
-        name = "table"
-        metadata = {}
-        columns = None
-        rows = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, val = body.partition(":")
-                    key, val = key.strip(), val.strip()
-                    if key == "table":
-                        name = val
-                    else:
-                        metadata[key] = val
-                continue
-            if columns is None:
-                columns = line.split(",")
-                continue
-            rows.append(tuple(_parse_cell(v) for v in line.split(",")))
-        if columns is None:
-            raise ValueError("CSV text has no header row")
-        return cls(name=name, columns=columns, rows=rows, metadata=metadata)
-
 
 def _meta_str(value) -> str:
     if isinstance(value, float):
@@ -99,9 +73,3 @@ def _meta_str(value) -> str:
         return "[" + ", ".join(_meta_str(v) for v in value) + "]"
     return str(value)
 
-
-def _parse_cell(text: str):
-    try:
-        return float(text)
-    except ValueError:
-        return text

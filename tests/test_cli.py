@@ -497,3 +497,43 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == "error: the solver gave up\n"
         assert captured.out == ""
+
+
+class TestCacheDir:
+    SPEED = ["atlas", "speed", "--beta", "4", "--lambda0", "-3", "--cache-dir"]
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: "",
+        lambda text: text[:text.rindex("\n", 0, -1) + 1],
+        lambda text: text.replace(text.split(",")[-2], "abc"),
+    ], ids=["empty", "header-only", "non-number"])
+    def test_damaged_entry_recomputed(self, damage, tmp_path, capsys):
+        from betaplane.cli import main
+
+        cold_dir, cache_dir = tmp_path / "cold", tmp_path / "cache"
+        assert main(self.SPEED + [str(cold_dir)]) == 0
+        cold_out = capsys.readouterr().out
+        cold = {p.name: p.read_bytes() for p in cold_dir.iterdir()}
+        cache_dir.mkdir()
+        for name, data in cold.items():
+            (cache_dir / name).write_text(damage(data.decode()), encoding="utf-8")
+        assert main(self.SPEED + [str(cache_dir)]) == 0
+        assert capsys.readouterr().out == cold_out
+        assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == cold
+
+    def test_file_as_cache_dir_exit_2_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        from betaplane import atlas
+        from betaplane.cli import main
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting the cache directory")
+
+        monkeypatch.setattr(atlas, "find_beta_star", no_solve)
+        path = tmp_path / "entry"
+        path.write_text("x")
+        assert main(["atlas", "beta-star", "--cache-dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cache directory {str(path)!r} cannot be created: File exists\n"
+        assert captured.out == ""
+        # a command that builds no cache ignores the flag
+        assert main(["eigen", "--beta", "1", "--c", "2", "--cache-dir", str(path)]) == 0
