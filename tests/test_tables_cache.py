@@ -29,6 +29,15 @@ class TestCurveTable:
         t.add_row(2.0, 2 * np.pi, 2e-8)
         return t
 
+    def test_csv_round_trip(self):
+        t = self.make()
+        lines = t.to_csv().splitlines()
+        meta = [line for line in lines if line.startswith("# ")]
+        header, *rows = [line for line in lines if not line.startswith("#")]
+        assert meta[0] == "# table: demo"
+        assert header.split(",") == t.columns
+        assert [tuple(float(c) for c in r.split(",")) for r in rows] == t.rows
+
     def test_csv_deterministic(self):
         assert self.make().to_csv() == self.make().to_csv()
 
@@ -70,6 +79,16 @@ class TestCache:
         assert k1 == cache_key("op", resolution=256, beta=1.0)
         assert k1 != cache_key("op", beta=1.0 + 1e-12, resolution=256)
         assert k1 != cache_key("op", beta=1.0, resolution=512)
+
+    def test_round_trip_exact(self, tmp_path):
+        cache = CurveCache(tmp_path)
+        t = CurveTable(name="probe", columns=["x", "lambda1", "error_estimate"])
+        t.add_row(1.0, np.pi, 2.4674011002723395)
+        key = cache_key("probe", x=1.0)
+        assert cache.get(key) is None
+        cache.put(key, t)
+        assert cache.get(key) == (np.pi, 2.4674011002723395)
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_wall_entry_pinned(self, tmp_path):
         cold = atlas.lambda1_wall(0.75, cache=CurveCache(tmp_path))
