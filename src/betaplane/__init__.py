@@ -7,8 +7,9 @@ rates of the linearized vorticity dynamics in sheared coordinates.
 """
 
 from .grid import Grid1D, TridiagOperator, assemble, build_grid
-from .eigen import EigenPair, eigenvector, extrapolate, nth_eigenvalue
+from .eigen import eigenvector, extrapolate, nth_eigenvalue
 from .rayleigh_kuo import (
+    EigenPair,
     ShearProfile,
     couette,
     lambda_n_couette,

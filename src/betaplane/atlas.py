@@ -125,8 +125,6 @@ def find_beta_star(tol=1e-5, resolution=256):
     estimate exceeds tol.
     """
     require_finite("tol", tol, positive=True)
-    if tol < 1e-6:
-        raise ValidationError(f"tol must be >= 1e-6, got {tol}")
     return _certified(0.0, tol, resolution, "beta-star")
 
 
@@ -175,8 +173,11 @@ def beta_T(T, tol=1e-5, resolution=256):
     """
     if not T > 0:
         raise ValidationError(f"period T must be positive, got {T}")
+    alpha = 2.0 * np.pi / T
+    if not np.isfinite(alpha * alpha):  # float ** raises OverflowError where * gives inf
+        raise ValidationError(f"period T={T} is too small: (2 pi / T)^2 overflows")
     require_finite("tol", tol, positive=True)
-    return _certified(2.0 * np.pi / T, tol, resolution, "beta_T")
+    return _certified(alpha, tol, resolution, "beta_T")
 
 
 def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict:

@@ -25,7 +25,7 @@ asked again at the same beta, c and resolution, as in a ladder that calls
 ``construct`` once per kappa and per control.  The profile is a frozen
 dataclass of closures, so it compares by the identity of its functions and
 a profile built twice never shares an entry.  The memoized eigenvector is
-read-only.
+read-only, as every ``rayleigh_kuo.EigenPair`` hands out its vector.
 """
 
 from __future__ import annotations
@@ -104,11 +104,7 @@ def construct(
         raise PositiveEigenvalueError(
             f"positive-eigenvalue: lambda_1 = {pair.value} >= 0, no bifurcation point"
         )
-    if phi_override is None:
-        phi0 = pair.vector
-        phi0.flags.writeable = False  # shared by every wave built from the memo
-    else:
-        phi0 = np.asarray(phi_override, dtype=float)
+    phi0 = pair.vector if phi_override is None else np.asarray(phi_override, dtype=float)
     if phi0.shape != (pair.grid.n_interior,):
         raise ValidationError("phi_override must match the eigenvector grid")
     return WaveApproximation(

@@ -6,13 +6,14 @@ image (rows reversed) give bit-identical values; the tests certify those
 values with Sturm counts of their own (``tests/oracles.py``).  Given a
 guess, it bisects only a bracket that Sturm counts certify to hold the
 eigenvalue, instead of the whole spectrum.  Eigenvectors
-are built on demand by LAPACK's ``stein``, the inverse iteration paired with
-``stebz``.  Both are called from scipy's compiled binding, loaded as a file:
+come from LAPACK's ``stein``, the inverse iteration paired with ``stebz``.
+Both are called from scipy's compiled binding, loaded as a file:
 ``import scipy.linalg`` would add about 0.4 s to each process.  Grid
 sequences are Richardson-extrapolated to the continuum limit assuming
 second-order convergence, with the kernel's rounding floor carried into the
-error.  ``monotone_root`` is the one bracketing root search, shared by the
-speed inversion and the modified-flow level set.
+error; the record of one such ladder, ``EigenPair``, lives with the ladder
+in ``rayleigh_kuo``.  ``monotone_root`` is the one bracketing root search,
+shared by the speed inversion and the modified-flow level set.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoConvergenceError, ValidationError
-from .grid import Grid1D, TridiagOperator
+from .grid import TridiagOperator
 
 __all__ = [
-    "EigenPair",
     "gershgorin_interval",
     "nth_eigenvalue",
     "eigenvalue_floor",
@@ -64,39 +64,6 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-
-
-class EigenPair:
-    """One extrapolated eigenvalue with its error estimate and, on demand, its eigenvector.
-
-    ``source`` is a callable returning the eigenvector on ``grid``, normalized
-    to unit discrete L2 norm with a nonnegative first extremum, and its
-    residual ||(A - lambda I) v|| / ||A||.  It is called on the first read of
-    ``vector`` or ``residual``, so a pair whose vector is never read never
-    builds one.
-    """
-
-    def __init__(self, value: float, error_estimate: float, grid: Grid1D, source):
-        self.value = value
-        self.error_estimate = error_estimate
-        self.grid = grid
-        self._vector = self._residual = None
-        self._source = source
-
-    def _build(self) -> None:
-        if self._source is not None:
-            self._vector, self._residual = self._source()
-            self._source = None
-
-    @property
-    def vector(self) -> np.ndarray:
-        self._build()
-        return self._vector
-
-    @property
-    def residual(self) -> float:
-        self._build()
-        return self._residual
 
 
 def gershgorin_interval(op: TridiagOperator) -> tuple[float, float]:

@@ -33,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NoBracketError, ValidationError, require_finite
-from .eigen import EigenPair, monotone_root
-from .rayleigh_kuo import ShearProfile, lambda_n_general
+from .eigen import monotone_root
+from .rayleigh_kuo import EigenPair, ShearProfile, lambda_n_general
 
 __all__ = [
     "erf",

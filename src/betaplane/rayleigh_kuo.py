@@ -21,13 +21,15 @@ and is solved the same way.
 
 Every eigenvalue is Richardson-extrapolated over grids of size
 {resolution, 2*resolution, 4*resolution}; only the coarsest grid bisects
-the whole spectrum.  Eigenvectors, on the finest grid, are built only when
-a pair's ``vector`` or ``residual`` is read.
+the whole spectrum.  The ladder returns one ``EigenPair``, which builds its
+eigenvector on the finest grid only when ``vector`` or ``residual`` is read,
+and hands it out read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,16 +41,16 @@ from .errors import (
     require_finite,
 )
 from .eigen import (
-    EigenPair,
     eigen_residual,
     eigenvalue_floor,
     eigenvector,
     extrapolate,
     nth_eigenvalue,
 )
-from .grid import TridiagOperator, assemble, build_grid
+from .grid import Grid1D, TridiagOperator, assemble, build_grid
 
 __all__ = [
+    "EigenPair",
     "ShearProfile",
     "couette",
     "scaled_couette",
@@ -110,7 +112,37 @@ def scaled_couette(a: float) -> ShearProfile:
     )
 
 
-def _solve_extrapolated(operator, n: int, resolution: int):
+@dataclass(frozen=True, eq=False)
+class EigenPair:
+    """One extrapolated eigenvalue with its error estimate and, on demand, its eigenvector.
+
+    ``op`` is the finest grid's operator and ``lam_h`` its eigenvalue there.
+    The first read of ``vector`` (unit Euclidean norm, first extremum
+    nonnegative) or ``residual`` (||(A - lam_h I) v|| / ||A||) builds the
+    vector; the pair caches and shares it, so it is read-only.
+    """
+
+    value: float
+    error_estimate: float
+    op: TridiagOperator
+    lam_h: float
+
+    @property
+    def grid(self) -> Grid1D:
+        return self.op.grid
+
+    @cached_property
+    def vector(self) -> np.ndarray:
+        vec = eigenvector(self.op, self.lam_h)  # LAPACK ``stein``
+        vec.flags.writeable = False
+        return vec
+
+    @cached_property
+    def residual(self) -> float:
+        return eigen_residual(self.op, self.lam_h, self.vector)
+
+
+def _solve_extrapolated(operator, n: int, resolution: int) -> EigenPair:
     """Eigenvalue n of operator(grid) over uniform grids {r, 2r, 4r}, extrapolated.
 
     Grid r bisects the whole spectrum; grid 2r only a certified bracket
@@ -136,8 +168,7 @@ def _solve_extrapolated(operator, n: int, resolution: int):
             near = (seq[1][1] - step / 4.0, abs(step) / 20.0 + 2.0 * floors[-1])
         lam_h = nth_eigenvalue(op, n, tol=_EIG_TOL, near=near)
         seq.append((grid.h, lam_h))
-    value, err = extrapolate(seq, floors)
-    return value, err, grid, op, lam_h
+    return EigenPair(*extrapolate(seq, floors), op, lam_h)
 
 
 def lambda_n_couette(beta: float, c: float, n: int = 1, resolution: int = 256) -> EigenPair:
@@ -173,8 +204,8 @@ def wall_beta(alpha: float, resolution: int = 256) -> tuple[float, float]:
         w = grid.nodes + 1.0
         return TridiagOperator(op.diag * w, op.off * np.sqrt(w[:-1] * w[1:]), grid)
 
-    value, err, *_ = _solve_extrapolated(weighted, 1, resolution)
-    return value, err
+    pair = _solve_extrapolated(weighted, 1, resolution)
+    return pair.value, pair.error_estimate
 
 
 def lambda_n_general(
@@ -227,10 +258,4 @@ def lambda_n_general(
         out[zone_mask] = 0.0
         return out
 
-    value, err, grid, op, lam_h = _solve_extrapolated(lambda g: assemble(g, Q), n, resolution)
-
-    def source():  # the finest grid's eigenvector, by LAPACK ``stein``
-        vec = eigenvector(op, lam_h)
-        return vec, eigen_residual(op, lam_h, vec)
-
-    return EigenPair(value, max(err, 1e-16), grid, source)
+    return _solve_extrapolated(lambda g: assemble(g, Q), n, resolution)

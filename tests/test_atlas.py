@@ -34,9 +34,13 @@ class TestBetaStar:
         b512 = atlas.find_beta_star(resolution=512)
         assert abs(b512 - beta_star) <= 5e-4
 
-    def test_tol_validation(self):
-        with pytest.raises(ValidationError):
+    def test_tol_below_error_estimate_raises(self):
+        # the bar of beta* is about 5.7e-9
+        with pytest.raises(NoConvergenceError, match="exceeds tol"):
             atlas.find_beta_star(tol=1e-9)
+
+    def test_tol_above_error_estimate_gives_default_value(self):
+        assert atlas.find_beta_star(tol=1e-7) == atlas.find_beta_star()
 
     def test_within_estimate_of_shooting_root(self, beta_star):
         value, err = wall_beta(0.0)

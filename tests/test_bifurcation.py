@@ -219,7 +219,8 @@ class TestPairMemo:
         assert est == wave.period
         assert len(solves) == 1
 
-    def test_shared_eigenfunction_is_read_only(self):
+    def test_shared_eigenfunction_is_read_only(self, monkeypatch):
+        vectors = self.count(monkeypatch, rk, "eigenvector")
         prof = mf.profile(mf.ModifiedFlowParams(2.0, 0.02, 0.0))
         wave = bif.construct(prof, 2.0, 0.0, 1e-3, resolution=256)
         before = wave.phi0.copy()
@@ -230,6 +231,9 @@ class TestPairMemo:
         again = bif.construct(prof, 2.0, 0.0, 5e-3, resolution=256)
         assert again.phi0 is wave.phi0
         assert np.array_equal(again.phi0, before)
+        same = bif.construct(prof, 2.0, 0.0, 1e-3, resolution=256)
+        assert same.phi0 is wave.phi0
+        assert len(vectors) == 1
 
 
 @pytest.fixture(scope="module")

@@ -217,9 +217,12 @@ class TestNonFiniteParameters:
          "scale a must be finite and positive, got nan"),
         (["bifurcate", "--base", "scaled-couette", "--beta", "nan", "--c", "2"], "beta must be finite, got nan"),
         (["bifurcate", "--base", "scaled-couette", "--beta", "1", "--c", "nan"], "c must be finite, got nan"),
+        (["atlas", "beta-T", "--period", "1e-200"], "period T=1e-200 is too small: (2 pi / T)^2 overflows"),
+        (["atlas", "beta-T", "--period", "1e-320"], "period T=1e-320 is too small: (2 pi / T)^2 overflows"),
     ], ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-inf", "mf-beta-nan", "mf-a-nan", "bif-gamma-nan",
             "eigen-beta-nan", "eigen-wall-beta-nan", "eigen-c-nan", "speed-beta-nan", "curve-beta-max-nan",
-            "curve-beta-min-nan", "curve-beta-min-inf", "couette-scale-nan", "couette-beta-nan", "couette-c-nan"])
+            "curve-beta-min-nan", "curve-beta-min-inf", "couette-scale-nan", "couette-beta-nan", "couette-c-nan",
+            "beta-T-alpha-squared-overflows", "beta-T-alpha-inf"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_2_before_any_solve(self, argv, message, monkeypatch, capsys):
         from betaplane import atlas, cli, modified_flow, rayleigh_kuo
@@ -408,6 +411,12 @@ class TestArgumentRanges:
         captured = capsys.readouterr()
         assert "must be finite and positive" in captured.err
         assert captured.out == ""
+
+    def test_tiny_period_uncertified_exit_3(self, capsys):
+        from betaplane.cli import main
+
+        assert main(["atlas", "beta-T", "--period", "1e-100"]) == 3
+        assert "exceeds tol" in capsys.readouterr().err
 
     def test_speed_negative_beta_exit_2(self, capsys):
         from betaplane.cli import main

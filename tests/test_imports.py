@@ -11,15 +11,20 @@ scipy.optimize and scipy.sparse) are not imported either: not by
 ``import betaplane``, not by any command, and not by the modified-flow
 set-up.  Each check runs in a fresh interpreter.
 
-Every name that the package and its submodules list in ``__all__`` resolves.
+Every name that the package and its submodules list in ``__all__`` resolves,
+and so does every name that the benchmark's spans (``bench/spans.py``) wrap,
+but for the five that wrap ``lambda_1_singular`` and ``lambda_n_regular``,
+which ``lambda_n_couette`` replaced.  The benchmark skips a span whose name
+is gone, so a rename would otherwise zero its traced counts silently.
 """
 
-import importlib
+import importlib.util
 import json
 import pkgutil
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +70,27 @@ def test_every_name_in_all_resolves():
     missing = [f"{module.__name__}.{name}" for module in modules
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+# span bindings whose names no longer exist; their traced counts read 0
+DEAD_BINDINGS = {"atlas.lambda_1_singular", "atlas.lambda_n_regular", "cli.lambda_1_singular",
+                 "cli.lambda_n_regular", "bifurcation.lambda_1_singular"}
+
+
+def test_benchmark_span_names_resolve():
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    absent = set()
+    for where, attr, *_ in spans.BINDINGS:
+        module_name, _, class_name = where.partition(":")
+        target = importlib.import_module(f"betaplane.{module_name}")
+        if class_name:
+            target = getattr(target, class_name)
+        if not hasattr(target, attr):
+            absent.add(f"{where}.{attr}")
+    assert absent <= DEAD_BINDINGS
 
 
 def test_import_loads_none_of_the_deferred_modules():

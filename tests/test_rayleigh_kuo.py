@@ -74,6 +74,49 @@ class TestSpecValidation:
             lambda_n_couette(beta, c, n)
 
 
+class TestEigenPair:
+    """The ladder's record builds its vector once, on first read, and shares it read-only."""
+
+    @staticmethod
+    def count_vectors(monkeypatch):
+        import betaplane.rayleigh_kuo as rk
+
+        calls = []
+        real = rk.eigenvector
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(rk, "eigenvector", counted)
+        return calls
+
+    def test_vector_built_on_first_read_only(self, monkeypatch):
+        calls = self.count_vectors(monkeypatch)
+        pair = lambda_n_couette(1.0, -2.0, 1, 128)
+        assert len(calls) == 0
+        vector = pair.vector
+        assert len(calls) == 1
+        assert pair.vector is vector
+        assert pair.residual <= 1e-10
+        assert len(calls) == 1
+
+    def test_residual_first_builds_one_vector(self, monkeypatch):
+        calls = self.count_vectors(monkeypatch)
+        pair = lambda_n_couette(1.0, -2.0, 1, 128)
+        assert pair.residual <= 1e-10
+        pair.vector
+        assert len(calls) == 1
+
+    def test_vector_read_only_unit_norm_on_finest_grid(self):
+        pair = lambda_n_couette(1.0, -2.0, 1, 128)
+        assert not pair.vector.flags.writeable
+        with pytest.raises(ValueError):
+            pair.vector[0] = 0.0
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
+        assert pair.grid is pair.op.grid and pair.grid.n_interior == 4 * 128
+
+
 class TestLambdaRegular:
     def test_beta0_gives_quarter_pi_squared(self):
         pair = lambda_n_couette(0.0, -2.0, 1, 256)
