@@ -20,12 +20,13 @@ the norm is computed from 1-D arrays in y, with no x-grid.
 
 The principal pair does not depend on kappa, so a ladder shares one solve:
 ``construct`` and ``period_estimate`` read it from a one-entry memo keyed on
-(profile, beta, c, resolution).  It pays where the same profile object is
-asked again at the same beta, c and resolution, as in a ladder that calls
-``construct`` once per kappa and per control.  The profile is a frozen
-dataclass of closures, so it compares by the identity of its functions and
-a profile built twice never shares an entry.  The memoized eigenvector is
-read-only, as every ``rayleigh_kuo.EigenPair`` hands out its vector.
+(profile, beta, c, resolution), with the base flow u on the pair's grid
+from one evaluation of the profile's jet.  It pays where the same profile
+object is asked again at the same beta, c and resolution, as in a ladder
+that calls ``construct`` once per kappa and per control.  The profile is a
+frozen dataclass of closures, so it compares by the identity of its jet and
+a profile built twice never shares an entry.  The memoized eigenvector and
+u are read-only, as every ``rayleigh_kuo.EigenPair`` hands out its vector.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class WaveApproximation:
     phi0: np.ndarray
     grid: Grid1D
     lambda1: float
+    u: np.ndarray  # the base flow at -1, the grid's nodes and 1, read-only
 
     @property
     def period(self) -> float:
@@ -81,7 +83,10 @@ def check_ladder(kappas) -> None:
 @lru_cache(maxsize=1)
 def _principal_pair(profile: ShearProfile, beta: float, c: float, resolution: int):
     # the module global is looked up per call, so a patched lambda_n_general is seen
-    return lambda_n_general(profile, beta, c, 1, resolution)
+    pair = lambda_n_general(profile, beta, c, 1, resolution)
+    u = profile.jet(np.concatenate(([-1.0], pair.grid.nodes, [1.0])))[0]
+    u.flags.writeable = False
+    return pair, u
 
 
 def construct(
@@ -99,7 +104,7 @@ def construct(
     cancellation is destroyed on purpose.
     """
     check_kappa(kappa)
-    pair = _principal_pair(profile, beta, c, resolution)
+    pair, u = _principal_pair(profile, beta, c, resolution)
     if pair.value >= 0:
         raise PositiveEigenvalueError(
             f"positive-eigenvalue: lambda_1 = {pair.value} >= 0, no bifurcation point"
@@ -116,6 +121,7 @@ def construct(
         phi0=phi0,
         grid=pair.grid,
         lambda1=pair.value,
+        u=u,
     )
 
 
@@ -147,10 +153,8 @@ def residual_norm(wave: WaveApproximation, beta: float) -> float:
     is exactly A^2/2 + B^2/8, so ||R||^2 = period * trapz_y(A^2/2 + B^2/8)
     with no x-grid.
     """
-    h = wave.grid.h
-    y = np.concatenate(([-1.0], wave.grid.nodes, [1.0]))
+    h, u = wave.grid.h, wave.u
     phi = np.concatenate(([0.0], wave.phi0, [0.0]))
-    u = wave.profile.u(y)
     dphi = _deriv4(phi, h)
     w = wave.alpha0**2 * phi - _deriv4(dphi, h)
     ak = wave.alpha0 * wave.kappa
@@ -162,7 +166,7 @@ def residual_norm(wave: WaveApproximation, beta: float) -> float:
 
 def period_estimate(profile: ShearProfile, beta: float, c: float, resolution: int = 256) -> float:
     """Limiting x-period 2 pi / sqrt(-lambda_1) of the bifurcating branch."""
-    lam = _principal_pair(profile, beta, c, resolution).value
+    lam = _principal_pair(profile, beta, c, resolution)[0].value
     if lam >= 0:
         raise PositiveEigenvalueError(f"positive-eigenvalue: lambda_1 = {lam} >= 0")
     return float(2.0 * np.pi / np.sqrt(-lam))

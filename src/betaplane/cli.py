@@ -187,9 +187,13 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         tol = cfg.tol("beta-T")
         bt = atlas.beta_T(args.period, tol=tol, resolution=cfg.resolution)
         lam, err = atlas.lambda1_wall(bt, **common)
+        try:
+            target = -4 * np.pi**2 / args.period**2
+        except OverflowError:  # T^2 overflows, and -4 pi^2 / T^2 rounds to -0
+            target = -0.0
         table = _one_row("atlas-beta-T", {"tol": tol, "resolution": cfg.resolution}, {
             "period": args.period, "beta_T": bt, "lambda_at_beta_T": lam,
-            "target": -4 * np.pi**2 / args.period**2, "error_estimate": err,
+            "target": target, "error_estimate": err,
         })
     else:  # speed
         tol = cfg.tol("speed")
@@ -219,7 +223,7 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
             columns=["y", "u", "du", "d2u", "error_estimate"],
             metadata={"beta": args.beta, "gamma": args.gamma, "a": args.a},
         )
-        for row in zip(ys, prof.u(ys), prof.du(ys), prof.d2u(ys)):
+        for row in zip(ys, *prof.jet(ys)):
             table.add_row(*map(float, row), eval_err)
         return table
     if args.emit == "sweep":

@@ -61,7 +61,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
+from .errors import NoConvergenceError, ValidationError, require_finite
 from .tables import CurveTable
 
 __all__ = [
@@ -148,15 +148,6 @@ def phase_closed_form(k: int, eta: float, beta: float, t: float) -> float:
     if k == 0:
         raise ValidationError("zero-wavenumber: the per-mode phase needs k != 0")
     return float(beta / k * (np.arctan(eta / k) - np.arctan((eta - k * t) / k)))
-
-
-def _require_finite(**values) -> None:
-    """Raise ValidationError naming the first non-finite entry of each scalar or array."""
-    for name, value in values.items():
-        bad = np.flatnonzero(~np.isfinite(value))
-        if bad.size:
-            where = f" at index {bad[0]}" if np.ndim(value) else ""
-            raise ValidationError(f"{name} must be finite, got {np.ravel(value)[bad[0]]}{where}")
 
 
 def _rates(u, c, out) -> np.ndarray:
@@ -324,9 +315,18 @@ def _plan(k, eta, n: int, step: float) -> _Plan:
 def _apply(plan: _Plan, amps, beta: float, t0: float) -> None:
     """Advance amps, of the modes that ``plan`` routes, in place over its n steps from t0."""
     prod = np.empty(amps.size, dtype=complex)
-    for k, p, starts, idx, inverse in plan.batches:
-        prod[idx] = _sequence_products(k, p, starts, beta, t0, plan.step, plan.n)[inverse]
-    amps *= np.where(plan.mirrored, prod.conj(), prod)
+    with np.errstate(over="ignore", invalid="ignore"):  # unstable steps overflow; callers check amps
+        for k, p, starts, idx, inverse in plan.batches:
+            prod[idx] = _sequence_products(k, p, starts, beta, t0, plan.step, plan.n)[inverse]
+        amps *= np.where(plan.mirrored, prod.conj(), prod)
+
+
+def _overflow(t: float) -> NoConvergenceError:
+    """The error for an RK4 amplitude that is not finite at sample time t."""
+    return NoConvergenceError(
+        f"no-convergence: an RK4 amplitude is not finite at sample time t={t}; "
+        "steps with dt |beta/k| > 2 sqrt(2) leave RK4's stability interval"
+    )
 
 
 def _advance(amps, k, eta, beta: float, t0: float, t1: float, dt: float) -> None:
@@ -335,14 +335,20 @@ def _advance(amps, k, eta, beta: float, t0: float, t1: float, dt: float) -> None
 
 
 def evolve_rk4(state: ModeState, beta: float, t0: float, t1: float, dt: float) -> ModeState:
-    """Advance one mode from t0 to t1 with classical fourth-order steps."""
-    _require_finite(beta=beta, t0=t0, t1=t1, dt=dt, eta=state.eta, amplitude=state.amp)
+    """Advance one mode from t0 to t1 with classical fourth-order steps.
+
+    An amplitude that overflows by t1 raises NoConvergenceError.
+    """
+    for name, value in dict(beta=beta, t0=t0, t1=t1, dt=dt, eta=state.eta, amplitude=state.amp).items():
+        require_finite(name, value)
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if t1 <= t0:
         raise ValidationError(f"t1 must exceed t0, got {t0} -> {t1}")
     amps = np.array([state.amp], dtype=complex)
     _advance(amps, [state.k], [state.eta], beta, t0, t1, dt)
+    if not np.isfinite(amps[0]):
+        raise _overflow(t1)
     return replace(state, amp=complex(amps[0]))
 
 
@@ -372,9 +378,11 @@ def run_damping_experiment(
 
     Rows are (t, ux_nonzero_norm, uy_norm, modulus_drift); the fitted
     log-log decay exponents over sample times >= 10 (past the Orr window)
-    are attached as metadata.
+    are attached as metadata.  An amplitude that overflows by a sample time
+    raises NoConvergenceError, naming that time, before its row is made.
     """
-    _require_finite(beta=beta, t_end=t_end, dt=dt)
+    for name, value in dict(beta=beta, t_end=t_end, dt=dt).items():
+        require_finite(name, value)
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if t_end < init.t:
@@ -383,12 +391,13 @@ def run_damping_experiment(
         raise ValidationError("the ensemble has no modes")
     if np.any(init.ks == 0):
         raise ValidationError("zero-wavenumber: k = 0 modes are excluded (zero mean)")
-    _require_finite(k=init.ks, eta=init.etas, amplitude=init.amps)
+    for name, value in dict(k=init.ks, eta=init.etas, amplitude=init.amps).items():
+        require_finite(name, value)
     if sample_times is None:
         sample_times = np.arange(init.t, t_end + 1e-12, 5.0)
     sample_times = sorted(float(s) for s in sample_times)
     for ts in sample_times:
-        _require_finite(sample_time=ts)
+        require_finite("sample_time", ts)
     if sample_times and sample_times[0] < init.t:
         raise ValidationError(f"sample time {sample_times[0]} is before the ensemble's time {init.t}")
     if sample_times and t_end < sample_times[-1]:
@@ -409,8 +418,10 @@ def run_damping_experiment(
                 plan = _plan(ens.ks, ens.etas, n, step)
             _apply(plan, ens.amps, beta, ens.t)
         ens.t = ts
-        ux, uy = velocity_norms(ens)
         drift = float(np.max(np.abs(np.abs(ens.amps) - mod0)))
+        if not np.isfinite(drift):  # some amplitude is inf or nan
+            raise _overflow(ts)
+        ux, uy = velocity_norms(ens)
         table.add_row(ts, ux, uy, drift)
 
     window = [(t, ux, uy) for t, ux, uy, _ in table.rows if t >= FIT_WINDOW_START]

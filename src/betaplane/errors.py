@@ -5,7 +5,9 @@ subclasses; solver-level failures are RuntimeError subclasses so callers can
 distinguish "you asked wrong" from "the computation gave up".
 """
 
-import math
+import cmath
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -13,10 +15,24 @@ class ValidationError(ValueError):
 
 
 def require_finite(name, value, positive=False) -> None:
-    """Raise ValidationError unless the scalar ``value`` is finite (and > 0 if ``positive``)."""
-    if not (math.isfinite(value) and (value > 0 or not positive)):
-        kind = "finite and positive" if positive else "finite"
-        raise ValidationError(f"{name} must be {kind}, got {value}")
+    """Raise ValidationError unless ``value`` is finite (and > 0 if ``positive``).
+
+    ``value`` is a real or complex scalar or a numpy array; an array's
+    message names its first bad entry and that entry's flat index.
+    """
+    where = ""
+    if not (isinstance(value, np.ndarray) and value.ndim):
+        if cmath.isfinite(value) and (not positive or value > 0):
+            return
+    else:
+        flat = np.ravel(value)
+        ok = np.isfinite(flat) & (flat > 0) if positive else np.isfinite(flat)
+        if ok.all():
+            return
+        i = int(np.argmin(ok))
+        value, where = flat[i], f" at index {i}"
+    kind = "finite and positive" if positive else "finite"
+    raise ValidationError(f"{name} must be {kind}, got {value}{where}")
 
 
 class SingularSpeedError(ValidationError):

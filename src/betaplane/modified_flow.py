@@ -15,7 +15,8 @@ principal eigenvalue down as its amplitude a grows, at the asymptotic rate
 The cutoff integral G(u) = int_u^2 eta is tabulated once on 8193 nodes of
 [1, 2] by 16-point Gauss-Legendre and interpolated by cubic Hermite pieces
 with its exact slopes -eta, limited per interval (Fritsch-Carlson) so that
-the cutoff stays monotone and nonnegative; its derivatives are analytic.
+the cutoff stays monotone and nonnegative; its derivatives are analytic,
+and ``cutoff_jet`` returns I, I' and I'' from one evaluation of eta.
 ``b0`` uses the same Gauss-Legendre rule.  ``erf`` is the C library's error
 function (``math.erf``) applied elementwise where |x| < 6 and sign(x)
 beyond, where erf rounds to +-1; scipy.special is never imported.
@@ -39,8 +40,7 @@ from .rayleigh_kuo import EigenPair, ShearProfile, lambda_n_general
 __all__ = [
     "erf",
     "cutoff_I",
-    "cutoff_I_prime",
-    "cutoff_I_second",
+    "cutoff_jet",
     "CutoffConstants",
     "cutoff_constants",
     "ModifiedFlowParams",
@@ -66,13 +66,10 @@ def erf(x):
     return out[()]
 
 
-def erf_prime(x):
-    return _TWO_OVER_SQRT_PI * np.exp(-np.asarray(x, dtype=float) ** 2)
-
-
-def erf_second(x):
-    x = np.asarray(x, dtype=float)
-    return -2.0 * x * _TWO_OVER_SQRT_PI * np.exp(-(x**2))
+def _erf_jet(x):
+    """(erf, erf', erf'') at the array x, with one exp."""
+    gauss = np.exp(-(x**2))
+    return erf(x), _TWO_OVER_SQRT_PI * gauss, -2.0 * x * _TWO_OVER_SQRT_PI * gauss
 
 
 def _bump(x):
@@ -82,15 +79,6 @@ def _bump(x):
     inside = (x > 1.0) & (x < 2.0)
     xi = x[inside]
     out[inside] = np.exp(-1.0 / (xi - 1.0) - 1.0 / (2.0 - xi))
-    return out
-
-
-def _bump_prime(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = (x > 1.0) & (x < 2.0)
-    xi = x[inside]
-    out[inside] = _bump(xi) * (1.0 / (xi - 1.0) ** 2 - 1.0 / (2.0 - xi) ** 2)
     return out
 
 
@@ -152,18 +140,17 @@ def cutoff_I(x):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def cutoff_I_prime(x):
+def cutoff_jet(x):
+    """(I, I', I'') at x from one evaluation of eta: I' = -sign(x) eta(|x|)/G(1), I'' = -eta'(|x|)/G(1)."""
     arr = np.asarray(x, dtype=float)
+    a = np.abs(arr)
+    eta = _bump(a)
     _, norm = _cutoff_table()
-    out = -np.sign(arr) * _bump(np.abs(arr)) / norm
-    return float(out) if arr.ndim == 0 else out
-
-
-def cutoff_I_second(x):
-    arr = np.asarray(x, dtype=float)
-    _, norm = _cutoff_table()
-    out = -_bump_prime(np.abs(arr)) / norm
-    return float(out) if arr.ndim == 0 else out
+    deta = np.zeros_like(a)
+    inside = (a > 1.0) & (a < 2.0)
+    ai = a[inside]
+    deta[inside] = eta[inside] * (1.0 / (ai - 1.0) ** 2 - 1.0 / (2.0 - ai) ** 2)
+    return cutoff_I(arr), -np.sign(arr) * eta / norm, -deta / norm
 
 
 @dataclass(frozen=True)
@@ -217,55 +204,34 @@ class ModifiedFlowParams:
 
 
 def profile(params: ModifiedFlowParams) -> ShearProfile:
-    """The modified shear profile with analytic derivatives.
+    """The modified shear profile, whose jet gives (U, U', U'') analytically.
 
-    The quadratic correction is supported on [-2 gamma, 2 gamma], the
-    translated error-function term on [3 gamma, 7 gamma]; U'' == beta holds
-    identically on [-gamma, gamma], which is recorded as the profile's flat
-    zone for the removable critical layer at y = 0.
+    One jet evaluation computes x1 = y/gamma and x2 = (y - 5 gamma)/gamma,
+    the cutoff jets at both and the erf jet at x2 once each.  The quadratic
+    correction is supported on [-2 gamma, 2 gamma], the translated
+    error-function term on [3 gamma, 7 gamma]; U'' == beta holds identically
+    on [-gamma, gamma], which is recorded as the profile's flat zone for the
+    removable critical layer at y = 0.
     """
     beta, g, a = params.beta, params.gamma, params.a
 
-    def u(y):
+    def jet(y):
         y = np.asarray(y, dtype=float)
         x1 = y / g
         x2 = (y - 5.0 * g) / g
-        return y + 0.5 * beta * g**2 * x1**2 * cutoff_I(x1) + a * g**2 * erf(x2) * cutoff_I(x2)
-
-    def du(y):
-        y = np.asarray(y, dtype=float)
-        x1 = y / g
-        x2 = (y - 5.0 * g) / g
-        quad_term = 2.0 * x1 * cutoff_I(x1) + x1**2 * cutoff_I_prime(x1)
-        erf_term = erf_prime(x2) * cutoff_I(x2) + erf(x2) * cutoff_I_prime(x2)
-        return 1.0 + 0.5 * beta * g * quad_term + a * g * erf_term
-
-    def d2u(y):
-        y = np.asarray(y, dtype=float)
-        x1 = y / g
-        x2 = (y - 5.0 * g) / g
-        quad_term = (
-            2.0 * cutoff_I(x1) + 4.0 * x1 * cutoff_I_prime(x1) + x1**2 * cutoff_I_second(x1)
+        c1, dc1, d2c1 = cutoff_jet(x1)
+        c2, dc2, d2c2 = cutoff_jet(x2)
+        e, de, d2e = _erf_jet(x2)
+        u = y + 0.5 * beta * g**2 * x1**2 * c1 + a * g**2 * e * c2
+        du = 1.0 + 0.5 * beta * g * (2.0 * x1 * c1 + x1**2 * dc1) + a * g * (de * c2 + e * dc2)
+        d2u = 0.5 * beta * (2.0 * c1 + 4.0 * x1 * dc1 + x1**2 * d2c1) + a * (
+            d2e * c2 + 2.0 * de * dc2 + e * d2c2
         )
-        erf_term = (
-            erf_second(x2) * cutoff_I(x2)
-            + 2.0 * erf_prime(x2) * cutoff_I_prime(x2)
-            + erf(x2) * cutoff_I_second(x2)
-        )
-        return 0.5 * beta * quad_term + a * erf_term
+        return u, du, d2u
 
-    lo = float(u(np.array(-1.0)))
-    hi = float(u(np.array(1.0)))
-    return ShearProfile(
-        u=u,
-        du=du,
-        d2u=d2u,
-        range_lo=lo,
-        range_hi=hi,
-        label=f"modified-flow(beta={beta:g}, gamma={g:g}, a={a:g})",
-        flat_zone=(-g, g),
-        flat_d2u=beta,
-    )
+    lo, hi = jet(np.array([-1.0, 1.0]))[0]
+    label = f"modified-flow(beta={beta:g}, gamma={g:g}, a={a:g})"
+    return ShearProfile(jet, float(lo), float(hi), label, flat_zone=(-g, g), flat_d2u=beta)
 
 
 @lru_cache(maxsize=1)

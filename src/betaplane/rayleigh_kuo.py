@@ -4,10 +4,11 @@ Solves
 
     -phi'' + (u''(y) - beta) / (u(y) - c) phi = lambda phi,   phi(+-1) = 0
 
-for a shear profile u.  ``lambda_n_general`` solves it for a monotone
-profile at a speed outside the open flow range, or at a speed whose
-critical layer falls where u'' - beta vanishes identically, so that the
-potential is removable there (the modified flows).
+for a shear profile u, given by its jet (u, u', u'').  ``lambda_n_general``
+solves it for a monotone profile at a speed outside the open flow range, or
+at a speed whose critical layer falls where u'' - beta vanishes
+identically, so that the potential is removable there (the modified flows).
+It evaluates the jet once per grid, and once at the flat zone's ends.
 
 ``lambda_n_couette`` is the Couette entry point.  At the wall speeds
 c = -1 (beta >= 0) and c = +1 (beta <= 0) it gives the principal
@@ -69,17 +70,15 @@ _SINGULAR_NODE_TOL = 1e-13
 
 @dataclass(frozen=True)
 class ShearProfile:
-    """A shear flow u(y) with analytic first and second derivatives.
+    """A shear flow given by its jet: ``jet(y)`` returns (u, u', u'') at y.
 
-    ``flat_zone`` marks an interval [lo, hi] on which u'' takes the constant
-    value ``flat_d2u`` identically; the Rayleigh-Kuo potential is removable
-    across a critical layer inside that zone whenever beta equals
-    ``flat_d2u``.
+    Every reader takes what it needs from one evaluation.  ``flat_zone``
+    marks an interval [lo, hi] on which u'' takes the constant value
+    ``flat_d2u`` identically; the Rayleigh-Kuo potential is removable across
+    a critical layer inside that zone whenever beta equals ``flat_d2u``.
     """
 
-    u: callable
-    du: callable
-    d2u: callable
+    jet: callable
     range_lo: float
     range_hi: float
     label: str
@@ -89,27 +88,23 @@ class ShearProfile:
 
 def couette() -> ShearProfile:
     """The Couette flow u(y) = y."""
-    return ShearProfile(
-        u=lambda y: np.asarray(y, dtype=float),
-        du=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        d2u=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        range_lo=-1.0,
-        range_hi=1.0,
-        label="couette",
-    )
+
+    def jet(y):
+        y = np.asarray(y, dtype=float)
+        return y, np.ones_like(y), np.zeros_like(y)
+
+    return ShearProfile(jet, -1.0, 1.0, "couette")
 
 
 def scaled_couette(a: float) -> ShearProfile:
     """The scaled flow u(y) = a y with 0 < a."""
     require_finite("scale a", a, positive=True)
-    return ShearProfile(
-        u=lambda y, a=a: a * np.asarray(y, dtype=float),
-        du=lambda y, a=a: np.full_like(np.asarray(y, dtype=float), a),
-        d2u=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        range_lo=-a,
-        range_hi=a,
-        label=f"scaled-couette(a={a:g})",
-    )
+
+    def jet(y):
+        y = np.asarray(y, dtype=float)
+        return a * y, np.full_like(y, a), np.zeros_like(y)
+
+    return ShearProfile(jet, -a, a, f"scaled-couette(a={a:g})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +225,7 @@ def lambda_n_general(
     removable = zone is not None and profile.flat_d2u == beta
     if profile.range_lo < c < profile.range_hi:
         # the speeds of the removable layer; an empty interval without one
-        layer_lo, layer_hi = profile.u(np.array(zone)) if removable else (np.inf, -np.inf)
+        layer_lo, layer_hi = profile.jet(np.array(zone))[0] if removable else (np.inf, -np.inf)
         if not layer_lo <= c <= layer_hi:
             raise SingularSpeedError(
                 f"singular-speed: c={c} lies inside the flow range "
@@ -240,8 +235,9 @@ def lambda_n_general(
 
     def Q(y):
         y = np.asarray(y, dtype=float)
-        num = profile.d2u(y) - beta
-        den = profile.u(y) - c
+        u, _, d2u = profile.jet(y)
+        num = d2u - beta
+        den = u - c
         if removable:
             zone_mask = (y >= zone[0]) & (y <= zone[1])
         else:

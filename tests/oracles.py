@@ -315,7 +315,7 @@ def wave_fields(wave, nx: int = 128):
     x = wave.period * np.arange(nx) / nx
     cos = np.cos(wave.alpha0 * x)[:, None]
     sin = np.sin(wave.alpha0 * x)[:, None]
-    u2d = wave.profile.u(y)[None, :] + wave.kappa * dphi[None, :] * cos
+    u2d = wave.profile.jet(y)[0][None, :] + wave.kappa * dphi[None, :] * cos
     v2d = wave.alpha0 * wave.kappa * phi[None, :] * sin
     return y, h, u2d, v2d
 

@@ -170,6 +170,21 @@ class TestPairMemo:
         assert len(solves) == 1
         assert len(vectors) == 1
 
+    def test_ladder_evaluates_base_flow_once(self):
+        prof = mf.profile(mf.ModifiedFlowParams(2.0, 0.02, 0.0))
+        sizes = []
+
+        def jet(y):
+            sizes.append(np.size(y))
+            return prof.jet(y)
+
+        counted = replace(prof, jet=jet)
+        for wave in self.ladder(counted, 2.0, 0.0, 256):
+            bif.residual_norm(wave, 2.0)
+        # the removable layer's ends, grids r, 2r and 4r, then u at the walls and the 4r nodes
+        assert sizes == [2, 256, 512, 1024, 1026]
+        assert not wave.u.flags.writeable
+
     def test_waves_bitwise_equal_to_fresh_solves(self):
         prof = mf.profile(mf.ModifiedFlowParams(2.0, 0.02, 0.0))
         waves = self.ladder(prof, 2.0, 0.0, 256)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -79,6 +80,33 @@ class TestModifiedFlowCommand:
         ).stdout
         rows = [l for l in out.strip().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 11
+
+
+    def test_profile_bytes_pinned(self):
+        # 129 rows of (y, u, u', u''): any reordering of the profile's arithmetic moves a byte
+        out = run_cli(
+            "modified-flow", "--beta", "0.7", "--gamma", "0.02", "--a", "0.8",
+            "--emit", "profile", "--samples", "129", "--format", "json",
+        ).stdout.encode()
+        assert len(out) == 10591
+        assert hashlib.sha256(out).hexdigest() == (
+            "90263c3d76d1799eaaa0e262befe13e71012d91dd081214286fe07a24da5cc22"
+        )
+
+    def test_eigenvalue_bytes_pinned(self):
+        out = run_cli("modified-flow", "--beta", "2", "--gamma", "0.02", "--a", "1.3", "--n-max", "3").stdout
+        assert out == (
+            "# table: modified-flow-eigenvalues\n"
+            "# a: 1.3\n"
+            "# asymptote_bound: 2.9593614388262299\n"
+            "# b0: -0.020840287781420455\n"
+            "# beta: 2\n"
+            "# gamma: 0.02\n"
+            "n,lambda_n,error_estimate\n"
+            "1,-2.9628555598459245,0.004830633595289859\n"
+            "2,12.452872764032985,6.9031762076578461e-05\n"
+            "3,19.425150969717556,0.0032619183779704756\n"
+        )
 
 
 class TestBifurcateCommand:
@@ -192,6 +220,27 @@ class TestDampingCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+
+    def test_overflowing_run_exit_3(self, capsys):
+        # dt beta = 10 is far past RK4's stability bound 2 sqrt(2): the products overflow by t = 5
+        from betaplane.cli import main
+
+        assert main(["damping", "--beta", "1000", "--t-end", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no-convergence: an RK4 amplitude is not finite at sample time t=5.0; "
+            "steps with dt |beta/k| > 2 sqrt(2) leave RK4's stability interval\n"
+        )
+
+    def test_unstable_finite_run_kept(self, capsys):
+        from betaplane.cli import main
+
+        assert main(["damping", "--beta", "300", "--t-end", "100"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].endswith(",0.36787944028793779")
 
 
 class TestNonFiniteParameters:
@@ -411,6 +460,19 @@ class TestArgumentRanges:
         captured = capsys.readouterr()
         assert "must be finite and positive" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("period", ["1e155", "1e300"])
+    def test_huge_period_target_rounds_to_minus_zero(self, period, capsys):
+        # T^2 overflows, so the target -4 pi^2 / T^2 is -0; the solve itself is unaffected
+        from betaplane.cli import main
+
+        assert main(["atlas", "beta-T", "--period", period]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        row = captured.out.splitlines()[-1].split(",")
+        assert float(row[0]) == float(period)
+        assert row[3] == "-0"
+        assert row[1:3] == ["1.8352463302714146", "-3.4119513083574785e-11"]
 
     def test_tiny_period_uncertified_exit_3(self, capsys):
         from betaplane.cli import main

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from betaplane import damping as dp
-from betaplane.errors import ValidationError
+from betaplane.errors import NoConvergenceError, ValidationError
 from oracles import rk4_evolve_textbook
 
 
@@ -96,6 +96,10 @@ class TestRK4:
                 dp.evolve_rk4(st, beta, t0, t1, dt)
         with pytest.raises(ValidationError, match="zero-wavenumber"):
             dp.ModeState(0, 1.0, 1.0 + 0.0j)
+
+    def test_overflow_raises_naming_the_time(self):
+        with pytest.raises(NoConvergenceError, match="not finite at sample time t=30;"):
+            dp.evolve_rk4(dp.ModeState(1, 0.3, 1), 1000, 0, 30, 1e-2)
 
     @pytest.mark.parametrize("eta, amp", [(np.nan, 1.0 + 0.0j), (np.inf, 1.0 + 0.0j), (-np.inf, 1.0 + 0.0j),
                                           (0.5, complex(np.nan, 0.0)), (0.5, complex(1.0, np.inf))])

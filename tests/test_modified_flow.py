@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import scipy.special
 
 from betaplane import modified_flow as mf
 from betaplane.errors import NoBracketError, NoConvergenceError, ValidationError
+from betaplane.rayleigh_kuo import lambda_n_general
 from oracles import quad_integral, simpson_integral
 
 # frozen from the quadrature oracle (2/sqrt(pi)) int_0^1 exp(-s^2) ds
@@ -114,15 +116,15 @@ class TestCutoff:
         _, norm = mf._cutoff_table()
         for x in (1.3, 1.6, -1.6):
             expected = -np.sign(x) * float(mf._bump(np.abs(np.array(x)))) / norm
-            assert mf.cutoff_I_prime(x) == pytest.approx(expected, rel=1e-14)
+            assert mf.cutoff_jet(x)[1] == pytest.approx(expected, rel=1e-14)
 
     def test_derivative_matches_finite_difference(self):
         h = 1e-6
         for x in (1.25, 1.5, 1.75):
             fd = (mf.cutoff_I(x + h) - mf.cutoff_I(x - h)) / (2 * h)
-            assert mf.cutoff_I_prime(x) == pytest.approx(fd, rel=1e-5)
-            fd2 = (mf.cutoff_I_prime(x + h) - mf.cutoff_I_prime(x - h)) / (2 * h)
-            assert mf.cutoff_I_second(x) == pytest.approx(fd2, rel=1e-5)
+            assert mf.cutoff_jet(x)[1] == pytest.approx(fd, rel=1e-5)
+            fd2 = (mf.cutoff_jet(x + h)[1] - mf.cutoff_jet(x - h)[1]) / (2 * h)
+            assert mf.cutoff_jet(x)[2] == pytest.approx(fd2, rel=1e-5)
 
     def test_constants_positive_finite(self):
         c = mf.cutoff_constants()
@@ -132,12 +134,12 @@ class TestCutoff:
 
     def test_m_equals_full_sweep(self):
         xs = np.linspace(0.0, 2.0, 200001)
-        full = 2.0 * xs * mf.cutoff_I(xs) + xs**2 * mf.cutoff_I_prime(xs)
+        full = 2.0 * xs * mf.cutoff_I(xs) + xs**2 * mf.cutoff_jet(xs)[1]
         assert mf.cutoff_constants().M == float(np.max(np.abs(full))) == 4.917330890744651
 
     def test_m0_equals_full_sweep(self):
         xs = np.linspace(0.0, 2.0, 200001)
-        full = mf.erf_prime(xs) * mf.cutoff_I(xs) + mf.erf(xs) * mf.cutoff_I_prime(xs)
+        full = mf._erf_jet(xs)[1] * mf.cutoff_I(xs) + mf.erf(xs) * mf.cutoff_jet(xs)[1]
         assert mf.cutoff_constants().M0 == float(np.max(np.abs(full))) == 2.461431389378077
 
     def test_params_build_no_cutoff_table(self):
@@ -206,22 +208,22 @@ class TestParamsAndProfile:
         # with a = 0 and tiny beta the flow is within O(beta gamma^2) of y
         prof = mf.profile(mf.ModifiedFlowParams(1e-12, 0.01, 0.0))
         ys = np.linspace(-1, 1, 101)
-        assert np.max(np.abs(prof.u(ys) - ys)) < 1e-15
+        assert np.max(np.abs(prof.jet(ys)[0] - ys)) < 1e-15
 
     def test_quadratic_term_sample(self):
         prof = mf.profile(mf.ModifiedFlowParams(0.5, 0.05, 0.0))
-        assert float(prof.u(np.array(0.01))) == pytest.approx(0.010025, abs=1e-15)
+        assert float(prof.jet(np.array(0.01))[0]) == pytest.approx(0.010025, abs=1e-15)
 
     def test_derivative_positive_everywhere(self):
         prof = mf.profile(mf.ModifiedFlowParams(0.5, 0.02, 1.0))
         ys = np.linspace(-1, 1, 10001)
-        assert np.all(prof.du(ys) > 0)
+        assert np.all(prof.jet(ys)[1] > 0)
 
     def test_support_discipline(self):
         beta, g, a = 0.5, 0.02, 1.0
         prof = mf.profile(mf.ModifiedFlowParams(beta, g, a))
         ys = np.linspace(-1, 1, 4001)
-        u = prof.u(ys)
+        u = prof.jet(ys)[0]
         outside_both = (np.abs(ys) > 2 * g) & ((ys < 3 * g) | (ys > 7 * g))
         assert np.all(u[outside_both] == ys[outside_both])
         # quadratic correction is exactly zero on the erf support [3g, 7g]
@@ -237,24 +239,71 @@ class TestParamsAndProfile:
         beta, g = 0.5, 0.02
         prof = mf.profile(mf.ModifiedFlowParams(beta, g, 1.0))
         ys = np.linspace(-g, g, 101)
-        assert np.all(prof.d2u(ys) == beta)
+        assert np.all(prof.jet(ys)[2] == beta)
 
     def test_pure_coriolis_potential_region(self):
         # Q = -beta/y exactly on [2g, 3g] and [7g, 1]
         beta, g, a = 0.5, 0.02, 1.0
         prof = mf.profile(mf.ModifiedFlowParams(beta, g, a))
         for y in (2.2 * g, 2.8 * g, 7.5 * g, 0.5, -0.5, -3 * g):
-            q = (float(prof.d2u(np.array(y))) - beta) / (float(prof.u(np.array(y))) - 0.0)
+            u, _, d2u = prof.jet(np.array(y))
+            q = (float(d2u) - beta) / (float(u) - 0.0)
             assert q == pytest.approx(-beta / y, rel=1e-13)
 
     def test_derivatives_match_finite_differences(self):
         prof = mf.profile(mf.ModifiedFlowParams(0.8, 0.03, 2.0))
         h = 1e-6
         for y in (0.0, 0.025, 0.05, 0.1, 0.13, 0.19, -0.04, 0.8):
-            fd1 = (float(prof.u(y + h)) - float(prof.u(y - h))) / (2 * h)
-            assert float(prof.du(np.array(y))) == pytest.approx(fd1, rel=2e-8, abs=1e-8)
-            fd2 = (float(prof.du(y + h)) - float(prof.du(y - h))) / (2 * h)
-            assert float(prof.d2u(np.array(y))) == pytest.approx(fd2, rel=2e-6, abs=2e-4)
+            _, du, d2u = prof.jet(np.array(y))
+            fd1 = (float(prof.jet(y + h)[0]) - float(prof.jet(y - h)[0])) / (2 * h)
+            assert float(du) == pytest.approx(fd1, rel=2e-8, abs=1e-8)
+            fd2 = (float(prof.jet(y + h)[1]) - float(prof.jet(y - h)[1])) / (2 * h)
+            assert float(d2u) == pytest.approx(fd2, rel=2e-6, abs=2e-4)
+
+
+class TestOneJetPerGrid:
+    """A solve reads the profile once per grid, and each read evaluates erf and eta once per cutoff."""
+
+    def test_lambda_n_general_evaluates_jet_once_per_grid(self, monkeypatch):
+        prof = mf.profile(mf.ModifiedFlowParams(0.7, 0.02, 0.8))
+        sizes = []
+
+        def jet(y):
+            sizes.append(np.size(y))
+            return prof.jet(y)
+
+        mf._cutoff_table()  # tabulated (with eta) once per process
+        bumps = []
+        bump = mf._bump
+        monkeypatch.setattr(mf, "_bump", lambda x: bumps.append(np.size(x)) or bump(x))
+        pair = lambda_n_general(dataclasses.replace(prof, jet=jet), 0.7, 0.0, 1, 256)
+        # the removable layer's ends, then the grids r, 2r and 4r
+        assert sizes == [2, 256, 512, 1024]
+        assert len(bumps) == 2 * len(sizes)
+        monkeypatch.undo()
+        assert pair.value == lambda_n_general(prof, 0.7, 0.0, 1, 256).value
+
+    def test_one_erf_per_potential(self, monkeypatch):
+        calls = []
+        erf = mf.erf
+        monkeypatch.setattr(mf, "erf", lambda x: calls.append(np.size(x)) or erf(x))
+        mf.lambda_n_modified(mf.ModifiedFlowParams(0.7, 0.02, 0.8), 1, 256)
+        # construction (u at -1 and 1), the removable layer's ends, one per grid
+        assert calls == [2, 2, 256, 512, 1024]
+
+    def test_jet_matches_its_parts(self):
+        beta, g, a = 0.8, 0.03, 2.0
+        ys = np.linspace(-1.0, 1.0, 2001)
+        u, du, d2u = mf.profile(mf.ModifiedFlowParams(beta, g, a)).jet(ys)
+        x1, x2 = ys / g, (ys - 5.0 * g) / g
+        assert np.array_equal(u, ys + 0.5 * beta * g**2 * x1**2 * mf.cutoff_I(x1)
+                              + a * g**2 * mf.erf(x2) * mf.cutoff_I(x2))
+        e, de, d2e = mf._erf_jet(x2)
+        assert np.array_equal(e, mf.erf(x2))
+        c = 2.0 / np.sqrt(np.pi)
+        assert np.array_equal(de, c * np.exp(-(x2**2)))
+        assert np.array_equal(d2e, -2.0 * x2 * c * np.exp(-(x2**2)))
+        assert du.shape == d2u.shape == ys.shape
 
 
 class TestEigenvalues:

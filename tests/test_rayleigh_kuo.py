@@ -287,10 +287,12 @@ class TestLambdaGeneral:
         # u = y^2 has its critical layers at +-y0; +y0 lies in the removable
         # zone, and its mirror -y0 is a grid node outside it
         y0 = float(build_grid(64).nodes[45])
+        def jet(y):
+            y = np.asarray(y, dtype=float)
+            return y**2, 2.0 * y, np.full(np.shape(y), 2.0)
+
         prof = ShearProfile(
-            u=lambda y: np.asarray(y, dtype=float) ** 2,
-            du=lambda y: 2.0 * np.asarray(y, dtype=float),
-            d2u=lambda y: np.full(np.shape(y), 2.0),
+            jet=jet,
             range_lo=0.0,
             range_hi=1.0,
             label="parabola",
