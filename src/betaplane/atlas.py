@@ -12,11 +12,14 @@ alpha_beta = sqrt(-lam1(|beta|, -1)) with critical period T_beta =
 
 beta_star and beta_T are principal eigenvalues of the weighted problem
 -phi'' + alpha^2 phi = beta phi / (1 + y) (``rayleigh_kuo.wall_beta``), so
-they take one direct solve per grid.  The one root search is the speed
-inversion lam1(beta, c0) = lambda0, bracketed by the wall and refined by
-``eigen.monotone_root``.  Results carry the eigenvalue error estimates they
-were derived from.  beta_star and beta_T are memoized in process; when a
-cache is supplied, wall and regular eigenvalues are kept on disk.
+they take one direct solve per grid.  The speed inversion lam1(beta, c0) =
+lambda0 finds the root on each grid and extrapolates it
+(``rayleigh_kuo.couette_speed``), so c0 carries its own error estimate.
+The tolerances of beta_star and beta_T bound their error estimates, that of
+the speed bounds c0's relative to |c0|, and classify's is the half-width of
+the Gamma strip.  beta_star and beta_T are memoized in process; when a
+cache is supplied, wall and regular eigenvalues and each speed inversion
+are kept on disk.
 """
 
 from __future__ import annotations
@@ -27,15 +30,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    BracketFailureError,
     NoConvergenceError,
     OutOfRangeLambdaError,
     ValidationError,
     WrongSignBetaError,
     require_finite,
 )
-from .eigen import monotone_root
-from .rayleigh_kuo import lambda_n_couette, wall_beta
+from .rayleigh_kuo import couette_speed, lambda_n_couette, wall_beta
 from .tables import CurveTable
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "beta_T",
     "classify",
     "speed_for_eigenvalue",
+    "speed_and_error",
 ]
 
 REGION_O = "O"
@@ -62,8 +64,6 @@ REGION_I_PLUS = "I+"
 REGION_I_MINUS = "I-"
 
 PI2_OVER_4 = np.pi**2 / 4.0
-
-_MAX_BRACKET_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,20 @@ def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, cache=None):
 
     lam1(beta, .) decreases from pi^2/4 (c -> -inf) to lam1(beta, -1)
     (c -> -1), so any lambda0 strictly between those values is attained
-    exactly once; lambda0 = 0 returns the crossing speed c_beta.  On every
-    grid lam1(beta, c) tends to the wall value as c -> -1, so the bracket
-    runs from -R (R doubling from 8) to the wall.
+    exactly once; lambda0 = 0 returns the crossing speed c_beta.  c0 is
+    ``speed_and_error``'s, without its error estimate.
+    """
+    return speed_and_error(beta, lambda0, tol, resolution, cache)[0]
+
+
+def speed_and_error(beta, lambda0, tol=1e-5, resolution=256, cache=None):
+    """(c0, error_estimate) of ``speed_for_eigenvalue``, kept on disk when a cache is given.
+
+    The root is solved on each grid and then extrapolated
+    (``rayleigh_kuo.couette_speed``); the estimate bounds c0's error.
+    Raises NoConvergenceError when it exceeds tol |c0| (c0's conditioning
+    grows as c0^2, so a speed far out is held to a relative bar), and
+    BracketFailureError when lambda0 lies below a grid's own wall value.
     """
     beta = float(beta)
     lambda0 = float(lambda0)
@@ -227,15 +238,15 @@ def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, cache=None):
             f"(lam1(beta,-1)={lam_wall}, pi^2/4={PI2_OVER_4})"
         )
 
-    def f(c):
-        return lambda1_regular(beta, c, resolution, cache)[0] - lambda0
+    def solve():
+        pair = couette_speed(beta, lambda0, int(resolution))
+        return pair.value, pair.error_estimate
 
-    hi, f_hi = -1.0, lam_wall - lambda0
-    lo = -8.0
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        f_lo = f(lo)
-        if f_lo > 0:
-            return monotone_root(f, lo, hi, f_lo, f_hi, tol)
-        hi, f_hi = lo, f_lo
-        lo *= 2.0
-    raise BracketFailureError("bracket-failure: lam1(beta,c) never exceeded lambda0")
+    args = {"beta": beta, "lambda0": lambda0}
+    name = "speed-for-eigenvalue"
+    c0, err = solve() if cache is None else cache.lookup(name, args, resolution, solve, "c0")
+    if err > tol * abs(c0):
+        raise NoConvergenceError(
+            f"no-convergence: speed c0={c0} error estimate {err:.3g} exceeds tol {tol:.3g} times |c0|"
+        )
+    return c0, err

@@ -1,9 +1,10 @@
 """On-disk cache of eigenvalue curve points.
 
-An entry is a one-row CSV CurveTable (the curve's arguments, ``lambda1`` and
-``error_estimate``, resolution metadata) keyed by a stable hash of the curve
-name and every argument, so identical requests are served from disk and the
-files double as golden outputs.  A read takes the last row's last two cells;
+An entry is a one-row CSV CurveTable (the curve's arguments, the value,
+named ``lambda1`` or for a speed ``c0``, and ``error_estimate``, resolution
+metadata) keyed by a stable hash of the curve name and every argument, so
+identical requests are served from disk and the files double as golden
+outputs.  A read takes the last row's last two cells;
 an entry that does not end in two numbers is a miss, recomputed and rewritten.
 Writes go through a temporary file plus atomic replace: concurrent readers
 are safe, writers are expected to arrive one at a time.
@@ -68,8 +69,12 @@ class CurveCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
-    def lookup(self, name: str, args: dict, resolution, compute) -> tuple[float, float]:
-        """(value, error) at ``args`` (column order), read back, or else compute()'s, written."""
+    def lookup(self, name: str, args: dict, resolution, compute,
+               column="lambda1") -> tuple[float, float]:
+        """(value, error) at ``args`` (column order), read back, or else compute()'s, written.
+
+        The table names the value's column ``column``.
+        """
         key = cache_key(name, resolution=resolution, **args)
         hit = self.get(key)
         if hit is not None:
@@ -77,7 +82,7 @@ class CurveCache:
         value, err = compute()
         table = CurveTable(
             name=name,
-            columns=[*args, "lambda1", "error_estimate"],
+            columns=[*args, column, "error_estimate"],
             metadata={"resolution": resolution},
         )
         table.add_row(*args.values(), value, err)

@@ -197,8 +197,8 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         })
     else:  # speed
         tol = cfg.tol("speed")
-        c0 = atlas.speed_for_eigenvalue(args.beta, args.lambda0, tol=tol, **common)
-        lam, err = atlas.lambda1_regular(args.beta, c0, **common)
+        c0, err = atlas.speed_and_error(args.beta, args.lambda0, tol=tol, **common)
+        lam, _ = atlas.lambda1_regular(args.beta, c0, **common)
         table = _one_row("atlas-speed", {"tol": tol, "resolution": cfg.resolution}, {
             "beta": args.beta, "lambda0": args.lambda0, "c0": c0, "lambda_at_c0": lam,
             "error_estimate": err,

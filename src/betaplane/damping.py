@@ -357,13 +357,20 @@ def velocity_norms(ens: ModeEnsemble) -> tuple[float, float]:
 
     Quadrature over the lattice with weight d_eta; k = 0 is excluded from
     the lattice, so the first entry is the full nonzero-mode horizontal
-    norm.
+    norm.  Finite amplitudes whose squares overflow raise NoConvergenceError,
+    naming the ensemble's time.
     """
     s = ens.etas - ens.ks * ens.t
     denom = ens.ks**2 + s**2
-    mod2 = np.abs(ens.amps) ** 2
-    ux2 = np.sum(mod2 * s**2 / denom**2) * ens.d_eta
-    uy2 = np.sum(mod2 * ens.ks**2 / denom**2) * ens.d_eta
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mod2 = np.abs(ens.amps) ** 2
+        ux2 = np.sum(mod2 * s**2 / denom**2) * ens.d_eta
+        uy2 = np.sum(mod2 * ens.ks**2 / denom**2) * ens.d_eta
+    if not (np.isfinite(ux2) and np.isfinite(uy2)):
+        raise NoConvergenceError(
+            f"no-convergence: the velocity norms overflow at sample time t={ens.t}; "
+            f"RK4 amplitudes reach modulus {np.max(np.abs(ens.amps)):.3g}"
+        )
     return float(np.sqrt(ux2)), float(np.sqrt(uy2))
 
 
@@ -378,8 +385,9 @@ def run_damping_experiment(
 
     Rows are (t, ux_nonzero_norm, uy_norm, modulus_drift); the fitted
     log-log decay exponents over sample times >= 10 (past the Orr window)
-    are attached as metadata.  An amplitude that overflows by a sample time
-    raises NoConvergenceError, naming that time, before its row is made.
+    are attached as metadata.  An amplitude that overflows by a sample time,
+    or whose square overflows in the norms, raises NoConvergenceError,
+    naming that time, before its row is made.
     """
     for name, value in dict(beta=beta, t_end=t_end, dt=dt).items():
         require_finite(name, value)

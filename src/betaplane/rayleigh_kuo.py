@@ -19,12 +19,15 @@ and is solved the same way.
 
 ``wall_beta`` inverts the wall curve: the beta with lambda_1(beta, -1) =
 -alpha^2 is itself the principal eigenvalue of a weighted problem.
+``couette_speed`` inverts the curve in c: the c0 < -1 with
+lambda_1(beta, c0) = lambda0, found on each grid and then extrapolated.
 
-Every eigenvalue is Richardson-extrapolated over grids of size
-{resolution, 2*resolution, 4*resolution}; only the coarsest grid bisects
-the whole spectrum.  The ladder returns one ``EigenPair``, which builds its
-eigenvector on the finest grid only when ``vector`` or ``residual`` is read,
-and hands it out read-only.
+One ladder serves all of them: a per-grid value (an eigenvalue, or a root
+in c) on grids of size {resolution, 2*resolution, 4*resolution},
+Richardson-extrapolated, with each grid told where its coarser grids put
+the value, so that only the coarsest bisects the whole spectrum.  It
+returns one ``EigenPair``, which builds its eigenvector on the finest grid
+only when ``vector`` or ``residual`` is read, and hands it out read-only.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    BracketFailureError,
     SingularPotentialError,
     SingularSpeedError,
     ValidationError,
@@ -46,6 +50,7 @@ from .eigen import (
     eigenvalue_floor,
     eigenvector,
     extrapolate,
+    monotone_root,
     nth_eigenvalue,
 )
 from .grid import Grid1D, TridiagOperator, assemble, build_grid
@@ -57,11 +62,19 @@ __all__ = [
     "scaled_couette",
     "lambda_n_couette",
     "wall_beta",
+    "couette_speed",
     "lambda_n_general",
 ]
 
 # bisection tolerance of every discrete eigenvalue
 _EIG_TOL = 1e-12
+
+# a speed root on a grid stops once |lambda_1,h(c) - lambda0| is within this
+# many of the grid's rounding floors
+_ROOT_FLOORS = 4.0
+
+# ends of a speed bracket, each widened 8x about its centre, before a search gives up
+_MAX_WIDENINGS = 60
 
 # |u(node) - c| below this outside a removable zone is treated as a genuine
 # critical layer; above it the quotient is formed (it is finite, if large).
@@ -109,9 +122,11 @@ def scaled_couette(a: float) -> ShearProfile:
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
-    """One extrapolated eigenvalue with its error estimate and, on demand, its eigenvector.
+    """One extrapolated ladder value with its error estimate and, on demand, an eigenvector.
 
-    ``op`` is the finest grid's operator and ``lam_h`` its eigenvalue there.
+    The value is an eigenvalue, or for ``couette_speed`` a speed.  ``op`` is
+    the finest grid's operator (at the grid's root speed) and ``lam_h`` its
+    eigenvalue there.
     The first read of ``vector`` (unit Euclidean norm, first extremum
     nonnegative) or ``residual`` (||(A - lam_h I) v|| / ||A||) builds the
     vector; the pair caches and shares it, so it is read-only.
@@ -137,33 +152,53 @@ class EigenPair:
         return eigen_residual(self.op, self.lam_h, self.vector)
 
 
-def _solve_extrapolated(operator, n: int, resolution: int) -> EigenPair:
-    """Eigenvalue n of operator(grid) over uniform grids {r, 2r, 4r}, extrapolated.
+def _solve_extrapolated(solve, resolution: int) -> EigenPair:
+    """A per-grid value x_h over uniform grids {r, 2r, 4r}, Richardson-extrapolated.
 
-    Grid r bisects the whole spectrum; grid 2r only a certified bracket
-    around lam_r, and grid 4r one around the Richardson prediction of grids
-    r and 2r (``nth_eigenvalue``'s ``near``).  The error estimate is the
-    last Richardson correction plus the kernel's rounding floor on each grid
-    carried through the tableau.
+    ``solve(grid, near)`` returns (x_h, floor_h, op, lam_h): the grid's value,
+    a bound on its rounding error, and the operator and eigenvalue it was read
+    from.  ``near(floor_h)`` says where x_h should lie: nowhere known on grid
+    r (None), within 1e-3 max(1, |x_r|) of x_r on grid 2r, and on grid 4r
+    within |step| / 20 + 2 floor_h of the Richardson prediction of grids r
+    and 2r, step = x_r - x_2r.  The error estimate is the last Richardson
+    correction plus the floors carried through the tableau; the record keeps
+    the finest grid's operator and eigenvalue.
     """
     if resolution < 64:
         raise ValidationError(f"resolution must be >= 64, got {resolution}")
     seq, floors = [], []
     for m in (resolution, 2 * resolution, 4 * resolution):
         grid = build_grid(m)
-        op = operator(grid)
-        floors.append(eigenvalue_floor(op, _EIG_TOL))
-        if not seq:
-            near = None
-        elif len(seq) == 1:
-            lam_r = seq[0][1]
-            near = (lam_r, 1e-3 * max(1.0, abs(lam_r)))
-        else:
+
+        def near(floor, seq=tuple(seq)):
+            if not seq:
+                return None
+            if len(seq) == 1:
+                x_r = seq[0][1]
+                return x_r, 1e-3 * max(1.0, abs(x_r))
             step = seq[0][1] - seq[1][1]
-            near = (seq[1][1] - step / 4.0, abs(step) / 20.0 + 2.0 * floors[-1])
-        lam_h = nth_eigenvalue(op, n, tol=_EIG_TOL, near=near)
-        seq.append((grid.h, lam_h))
+            return seq[1][1] - step / 4.0, abs(step) / 20.0 + 2.0 * floor
+
+        x_h, floor, op, lam_h = solve(grid, near)
+        seq.append((grid.h, x_h))
+        floors.append(floor)
     return EigenPair(*extrapolate(seq, floors), op, lam_h)
+
+
+def _eigenvalue(operator, n: int):
+    """The ladder step for eigenvalue n of operator(grid).
+
+    Grid r bisects the whole spectrum; grids 2r and 4r only a bracket that
+    Sturm counts certify around ``near`` (``nth_eigenvalue``'s ``near``).
+    """
+
+    def solve(grid, near):
+        op = operator(grid)
+        floor = eigenvalue_floor(op, _EIG_TOL)
+        lam_h = nth_eigenvalue(op, n, tol=_EIG_TOL, near=near(floor))
+        return lam_h, floor, op, lam_h
+
+    return solve
 
 
 def lambda_n_couette(beta: float, c: float, n: int = 1, resolution: int = 256) -> EigenPair:
@@ -199,7 +234,7 @@ def wall_beta(alpha: float, resolution: int = 256) -> tuple[float, float]:
         w = grid.nodes + 1.0
         return TridiagOperator(op.diag * w, op.off * np.sqrt(w[:-1] * w[1:]), grid)
 
-    pair = _solve_extrapolated(weighted, 1, resolution)
+    pair = _solve_extrapolated(_eigenvalue(weighted, 1), resolution)
     return pair.value, pair.error_estimate
 
 
@@ -219,6 +254,12 @@ def lambda_n_general(
     At an endpoint speed the potential is finite at every interior node.
     A non-finite beta or c raises ValidationError before anything is assembled.
     """
+    Q = _potential(profile, beta, c)
+    return _solve_extrapolated(_eigenvalue(lambda g: assemble(g, Q), n), resolution)
+
+
+def _potential(profile: ShearProfile, beta: float, c: float):
+    """Q(y) = (u'' - beta) / (u - c), checked as ``lambda_n_general`` says."""
     require_finite("beta", beta)
     require_finite("c", c)
     zone = profile.flat_zone
@@ -254,4 +295,69 @@ def lambda_n_general(
         out[zone_mask] = 0.0
         return out
 
-    return _solve_extrapolated(lambda g: assemble(g, Q), n, resolution)
+    return Q
+
+
+def couette_speed(beta: float, lambda0: float, resolution: int = 256) -> EigenPair:
+    """The speed c0 < -1 with lambda_1(beta, c0) = lambda0, and its error bar.
+
+    Requires beta >= 0 and lambda0 between the wall value lambda_1(beta, -1)
+    and pi^2/4 (``atlas.speed_and_error`` checks both).  The ladder's value
+    is the root c_h of the discrete lambda_1,h(beta, c) = lambda0 on each
+    grid, found by ``monotone_root`` to within _ROOT_FLOORS rounding floors
+    of lambda0; its floor is (rounding floor + residual) / |slope|, with the
+    slope of the secant over the last bracket.  Grid r brackets from its own
+    wall value at c = -1 out to -8; grids 2r and 4r from the ladder's
+    ``near``, grid 2r within lambda's 1e-3 relative spread over the slope.
+    Each end widens 8x about the bracket's centre until the signs differ;
+    grids 2r and 4r bisect each eigenvalue near the line the coarser grid's
+    slope draws through (centre, lambda0).  A grid whose own wall value is
+    not below lambda0 has no root: BracketFailureError names it.
+    """
+    profile = couette()
+    spread = 1e-3 * max(1.0, abs(lambda0))  # the ladder's grid-2r radius for an eigenvalue
+    coarser = []  # (slope, floor) of each grid solved so far
+
+    def solve(grid, near):
+        seen = {}  # c -> (lambda_1,h(c), operator)
+        if not coarser:  # grid r: from its own wall value out to -8
+            centre, radius = -1.0, 7.0
+        else:
+            slope, floor = coarser[-1]
+            centre, radius = near(4.0 * floor)  # floors grow as 1/h^2
+            if len(coarser) == 1:  # grid 2r: c_r, within lambda's spread over the slope
+                radius = spread / abs(slope)
+
+        def f(c):
+            op = assemble(grid, _potential(profile, beta, c))
+            line = (lambda0 + slope * (c - centre), spread) if coarser else None
+            seen[c] = nth_eigenvalue(op, 1, tol=_EIG_TOL, near=line), op
+            return seen[c][0] - lambda0
+
+        lo, hi = centre - radius, min(centre + radius, -1.0)
+        while (f_hi := f(hi)) >= 0:  # lambda_1,h(hi) >= lambda0: the root lies above hi
+            if hi == -1.0:
+                raise BracketFailureError(
+                    f"bracket-failure: on the {grid.n_interior}-row grid lam1(beta,-1) lies "
+                    f"{f_hi:.3g} above lambda0, so no speed below -1 attains it"
+                )
+            hi = min(centre + 8.0 * (hi - centre), -1.0)
+        for _ in range(_MAX_WIDENINGS):
+            if (f_lo := f(lo)) > 0:
+                break
+            hi, f_hi = lo, f_lo
+            lo = centre - 8.0 * (centre - lo)
+        else:
+            raise BracketFailureError("bracket-failure: lam1(beta,c) never exceeded lambda0")
+        lam_floor = eigenvalue_floor(seen[hi][1], _EIG_TOL)
+        c_h = monotone_root(f, lo, hi, f_lo, f_hi, _ROOT_FLOORS * lam_floor)
+        lam_h, op = seen[c_h]
+        # the secant over the last bracket: the nearest speeds on either side of c_h
+        a = max(c for c, (lam, _) in seen.items() if lam >= lambda0)
+        b = min(c for c, (lam, _) in seen.items() if lam < lambda0)
+        secant = (seen[b][0] - seen[a][0]) / (b - a)
+        floor = (eigenvalue_floor(op, _EIG_TOL) + abs(lam_h - lambda0)) / abs(secant)
+        coarser.append((secant, floor))
+        return c_h, floor, op, lam_h
+
+    return _solve_extrapolated(solve, resolution)

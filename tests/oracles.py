@@ -15,11 +15,20 @@ solve on a mesh graded toward y = -1.
 ``sturm_count`` (the negative-inertia count from LDL^T pivots) certifies
 the library's eigenvalues, and ``rayleigh_quotient`` bounds them from above.
 
+``frobenius_eigenvalue`` and ``frobenius_speed`` are exact for Couette flow
+at a speed c < -1: with x = y - c the problem is x phi'' + (lambda x + beta)
+phi = 0, whose Frobenius solutions at the regular singular point x = 0 are
+power series (one times a log).  They work in decimal arithmetic, at enough
+digits for the cancellation the series suffer, and bisect to 1e-30.
+
 ``grid_residual_norm`` samples the first-order bifurcation wave on an x-y
 grid (Fourier derivatives in x) as the reference for the library's closed
 form over its x-harmonics; ``divergence_max`` and ``boundary_velocity_max``
 check the same sampled fields.
 """
+
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -294,6 +303,86 @@ def rayleigh_quotient(grid: Grid1D, Q, v: np.ndarray) -> float:
         raise ValidationError("zero-vector: Rayleigh quotient of the zero vector")
     op = assemble(grid, Q)
     return float(v @ op.matvec(v)) / nrm2
+
+
+# --- Frobenius series for Couette flow, in decimal arithmetic --------------------
+
+def _frobenius_solutions(beta, lam, xs, eps):
+    """(phi1(x), phi2(x)) at each x > 0, summed until both terms fall below eps.
+
+    phi1 = sum a_n x^n with a_0 = 0, a_1 = 1 and
+    (m+1) m a_(m+1) = -beta a_m - lam a_(m-1); phi2 = -beta phi1 ln x + sum b_n x^n
+    with b_0 = 1, b_1 = 0 and (m+1) m b_(m+1) = -beta b_m - lam b_(m-1) + beta (2m+1) a_(m+1).
+    """
+    a_prev, a, b_prev, b = Decimal(0), Decimal(1), Decimal(1), Decimal(0)
+    powers = list(xs)
+    series = [[x, Decimal(1)] for x in xs]  # a_1 x and b_0, the first nonzero terms
+    m = 1
+    while True:
+        a_next = (-beta * a - lam * a_prev) / ((m + 1) * m)
+        b_next = (-beta * b - lam * b_prev + beta * (2 * m + 1) * a_next) / ((m + 1) * m)
+        small = m > 8
+        for i, terms in enumerate(series):
+            powers[i] *= xs[i]
+            terms[0] += a_next * powers[i]
+            terms[1] += b_next * powers[i]
+            small = small and abs(a_next * powers[i]) < eps and abs(b_next * powers[i]) < eps
+        if small:
+            return [(p1, -beta * p1 * x.ln() + rest) for x, (p1, rest) in zip(xs, series)]
+        a_prev, a, b_prev, b = a, a_next, b, b_next
+        m += 1
+
+
+def _frobenius_zero(beta, c, lam, lo, hi, unknown):
+    """The zero over [lo, hi] of D = phi1(x1) phi2(x2) - phi1(x2) phi2(x1), x1 = -1 - c and
+    x2 = 1 - c, as a function of lam (``unknown`` = 0) or of c (``unknown`` = 1, when the
+    given c is the bracket's far end); a float.
+
+    D vanishes exactly where lam is an eigenvalue at the speed c < -1.  The
+    series cancel to about exp(x2 sqrt|lam|) below their terms, so the
+    precision is 40 + x2 (sqrt|lam| + sqrt|beta| + 1) / 1.5 digits.
+    """
+    x2 = 1.0 - float(c)
+    size = max(abs(float(v)) for v in ((lo, hi) if unknown == 0 else (lam,)))
+    digits = int(40 + x2 * (math.sqrt(size) + math.sqrt(abs(beta)) + 1.0) / 1.5)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        eps = Decimal(10) ** -(digits + 5)
+        beta, c, lam, lo, hi = (Decimal(repr(float(v))) for v in (beta, c, lam, lo, hi))
+
+        def D(v):
+            cv, lv = (c, v) if unknown == 0 else (v, lam)
+            (p1a, p2a), (p1b, p2b) = _frobenius_solutions(beta, lv, [-1 - cv, 1 - cv], eps)
+            return p1a * p2b - p1b * p2a
+
+        d_lo = D(lo)
+        if d_lo * D(hi) >= 0:
+            raise ValueError(f"D does not change sign over [{lo}, {hi}]")
+        while hi - lo > Decimal(10) ** -30:
+            mid = (lo + hi) / 2
+            if (D(mid) < 0) == (d_lo < 0):
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+def frobenius_eigenvalue(beta: float, c: float, lo: float, hi: float) -> float:
+    """The Couette eigenvalue in [lo, hi] at the speed c < -1, exact to float precision.
+
+    The bracket must hold one eigenvalue: D changes sign at each of them.
+    """
+    return _frobenius_zero(beta, c, 0.0, lo, hi, 0)
+
+
+def frobenius_speed(beta: float, lambda0: float, lo: float, hi: float) -> float:
+    """The speed c in [lo, hi], lo < hi < -1, with lambda(beta, c) = lambda0, exact to float precision.
+
+    Bisects D at lambda0 in c; the bracket must hold one crossing of lambda0
+    by an eigenvalue curve, so a narrow bracket around a computed lambda_1
+    root holds lambda_1's.
+    """
+    return _frobenius_zero(beta, lo, lambda0, lo, hi, 1)  # c = lo sets the precision
 
 
 # --- x-y grid reference for the first-order bifurcation wave -------------------

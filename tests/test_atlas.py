@@ -6,12 +6,13 @@ from scipy.special import hyp1f1, jn_zeros
 import oracles
 from betaplane import atlas
 from betaplane.errors import (
+    BracketFailureError,
     NoConvergenceError,
     OutOfRangeLambdaError,
     ValidationError,
     WrongSignBetaError,
 )
-from betaplane.rayleigh_kuo import wall_beta
+from betaplane.rayleigh_kuo import lambda_n_couette, wall_beta
 
 PI2_4 = np.pi**2 / 4
 
@@ -264,6 +265,83 @@ class TestSpeedInversion:
         assert len(speeds) <= 12
         assert all(c < -1.0 for c in speeds)
         assert abs(regular(3.0, c0)[0] + 1.0) <= 1e-5
+
+
+    def test_lambda0_below_a_grid_wall_value_raises(self):
+        # lambda0 passes the range check against the extrapolated wall value,
+        # but the 256-row grid's own wall value lies above it: no root there
+        lam_wall, err = atlas.lambda1_wall(4.0)
+        with pytest.raises(BracketFailureError,
+                           match=r"on the 256-row grid lam1\(beta,-1\) lies [0-9.e-]+ above lambda0"):
+            atlas.speed_for_eigenvalue(4.0, lam_wall + err / 2)
+
+    def test_tol_below_error_estimate_raises(self):
+        c0, err = atlas.speed_and_error(4.0, -3.0)
+        with pytest.raises(NoConvergenceError, match="exceeds tol"):
+            atlas.speed_for_eigenvalue(4.0, -3.0, tol=err / abs(c0) / 2)
+
+    def test_tol_above_error_estimate_returns_default_c0(self):
+        c0, err = atlas.speed_and_error(4.0, -3.0)
+        assert atlas.speed_for_eigenvalue(4.0, -3.0, tol=2 * err / abs(c0)) == c0
+        assert atlas.speed_for_eigenvalue(4.0, -3.0) == c0
+
+
+class TestAgainstFrobeniusSeries:
+    """The Couette problem off the flow range is solved exactly by its Frobenius series."""
+
+    @pytest.mark.parametrize("beta, c", [(0.0, -3.0), (1.5, -2.5), (3.0, -1.05), (4.0, -8.0)])
+    def test_eigenvalue_within_bar(self, beta, c):
+        pair = lambda_n_couette(beta, c)
+        exact = oracles.frobenius_eigenvalue(beta, c, pair.value - 1e-6, pair.value + 1e-6)
+        if beta == 0.0:
+            assert exact == pytest.approx(PI2_4, abs=1e-15)
+        assert abs(pair.value - exact) <= pair.error_estimate
+
+    def test_exact_speed(self):
+        assert oracles.frobenius_speed(4.0, -3.0, -1.0388, -1.0387) == pytest.approx(
+            -1.038776411624734, abs=1e-15)
+
+    @pytest.mark.parametrize("beta, lambda0",
+                             [(4.0, -3.0), (3.0, -1.0), (3.0, 0.0), (5.5, -5.0), (2.5, -0.3)])
+    def test_speed_within_bar(self, beta, lambda0):
+        c0, err = atlas.speed_and_error(beta, lambda0)
+        exact = oracles.frobenius_speed(beta, lambda0, c0 - 1e-6, c0 + 1e-6)
+        assert abs(c0 - exact) <= err <= 1e-7
+
+
+def test_speed_inversion_budget(monkeypatch):
+    import betaplane.rayleigh_kuo as rk
+
+    rows, real = [], rk.nth_eigenvalue
+
+    def counting(op, n, tol, near=None):
+        rows.append(op.dim)
+        return real(op, n, tol, near)
+
+    monkeypatch.setattr(rk, "nth_eigenvalue", counting)
+    atlas.speed_for_eigenvalue(3.0, -1.0)
+    assert len(rows) <= 24
+    assert sum(rows) <= 12_000
+
+
+def test_warm_speed_cache_solves_nothing(tmp_path, monkeypatch, capsys):
+    import betaplane.rayleigh_kuo as rk
+    from betaplane.cli import main
+
+    argv = ["atlas", "speed", "--beta", "4", "--lambda0", "-3", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr()
+    assert sorted(p.name.rsplit("-", 1)[0] for p in tmp_path.iterdir()) == [
+        "lambda1-regular", "lambda1-wall-direct", "speed-for-eigenvalue"]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a warm run solved")
+
+    monkeypatch.setattr(rk, "nth_eigenvalue", no_solve)
+    assert main(argv) == 0
+    warm = capsys.readouterr()
+    assert warm.out == cold.out
+    assert (cold.err, warm.err) == ("cache: 0 hits, 3 misses\n", "cache: 3 hits, 0 misses\n")
 
 
 def test_disk_cache_round_trip(tmp_path):

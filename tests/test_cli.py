@@ -234,6 +234,19 @@ class TestDampingCommand:
             "steps with dt |beta/k| > 2 sqrt(2) leave RK4's stability interval\n"
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norms_exit_3(self, capsys):
+        # the amplitudes stay finite (about 5.6e293 by t = 5), their squares do not
+        from betaplane.cli import main
+
+        assert main(["damping", "--beta", "700", "--t-end", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no-convergence: the velocity norms overflow at sample time t=5.0; "
+            "RK4 amplitudes reach modulus 5.63e+293\n"
+        )
+
     def test_unstable_finite_run_kept(self, capsys):
         from betaplane.cli import main
 

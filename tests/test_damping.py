@@ -137,6 +137,15 @@ class TestVelocityNorms:
         ens1.t = ens2.t = 17.0
         assert dp.velocity_norms(ens1) == dp.velocity_norms(ens2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_squares_raise_naming_the_time(self):
+        ens = dp.ModeEnsemble(
+            ks=np.array([1, 2]), etas=np.array([0.0, 1.0]), amps=np.array([1e200, 1.0 + 0.0j]), d_eta=0.05
+        )
+        ens.t = 5.0
+        with pytest.raises(NoConvergenceError, match=r"velocity norms overflow at sample time t=5\.0;"):
+            dp.velocity_norms(ens)
+
     def test_orr_critical_time(self):
         k, eta = 2, 6.0
         ts = np.linspace(0.0, 10.0, 2001)
@@ -247,6 +256,14 @@ class TestExperiment:
         getattr(ens, field)[17] = value
         with pytest.raises(ValidationError, match="finite.* at index 17"):
             dp.run_damping_experiment(ens, 1.0, 2.0, dt=1e-2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_amplitudes_overflowing_the_norms_raise(self):
+        # dt beta = 7 leaves RK4's stability interval: by t = 5 the amplitudes
+        # reach about 5.6e293, finite, but their squares overflow
+        ens = dp.ModeEnsemble.from_profile("gaussian")
+        with pytest.raises(NoConvergenceError, match=r"velocity norms overflow at sample time t=5\.0;"):
+            dp.run_damping_experiment(ens, 700.0, 100.0)
 
     def test_sample_before_ensemble_time_rejected(self):
         with pytest.raises(ValidationError, match="before the ensemble's time"):
