@@ -186,7 +186,10 @@ def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict
     The borderline verdicts Gamma+/- are assigned on the strip
     |alpha - alpha_beta| <= tol, since exact curve membership is numerically
     meaningless; the verdict records beta_star, alpha_beta with its error
-    estimate, and the tolerance used.
+    estimate, and the tolerance used.  A label holds for every curve within
+    the error bars: |beta| against beta_star's, and |alpha - alpha_beta|
+    against tol -+ alpha_beta's.  Where a bar alone decides the label,
+    NoConvergenceError is raised.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -194,15 +197,25 @@ def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict
     require_finite("beta", beta)
     require_finite("tol", tol, positive=True)
     bstar = find_beta_star(resolution=resolution)
-    if abs(beta) <= bstar:
+    bstar_err = _wall_beta_mem(0.0, int(resolution))[1]
+    if abs(beta) <= bstar - bstar_err:
         return RegionVerdict(REGION_O, bstar, None, tol)
+    if abs(beta) <= bstar + bstar_err:
+        raise NoConvergenceError(
+            f"no-convergence: |beta|={abs(beta)} lies within beta_star's error estimate "
+            f"{bstar_err:.3g} of beta_star={bstar}"
+        )
     ab, ab_err = alpha_beta(beta, resolution, cache)
-    if abs(alpha - ab) <= tol:
+    gap = abs(alpha - ab)
+    if gap <= tol - ab_err:
         label = REGION_GAMMA_PLUS if beta > 0 else REGION_GAMMA_MINUS
-    elif alpha < ab - tol:
-        label = REGION_I_PLUS if beta > 0 else REGION_I_MINUS
+    elif gap > tol + ab_err:
+        label = (REGION_I_PLUS if beta > 0 else REGION_I_MINUS) if alpha < ab else REGION_O
     else:
-        label = REGION_O
+        raise NoConvergenceError(
+            f"no-convergence: alpha={alpha} lies within alpha_beta's error estimate "
+            f"{ab_err:.3g} of the Gamma strip's edge (alpha_beta={ab}, tol={tol:.3g})"
+        )
     return RegionVerdict(label, bstar, ab, tol, ab_err)
 
 

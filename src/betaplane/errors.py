@@ -64,4 +64,4 @@ class BracketFailureError(RuntimeError):
 
 
 class NoBracketError(BracketFailureError):
-    """Level-set scan found no sign change over the scanned range."""
+    """The level set lambda_1(a) = d has no sign-change bracket [0, a_max]."""

@@ -276,21 +276,19 @@ def level_set_a(
     a_max: float | None = None,
     tol: float = 1e-4,
     resolution: int | None = None,
-    scan_steps: int = 64,
 ):
-    """Smallest amplitude a with lambda_1(gamma, a) = d, to |lambda_1 - d| <= tol.
+    """The amplitude a with lambda_1(gamma, a) = d, to |lambda_1 - d| <= tol.
 
-    Requires lambda_1(gamma, 0) > d and lambda_1(gamma, a_max) < d; a scan
-    in steps of a_max/scan_steps locates the first sign-change bracket and
-    ``monotone_root`` refines it.  Without ``a_max`` the bound
+    Requires lambda_1(gamma, 0) > d and lambda_1(gamma, a_max) < d.
+    lambda_1 decreases in a, so the root on [0, a_max] is unique, and
+    ``monotone_root`` finds it on that bracket.  Without ``a_max`` the bound
     ``default_a_max(d)`` is used where it is positive; elsewhere a doubles
     from 1 until lambda_1 < d, and an amplitude the monotonicity guard
     rejects first raises ``NoBracketError``.
     """
-    if scan_steps < 1:
-        raise ValidationError(f"scan_steps must be >= 1, got {scan_steps}")
-    if a_max is not None and a_max <= 0:
-        raise ValidationError(f"a_max must be positive, got {a_max}")
+    require_finite("d", d)
+    if a_max is not None:
+        require_finite("a_max", a_max, positive=True)
     require_finite("tol", tol, positive=True)
     if resolution is None:
         resolution = suggested_resolution(gamma)
@@ -319,12 +317,4 @@ def level_set_a(
             f"no-bracket: need lambda_1(gamma,0) > d > lambda_1(gamma,a_max={a_max}), got "
             f"{f_lo + d} and {f_max + d} around d={d} (gamma may not be small enough)"
         )
-    step = a_max / scan_steps
-    a_lo = 0.0
-    for k in range(1, scan_steps + 1):
-        a_k, f_k = (k * step, f(k * step)) if k < scan_steps else (a_max, f_max)
-        if abs(f_k) <= tol:
-            return a_k
-        if f_k < 0:
-            return monotone_root(f, a_lo, a_k, f_lo, f_k, tol)
-        a_lo, f_lo = a_k, f_k
+    return monotone_root(f, 0.0, a_max, f_lo, f_max, tol)

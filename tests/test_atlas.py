@@ -207,6 +207,29 @@ class TestClassify:
         with pytest.raises(ValidationError):
             atlas.classify(0.0, 1.0)
 
+    @pytest.mark.parametrize("beta, label", [(160.0, atlas.REGION_I_PLUS),
+                                             (-160.0, atlas.REGION_I_MINUS)])
+    def test_bar_decides_label_raises(self, beta, label):
+        # alpha_beta(160) = 80; at resolution 256 the curve reads 79.99791 with a bar of
+        # 0.0089, at resolution 1024 79.9999993 with a bar of 4.6e-5
+        with pytest.raises(NoConvergenceError, match="alpha_beta's error estimate"):
+            atlas.classify(79.9985, beta)
+        assert atlas.classify(79.9985, beta, resolution=1024).label == label
+
+    def test_strip_edge_near_the_curve_raises(self, beta_star):
+        # alpha_beta's bar at 2 beta_star is 8.8e-10, so alpha = alpha_beta + tol is undecided
+        beta = 2 * beta_star
+        alpha, _ = atlas.alpha_beta(beta)
+        with pytest.raises(NoConvergenceError, match="Gamma strip"):
+            atlas.classify(alpha + 1e-4, beta, tol=1e-4)
+        assert atlas.classify(alpha + 2e-4, beta, tol=1e-4).label == atlas.REGION_O
+
+    def test_beta_star_within_its_bar_raises(self, beta_star):
+        _, err = wall_beta(0.0)
+        with pytest.raises(NoConvergenceError, match="beta_star's error estimate"):
+            atlas.classify(1.0, -beta_star)
+        assert atlas.classify(1.0, beta_star - 2 * err).label == atlas.REGION_O
+
 
 class TestSpeedInversion:
     def test_crossing_speed(self, beta_star):

@@ -493,6 +493,15 @@ class TestArgumentRanges:
         assert main(["atlas", "beta-T", "--period", "1e-100"]) == 3
         assert "exceeds tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["160", "-160"])
+    def test_region_decided_by_bar_exit_3(self, beta, capsys):
+        from betaplane.cli import main
+
+        assert main(["atlas", "region", "--alpha", "79.9985", "--beta", beta]) == 3
+        captured = capsys.readouterr()
+        assert "alpha_beta's error estimate" in captured.err
+        assert captured.out == ""
+
     def test_speed_negative_beta_exit_2(self, capsys):
         from betaplane.cli import main
 

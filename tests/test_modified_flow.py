@@ -342,7 +342,7 @@ class TestLevelSet:
         beta, g, res = 0.5, 1e-2, 1024
         lam0 = mf.lambda_n_modified(mf.ModifiedFlowParams(beta, g, 0.0), 1, res).value
         d = lam0 - 0.5
-        a = mf.level_set_a(beta, g, d, a_max=30.0, tol=2e-3, resolution=res, scan_steps=10)
+        a = mf.level_set_a(beta, g, d, a_max=30.0, tol=2e-3, resolution=res)
         assert a > 0
         back = mf.lambda_n_modified(mf.ModifiedFlowParams(beta, g, a), 1, res).value
         assert abs(back - d) <= 2e-3
@@ -350,23 +350,20 @@ class TestLevelSet:
     def test_small_drop_small_amplitude(self):
         beta, g, res = 0.5, 1e-2, 1024
         lam0 = mf.lambda_n_modified(mf.ModifiedFlowParams(beta, g, 0.0), 1, res).value
-        a = mf.level_set_a(beta, g, lam0 - 0.05, a_max=30.0, tol=2e-3, resolution=res,
-                           scan_steps=10)
+        a = mf.level_set_a(beta, g, lam0 - 0.05, a_max=30.0, tol=2e-3, resolution=res)
         assert 0 < a < 5.0
 
     def test_level_sets_ordered(self):
         beta, g, res = 0.5, 1e-2, 1024
         lam0 = mf.lambda_n_modified(mf.ModifiedFlowParams(beta, g, 0.0), 1, res).value
-        a_deep = mf.level_set_a(beta, g, lam0 - 0.5, a_max=30.0, tol=2e-3, resolution=res,
-                                scan_steps=10)
-        a_shallow = mf.level_set_a(beta, g, lam0 - 0.25, a_max=30.0, tol=2e-3, resolution=res,
-                                   scan_steps=10)
+        a_deep = mf.level_set_a(beta, g, lam0 - 0.5, a_max=30.0, tol=2e-3, resolution=res)
+        a_shallow = mf.level_set_a(beta, g, lam0 - 0.25, a_max=30.0, tol=2e-3, resolution=res)
         assert a_deep >= a_shallow
 
     def test_no_bracket_error(self):
         beta, g = 0.5, 1e-2
         with pytest.raises(NoBracketError, match="no-bracket"):
-            mf.level_set_a(beta, g, -50.0, a_max=10.0, resolution=512, scan_steps=4)
+            mf.level_set_a(beta, g, -50.0, a_max=10.0, resolution=512)
 
     def test_default_bound_not_positive_doubles_the_amplitude(self):
         # default_a_max(1.5277) < 0; at resolution 512 lambda_1 is 1.7892 at a = 8
@@ -383,14 +380,46 @@ class TestLevelSet:
         with pytest.raises(NoBracketError, match=r"d=2\.0 .*below a=4\.0, which the monotonicity guard"):
             mf.level_set_a(0.5, 0.1, 2.0, resolution=512)
 
-    @pytest.mark.parametrize("scan_steps", [0, -3])
-    def test_scan_steps_at_least_one_before_any_solve(self, scan_steps, monkeypatch):
+    @pytest.mark.parametrize("d, a_max, match", [
+        (float("nan"), 10.0, "d must be finite, got nan"),
+        (float("inf"), 10.0, "d must be finite, got inf"),
+        (-1.0, float("nan"), "a_max must be finite and positive, got nan"),
+        (-1.0, float("inf"), "a_max must be finite and positive, got inf"),
+        (-1.0, 0.0, "a_max must be finite and positive, got 0.0"),
+        (-1.0, -3.0, "a_max must be finite and positive, got -3.0"),
+    ])
+    def test_inputs_validated_before_any_solve(self, d, a_max, match, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("no eigenvalue may be computed")
 
         monkeypatch.setattr(mf, "lambda_n_modified", no_solve)
-        with pytest.raises(ValidationError, match="scan_steps must be >= 1"):
-            mf.level_set_a(0.5, 1e-2, -1.0, a_max=10.0, resolution=512, scan_steps=scan_steps)
+        with pytest.raises(ValidationError, match=match):
+            mf.level_set_a(0.5, 1e-2, d, a_max=a_max, resolution=512)
+
+    def test_solve_budget(self, monkeypatch):
+        # one root search on the checked bracket: f(0), f(a_max) and Illinois steps
+        beta, g = 0.5, 1e-2
+        d = mf.lambda_n_modified(mf.ModifiedFlowParams(beta, g, 0.0), 1).value - 0.5
+        calls = []
+        solve = mf.lambda_n_modified
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mf, "lambda_n_modified", counted)
+        a = mf.level_set_a(beta, g, d)
+        assert len(calls) <= 12
+        assert abs(solve(mf.ModifiedFlowParams(beta, g, a), 1).value - d) <= 1e-4
+
+    @pytest.mark.parametrize("beta, g", [(0.5, 0.01), (-0.5, 0.01), (2.0, 0.02), (-2.0, 0.02)])
+    def test_principal_eigenvalue_decreases_in_amplitude(self, beta, g):
+        # the property that makes the root on level_set_a's bracket unique
+        consts = mf.cutoff_constants()
+        guard = (1.0 / g - 0.5 * abs(beta) * consts.M) / consts.M0
+        values = [mf.lambda_n_modified(mf.ModifiedFlowParams(beta, g, a), 1, 512).value
+                  for a in np.linspace(0.0, 0.99 * guard, 13)]
+        assert np.all(np.diff(values) < 0)
 
     def test_refinement_failure_is_no_convergence(self, monkeypatch):
         # lambda_1 jumps across d inside the first bracket, so no amplitude meets tol
@@ -403,7 +432,7 @@ class TestLevelSet:
 
         monkeypatch.setattr(mf, "lambda_n_modified", jump)
         with pytest.raises(NoConvergenceError, match="no-convergence"):
-            mf.level_set_a(0.5, 1e-2, 0.0, a_max=1.0, tol=1e-3, resolution=512, scan_steps=4)
+            mf.level_set_a(0.5, 1e-2, 0.0, a_max=1.0, tol=1e-3, resolution=512)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
     def test_tolerance_must_be_finite_positive(self, tol):
