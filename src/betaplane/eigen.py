@@ -1,19 +1,18 @@
 """Eigenvalues and eigenvectors of symmetric tridiagonal matrices, and roots.
 
-The n-th eigenvalue comes from LAPACK's ``stebz`` bisection, after the
-matrix is put in a canonical orientation so that a problem and its mirror
-image (rows reversed) give bit-identical values; the tests certify those
-values with Sturm counts of their own (``tests/oracles.py``).  Given a
-guess, it bisects only a bracket that Sturm counts certify to hold the
-eigenvalue, instead of the whole spectrum.  Eigenvectors
-come from LAPACK's ``stein``, the inverse iteration paired with ``stebz``.
-Both are called from scipy's compiled binding, loaded as a file:
-``import scipy.linalg`` would add about 0.4 s to each process.  Grid
-sequences are Richardson-extrapolated to the continuum limit assuming
-second-order convergence, with the kernel's rounding floor carried into the
-error; the record of one such ladder, ``EigenPair``, lives with the ladder
-in ``rayleigh_kuo``.  ``monotone_root`` is the one bracketing root search,
-shared by the speed inversion and the modified-flow level set.
+The n-th eigenvalue is solved in a canonical orientation, so that a problem
+and its mirror image (rows reversed) give bit-identical values; the tests
+certify them with Sturm counts of their own (``tests/oracles.py``).  It is
+LAPACK's ``stebz`` bisection of the whole spectrum, or, given a guess, the
+Rayleigh quotient of two inverse-iteration steps shifted to it (LAPACK
+``gtsv``) once Sturm counts certify it.  Eigenvectors come from the same
+iteration.  Both routines are called from scipy's compiled binding, loaded
+as a file: ``import scipy.linalg`` would add about 0.4 s to each
+process.  Grid sequences are Richardson-extrapolated to the continuum limit
+assuming second-order convergence, with the kernel's rounding floor carried
+into the error; the record of one such ladder, ``EigenPair``, lives with the
+ladder in ``rayleigh_kuo``.  ``monotone_root`` is the one bracketing root
+search, shared by the speed inversion and the modified-flow level set.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NoConvergenceError, ValidationError
+from .errors import NoConvergenceError, ValidationError, require_finite
 from .grid import TridiagOperator
 
 __all__ = [
@@ -37,12 +36,15 @@ __all__ = [
     "monotone_root",
 ]
 
+# every routine this package calls from the binding, checked when it is loaded
+_LAPACK_ROUTINES = ("dstebz", "dgtsv")
+
 
 def _load_flapack():
     """scipy's LAPACK binding ``scipy/linalg/_flapack``, loaded without scipy.linalg's ``__init__``.
 
-    The module scipy has already imported is reused.  A missing file or
-    routine raises ImportError naming the file.
+    The module scipy has already imported is reused.  A missing file or a
+    missing routine of ``_LAPACK_ROUTINES`` raises ImportError naming the file.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -57,7 +59,7 @@ def _load_flapack():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules.pop(name, None)  # so that a later ``import scipy.linalg`` binds it itself
-    for routine in ("dstebz", "dstein"):
+    for routine in _LAPACK_ROUTINES:
         if not hasattr(module, routine):
             raise ImportError(f"LAPACK binding {module.__file__} has no {routine}")
     return module
@@ -102,19 +104,36 @@ def _count(diag: np.ndarray, off: np.ndarray, glo: float, ghi: float, x: float) 
     return int(_flapack.dstebz(diag, off, 1, glo, x, 1, 1, ghi - glo, "E")[0])
 
 
+def _inverse_iteration(diag: np.ndarray, off: np.ndarray, shift: float):
+    """Two steps of inverse iteration at ``shift`` (LAPACK ``gtsv``): (unit v, rho), or None.
+
+    rho = shift + v.((A - shift I) v).  The start vector is fixed and not
+    reversal-symmetric: a constant one is orthogonal to every antisymmetric
+    eigenvector of a persymmetric matrix.  A zero pivot, or an iterate or a
+    quotient that is not finite, gives None.
+    """
+    with np.errstate(all="ignore"):
+        shifted, v = diag - shift, np.linspace(1.0, 2.0, diag.size)
+        for _ in range(2):
+            *_, w, info = _flapack.dgtsv(off, shifted, off, v)
+            norm = np.linalg.norm(w)
+            if info != 0 or not 0.0 < norm < np.inf:
+                return None
+            v = w / norm
+        # (A - shift I) v row by row: the unshifted v.(A v) loses digits
+        rho = shift + float(v @ TridiagOperator(shifted, off, None).matvec(v))
+    return (v, rho) if np.isfinite(rho) else None
+
+
 def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12, near=None) -> float:
     """n-th smallest eigenvalue (1-based) to absolute tolerance ``tol``.
 
-    LAPACK ``stebz`` bisects with Sturm counts, so the result lambda
-    satisfies count(lambda - d) < n <= count(lambda + d) for
-    d = max(tol, a few eps * ||A||), the floor of backward stability.
-
-    Without ``near`` it bisects the whole spectrum for eigenvalue n
-    (``range='I'``).  ``near=(centre, radius)`` says where lambda_n should
-    be: the bracket centre -+ radius has each end widened 8x about the
-    centre until Sturm counts certify count(lo) < n <= count(hi), and only
-    (lo, hi] is bisected (``range='V'``).  The result satisfies the same
-    certificate; the two paths agree to about 2 tol, not bit for bit.
+    The result lambda satisfies count(lambda - d) < n <= count(lambda + d)
+    for d = ``eigenvalue_floor(op, tol)``, so eigenvalue n lies within d of it.
+    Given a finite guess ``near``, lambda is the Rayleigh quotient of
+    ``_inverse_iteration`` at ``near`` when two Sturm counts certify it so;
+    otherwise LAPACK ``stebz`` bisects the whole spectrum (``range='I'``).
+    The two paths agree to within 2 d, not bit for bit.
     """
     if not 1 <= n <= op.dim:
         raise ValidationError(f"index-out-of-range: n={n} for dimension {op.dim}")
@@ -123,28 +142,19 @@ def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12, near=None) -
     if not (np.isfinite(op.diag).all() and np.isfinite(op.off).all()):
         raise ValidationError("non-finite entries in the tridiagonal matrix")
     if near is not None:
-        centre, radius = near
-        if not (np.isfinite(centre) and np.isfinite(radius) and radius > 0):
-            raise ValidationError(f"near must be a finite centre and positive radius, got {near}")
+        require_finite("near", near)
     if op.dim == 1:
         return float(op.diag[0])
     diag, off = _canonical_orientation(op.diag, op.off)
-    if near is None:
-        m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, n, n, tol, "E")  # il = iu = n
-        below, expected = n - 1, 1
-    else:
-        # below glo the count is 0 and above ghi it is dim, so both loops end
+    if near is not None and (found := _inverse_iteration(diag, off, near)) is not None:
+        lam, d = found[1], eigenvalue_floor(op, tol)
         glo, ghi = gershgorin_interval(op)
-        lo, hi = centre - radius, centre + radius
-        while (below := _count(diag, off, glo, ghi, lo)) >= n:
-            lo = centre - 8.0 * (centre - lo)
-        while (upto := _count(diag, off, glo, ghi, hi)) < n:
-            hi = centre + 8.0 * (hi - centre)
-        m, w, _, _, info = _flapack.dstebz(diag, off, 1, lo, hi, 1, 1, tol, "E")
-        expected = upto - below
-    if info != 0 or m != expected:
+        if _count(diag, off, glo, ghi, lam - d) < n <= _count(diag, off, glo, ghi, lam + d):
+            return lam
+    m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, n, n, tol, "E")  # il = iu = n
+    if info != 0 or m != 1:
         raise NoConvergenceError(f"no-convergence: LAPACK stebz gave {m} values (info={info})")
-    return float(w[n - 1 - below])  # order "E": w holds the values in (lo, hi] sorted
+    return float(w[0])
 
 
 def _norm_bound(op: TridiagOperator) -> float:
@@ -171,24 +181,19 @@ def _apply_sign_convention(v: np.ndarray) -> np.ndarray:
 
 
 def eigenvector(op: TridiagOperator, lam: float) -> np.ndarray:
-    """Unit eigenvector of ``op`` at its eigenvalue ``lam``, by LAPACK ``stein``.
+    """Unit eigenvector of ``op`` at its eigenvalue ``lam``, by ``_inverse_iteration``.
 
-    ``stein`` starts from a fixed pseudo-random vector, so the result is
-    deterministic; the sign makes the first extremum nonnegative.  It takes
-    any shift, so ``lam`` is first checked against the Gershgorin interval.
+    The start vector is fixed, so the result is deterministic; the sign makes
+    the first extremum nonnegative.  The iteration takes any shift, so
+    ``lam`` is first checked against the Gershgorin interval.
     """
-    m = op.dim
     glo, ghi = gershgorin_interval(op)
     if not glo <= lam <= ghi:
         raise ValidationError(f"lambda={lam} outside the Gershgorin range [{glo}, {ghi}]")
-    block = np.ones(m, dtype=np.int32)
-    split = np.full(m, m, dtype=np.int32)
-    z, info = _flapack.dstein(op.diag, op.off, np.array([lam]), block, split)
-    if info != 0:
-        raise NoConvergenceError(
-            f"no-convergence: LAPACK stein did not converge at lambda={lam} (info={info})"
-        )
-    return _apply_sign_convention(z[:, 0])
+    found = _inverse_iteration(op.diag, op.off, lam)
+    if found is None:
+        raise NoConvergenceError(f"no-convergence: inverse iteration failed at lambda={lam}")
+    return _apply_sign_convention(found[0])
 
 
 def eigen_residual(op: TridiagOperator, lam: float, v: np.ndarray) -> float:

@@ -24,9 +24,9 @@ lambda_1(beta, c0) = lambda0, found on each grid and then extrapolated.
 
 One ladder serves all of them: a per-grid value (an eigenvalue, or a root
 in c) on grids of size {resolution, 2*resolution, 4*resolution},
-Richardson-extrapolated, with each grid told where its coarser grids put
-the value, so that only the coarsest bisects the whole spectrum.  It
-returns one ``EigenPair``, which builds its eigenvector on the finest grid
+Richardson-extrapolated.  Grid r bisects the whole spectrum; grids 2r and
+4r start a certified inverse iteration at their coarser grids' prediction.
+It returns one ``EigenPair``, which builds its eigenvector on the finest grid
 only when ``vector`` or ``residual`` is read, and hands it out read-only.
 """
 
@@ -143,7 +143,7 @@ class EigenPair:
 
     @cached_property
     def vector(self) -> np.ndarray:
-        vec = eigenvector(self.op, self.lam_h)  # LAPACK ``stein``
+        vec = eigenvector(self.op, self.lam_h)
         vec.flags.writeable = False
         return vec
 
@@ -155,48 +155,37 @@ class EigenPair:
 def _solve_extrapolated(solve, resolution: int) -> EigenPair:
     """A per-grid value x_h over uniform grids {r, 2r, 4r}, Richardson-extrapolated.
 
-    ``solve(grid, near)`` returns (x_h, floor_h, op, lam_h): the grid's value,
+    ``solve(grid, guess)`` returns (x_h, floor_h, op, lam_h): the grid's value,
     a bound on its rounding error, and the operator and eigenvalue it was read
-    from.  ``near(floor_h)`` says where x_h should lie: nowhere known on grid
-    r (None), within 1e-3 max(1, |x_r|) of x_r on grid 2r, and on grid 4r
-    within |step| / 20 + 2 floor_h of the Richardson prediction of grids r
-    and 2r, step = x_r - x_2r.  The error estimate is the last Richardson
+    from.  ``guess`` is the coarser grids' prediction of x_h: None on grid r,
+    x_r on grid 2r, and on grid 4r the Richardson prediction
+    x_2r - (x_r - x_2r) / 4.  The error estimate is the last Richardson
     correction plus the floors carried through the tableau; the record keeps
     the finest grid's operator and eigenvalue.
     """
     if resolution < 64:
         raise ValidationError(f"resolution must be >= 64, got {resolution}")
-    seq, floors = [], []
+    seq, floors, guess = [], [], None
     for m in (resolution, 2 * resolution, 4 * resolution):
         grid = build_grid(m)
-
-        def near(floor, seq=tuple(seq)):
-            if not seq:
-                return None
-            if len(seq) == 1:
-                x_r = seq[0][1]
-                return x_r, 1e-3 * max(1.0, abs(x_r))
-            step = seq[0][1] - seq[1][1]
-            return seq[1][1] - step / 4.0, abs(step) / 20.0 + 2.0 * floor
-
-        x_h, floor, op, lam_h = solve(grid, near)
+        x_h, floor, op, lam_h = solve(grid, guess)
         seq.append((grid.h, x_h))
         floors.append(floor)
+        guess = x_h if len(seq) == 1 else x_h - (seq[0][1] - x_h) / 4.0
     return EigenPair(*extrapolate(seq, floors), op, lam_h)
 
 
 def _eigenvalue(operator, n: int):
     """The ladder step for eigenvalue n of operator(grid).
 
-    Grid r bisects the whole spectrum; grids 2r and 4r only a bracket that
-    Sturm counts certify around ``near`` (``nth_eigenvalue``'s ``near``).
+    Grid r bisects the whole spectrum; grids 2r and 4r pass the ladder's
+    guess on to ``nth_eigenvalue``'s certified inverse iteration.
     """
 
-    def solve(grid, near):
+    def solve(grid, guess):
         op = operator(grid)
-        floor = eigenvalue_floor(op, _EIG_TOL)
-        lam_h = nth_eigenvalue(op, n, tol=_EIG_TOL, near=near(floor))
-        return lam_h, floor, op, lam_h
+        lam_h = nth_eigenvalue(op, n, tol=_EIG_TOL, near=guess)
+        return lam_h, eigenvalue_floor(op, _EIG_TOL), op, lam_h
 
     return solve
 
@@ -291,7 +280,8 @@ def _potential(profile: ShearProfile, beta: float, c: float):
                 "with non-vanishing numerator"
             )
         out = np.empty_like(den)
-        np.divide(num, den, out=out, where=~zone_mask)
+        with np.errstate(over="ignore"):  # an overflowed quotient is assemble's to reject
+            np.divide(num, den, out=out, where=~zone_mask)
         out[zone_mask] = 0.0
         return out
 
@@ -307,30 +297,32 @@ def couette_speed(beta: float, lambda0: float, resolution: int = 256) -> EigenPa
     grid, found by ``monotone_root`` to within _ROOT_FLOORS rounding floors
     of lambda0; its floor is (rounding floor + residual) / |slope|, with the
     slope of the secant over the last bracket.  Grid r brackets from its own
-    wall value at c = -1 out to -8; grids 2r and 4r from the ladder's
-    ``near``, grid 2r within lambda's 1e-3 relative spread over the slope.
-    Each end widens 8x about the bracket's centre until the signs differ;
-    grids 2r and 4r bisect each eigenvalue near the line the coarser grid's
-    slope draws through (centre, lambda0).  A grid whose own wall value is
-    not below lambda0 has no root: BracketFailureError names it.
+    wall value at c = -1 out to -8; grids 2r and 4r about the ladder's guess,
+    within lambda's 1e-3 relative spread over the slope (2r) and within
+    |c_r - c_2r| / 20 + 8 floor_2r (4r).  Each end widens 8x about the centre
+    until the signs differ, and each eigenvalue is guessed on the line the
+    coarser grid's slope draws through (centre, lambda0).  A grid whose own
+    wall value is not below lambda0 has no root: BracketFailureError names it.
     """
     profile = couette()
-    spread = 1e-3 * max(1.0, abs(lambda0))  # the ladder's grid-2r radius for an eigenvalue
-    coarser = []  # (slope, floor) of each grid solved so far
+    spread = 1e-3 * max(1.0, abs(lambda0))  # grid 2r's radius in lambda
+    coarser = []  # (c_h, slope, floor) of each grid solved so far
 
-    def solve(grid, near):
+    def solve(grid, guess):
         seen = {}  # c -> (lambda_1,h(c), operator)
         if not coarser:  # grid r: from its own wall value out to -8
             centre, radius = -1.0, 7.0
         else:
-            slope, floor = coarser[-1]
-            centre, radius = near(4.0 * floor)  # floors grow as 1/h^2
+            _, slope, floor = coarser[-1]
+            centre = guess
             if len(coarser) == 1:  # grid 2r: c_r, within lambda's spread over the slope
                 radius = spread / abs(slope)
+            else:  # grid 4r: floors grow as 1/h^2
+                radius = abs(coarser[0][0] - coarser[1][0]) / 20.0 + 8.0 * floor
 
         def f(c):
             op = assemble(grid, _potential(profile, beta, c))
-            line = (lambda0 + slope * (c - centre), spread) if coarser else None
+            line = lambda0 + slope * (c - centre) if coarser else None
             seen[c] = nth_eigenvalue(op, 1, tol=_EIG_TOL, near=line), op
             return seen[c][0] - lambda0
 
@@ -357,7 +349,7 @@ def couette_speed(beta: float, lambda0: float, resolution: int = 256) -> EigenPa
         b = min(c for c, (lam, _) in seen.items() if lam < lambda0)
         secant = (seen[b][0] - seen[a][0]) / (b - a)
         floor = (eigenvalue_floor(op, _EIG_TOL) + abs(lam_h - lambda0)) / abs(secant)
-        coarser.append((secant, floor))
+        coarser.append((c_h, secant, floor))
         return c_h, floor, op, lam_h
 
     return _solve_extrapolated(solve, resolution)

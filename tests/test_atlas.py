@@ -43,11 +43,6 @@ class TestBetaStar:
     def test_tol_above_error_estimate_gives_default_value(self):
         assert atlas.find_beta_star(tol=1e-7) == atlas.find_beta_star()
 
-    def test_within_estimate_of_shooting_root(self, beta_star):
-        value, err = wall_beta(0.0)
-        assert beta_star == value
-        assert abs(value - oracles.wall_shooting_beta_star()) <= err
-
     def test_mirror_bit_identical(self):
         for beta in (0.5, 1.0, 3.0, 4.0, 8.0):
             assert atlas.lambda1_wall(beta) == atlas.lambda1_wall(-beta)
@@ -90,8 +85,9 @@ class TestAlphaBetaCurve:
         # beta*, where alpha (about 5.75e-6) squared is below lam1's estimate
         table = atlas.alpha_beta_curve(np.linspace(beta_star, 6.0, 3))
         for row_index, (beta, alpha, est) in enumerate(table.rows):
-            _, err = atlas.lambda1_wall(beta)
-            alpha_ref = np.sqrt(max(-oracles.wall_shooting_eigenvalue(beta), 0.0))
+            lam, err = atlas.lambda1_wall(beta)
+            exact = oracles.frobenius_eigenvalue(beta, -1.0, lam - 1e-6, lam + 1e-6)
+            alpha_ref = np.sqrt(max(-exact, 0.0))
             assert abs(alpha - alpha_ref) <= est
             if row_index == 0:
                 assert alpha**2 < err
@@ -319,6 +315,7 @@ class TestAgainstFrobeniusSeries:
         if beta == 0.0:
             assert exact == pytest.approx(PI2_4, abs=1e-15)
         assert abs(pair.value - exact) <= pair.error_estimate
+        assert oracles.frobenius_certifies(beta, pair.value, pair.error_estimate, c=c)
 
     def test_exact_speed(self):
         assert oracles.frobenius_speed(4.0, -3.0, -1.0388, -1.0387) == pytest.approx(
@@ -330,6 +327,7 @@ class TestAgainstFrobeniusSeries:
         c0, err = atlas.speed_and_error(beta, lambda0)
         exact = oracles.frobenius_speed(beta, lambda0, c0 - 1e-6, c0 + 1e-6)
         assert abs(c0 - exact) <= err <= 1e-7
+        assert oracles.frobenius_certifies(beta, c0, err, lambda0=lambda0)
 
 
 def test_speed_inversion_budget(monkeypatch):

@@ -94,6 +94,8 @@ class TestModifiedFlowCommand:
         )
 
     def test_eigenvalue_bytes_pinned(self):
+        # each value lies within twice the floors carried through the tableau (2.3e-8)
+        # of the ladder that bisects the whole spectrum on every grid
         out = run_cli("modified-flow", "--beta", "2", "--gamma", "0.02", "--a", "1.3", "--n-max", "3").stdout
         assert out == (
             "# table: modified-flow-eigenvalues\n"
@@ -103,9 +105,9 @@ class TestModifiedFlowCommand:
             "# beta: 2\n"
             "# gamma: 0.02\n"
             "n,lambda_n,error_estimate\n"
-            "1,-2.9628555598459245,0.004830633595289859\n"
-            "2,12.452872764032985,6.9031762076578461e-05\n"
-            "3,19.425150969717556,0.0032619183779704756\n"
+            "1,-2.962855557959061,0.0048306334770031453\n"
+            "2,12.452872764061093,6.9031763337791817e-05\n"
+            "3,19.425150961648896,0.0032619188837312422\n"
         )
 
 
@@ -485,7 +487,14 @@ class TestArgumentRanges:
         row = captured.out.splitlines()[-1].split(",")
         assert float(row[0]) == float(period)
         assert row[3] == "-0"
-        assert row[1:3] == ["1.8352463302714146", "-3.4119513083574785e-11"]
+        # beta* = j_(1,1)^2 / 8 = 1.835246330265487 lies 2.4e-13 from the value, within its bar
+        assert row[1:3] == ["1.8352463302657318", "4.3342582996745362e-11"]
+
+    def test_overflowing_potential_one_error_line(self):
+        # beta / (y + 1) overflows at the first node of the 512-row grid
+        proc = run_cli("eigen", "--beta", "1e306", "--c", "-1", expect=2)
+        assert proc.stderr == "error: non-finite-potential: Q(-0.9961013645224172) is not finite\n"
+        assert proc.stdout == ""
 
     def test_tiny_period_uncertified_exit_3(self, capsys):
         from betaplane.cli import main

@@ -1,6 +1,8 @@
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,18 +159,37 @@ class TestLapackKernel:
         delta = max(2 * tol, 8 * np.finfo(float).eps * row_sums.max())
         for n in (1, 2, 5):
             full = nth_eigenvalue(op, n, tol=tol)
-            # a bracket that holds lambda_(n-1) through lambda_(n+1)
-            wide = 1.5 * (nth_eigenvalue(op, n + 1, tol=tol) - nth_eigenvalue(op, max(n - 1, 1), tol=tol))
-            for near in (None, (full, 1e-4), (full - 50.0, 1e-4), (full + 50.0, 1e-4), (full, wide)):
+            for near in (None, full, full - 50.0, full + 50.0, full + 1e-4 * abs(full)):
                 lam = nth_eigenvalue(op, n, tol=tol, near=near)
                 below, upto = sturm_count(op.diag, op.off, np.array([lam - delta, lam + delta]))
                 assert below < n <= upto
-                assert abs(lam - full) <= 2 * tol
+                # both values lie within delta of eigenvalue n
+                assert abs(lam - full) <= 2 * delta
                 assert nth_eigenvalue(rev, n, tol=tol, near=near) == lam
 
 
+class CountingLapack:
+    """The binding's routines, with each whole-spectrum ``stebz`` call (``range='I'``) counted."""
+
+    def __init__(self, real):
+        self.real, self.whole_spectrum = real, 0
+        self.dgtsv = real.dgtsv
+
+    def dstebz(self, d, e, kind, *args):
+        self.whole_spectrum += kind == 2
+        return self.real.dstebz(d, e, kind, *args)
+
+
+@pytest.fixture
+def lapack(monkeypatch):
+    counting = CountingLapack(eigen._flapack)
+    monkeypatch.setattr(eigen, "_flapack", counting)
+    return counting
+
+
 class TestBracketedSolve:
-    """``near=(centre, radius)``: bisect only a bracket that Sturm counts certify."""
+    """``near``: the value is certified inside lambda -+ d by Sturm counts, or else is
+    the whole-spectrum ``near=None`` value, the fall-through."""
 
     def test_count_matches_sturm_oracle(self, rng):
         ops = [couette_op(1024), couette_op(256, -3.0, 1.2), laplacian_op(50)]
@@ -187,28 +208,72 @@ class TestBracketedSolve:
             size = int(rng.integers(2, 40))
             diag, off, grid = random_tridiag(rng, size)
             op = TridiagOperator(diag=diag, off=off, grid=grid)
+            d = eigen.eigenvalue_floor(op, 1e-12)
             for n in {1, size // 2 + 1, size}:
                 full = nth_eigenvalue(op, n, tol=1e-12)
-                centre = full + rng.uniform(-3.0, 3.0)
-                lam = nth_eigenvalue(op, n, tol=1e-12, near=(centre, rng.uniform(1e-6, 1.0)))
-                assert abs(lam - full) <= 2e-12
+                lam = nth_eigenvalue(op, n, tol=1e-12, near=full + rng.uniform(-3.0, 3.0))
+                below, upto = sturm_count(diag, off, np.array([lam - d, lam + d]))
+                assert below < n <= upto
+                assert abs(lam - full) <= 2 * d
 
-    @pytest.mark.parametrize("near", [(1.0, 0.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.inf)])
+    @pytest.mark.parametrize("near", [np.nan, np.inf, -np.inf, np.float32("nan")],
+                             ids=["near0", "near1", "near2", "near3"])
     def test_bad_bracket_rejected(self, near):
-        with pytest.raises(ValidationError, match="near"):
+        with pytest.raises(ValidationError, match="near must be finite"):
             nth_eigenvalue(laplacian_op(8), 1, near=near)
 
     def test_count_mismatch_raises(self, monkeypatch):
-        real = eigen._flapack.dstebz
+        # a guess at lambda_2 falls through to stebz, whose count is checked
+        real = eigen._flapack
 
         def dstebz(d, e, kind, vl, vu, il, iu, tol, order):
-            m, *rest = real(d, e, kind, vl, vu, il, iu, tol, order)
-            return (m + 1 if tol == 1e-12 else m), *rest  # the solve, not a count
+            m, *rest = real.dstebz(d, e, kind, vl, vu, il, iu, tol, order)
+            return (m + 1 if kind == 2 else m), *rest  # the whole-spectrum solve, not a count
 
-        monkeypatch.setattr(eigen, "_flapack", types.SimpleNamespace(dstebz=dstebz))
+        monkeypatch.setattr(eigen, "_flapack", types.SimpleNamespace(dstebz=dstebz, dgtsv=real.dgtsv))
         op = laplacian_op(8)
         with pytest.raises(NoConvergenceError, match="stebz"):
-            nth_eigenvalue(op, 1, tol=1e-12, near=(2.0, 0.1))
+            nth_eigenvalue(op, 1, tol=1e-12, near=nth_eigenvalue(op, 2))
+
+    def test_good_guess_certified_without_bisection(self, lapack):
+        op = couette_op(4096)
+        full = nth_eigenvalue(op, 1)
+        d = eigen.eigenvalue_floor(op, 1e-12)
+        lapack.whole_spectrum = 0
+        lam = nth_eigenvalue(op, 1, near=full * (1 + 1e-4))
+        assert lapack.whole_spectrum == 0
+        below, upto = sturm_count(op.diag, op.off, np.array([lam - d, lam + d]))
+        assert below < 1 <= upto
+        rev = TridiagOperator(diag=op.diag[::-1], off=op.off[::-1], grid=op.grid)
+        assert nth_eigenvalue(rev, 1, near=full * (1 + 1e-4)) == lam
+        assert lapack.whole_spectrum == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_guess_at_next_eigenvalue_falls_through(self, n, lapack):
+        op = couette_op(1024)
+        full, guess = nth_eigenvalue(op, n), nth_eigenvalue(op, n + 1)
+        lapack.whole_spectrum = 0
+        assert nth_eigenvalue(op, n, near=guess) == full
+        assert lapack.whole_spectrum == 1
+
+    def test_zero_pivot_falls_through(self, lapack):
+        # gtsv meets an exact zero pivot at a diagonal entry of a diagonal matrix
+        op = TridiagOperator(diag=np.array([1.0, 2.0, 3.0, 4.0]), off=np.zeros(3), grid=build_grid(4))
+        assert eigen._inverse_iteration(op.diag, op.off, 3.0) is None
+        full = nth_eigenvalue(op, 2)
+        lapack.whole_spectrum = 0
+        assert nth_eigenvalue(op, 2, near=3.0) == full == 2.0
+        assert lapack.whole_spectrum == 1
+
+    def test_antisymmetric_eigenvector_found(self, lapack):
+        # Couette at beta = 0 is persymmetric: its even-numbered eigenvectors are
+        # antisymmetric under reversal, and the start vector is not orthogonal to them
+        op = laplacian_op(1023)
+        full = nth_eigenvalue(op, 2)
+        lapack.whole_spectrum = 0
+        lam = nth_eigenvalue(op, 2, near=full * (1 + 1e-4))
+        assert lapack.whole_spectrum == 0
+        assert abs(lam - full) <= 2 * eigen.eigenvalue_floor(op, 1e-12)
 
 
 class TestNonFinite:
@@ -270,18 +335,24 @@ class TestLapackParity:
                         assert nth_eigenvalue(op, n, tol) == ref
 
     def test_stein_matches_scipy_lapack(self):
+        # scipy's stebz driver builds its vectors with LAPACK stein; the two unit
+        # vectors differ by at most (||r_v|| + ||r_z||) / gap (Davis-Kahan), with
+        # r the residual at lam and gap the distance from lam to the other eigenvalues
         rng = np.random.default_rng(14)
         for size in (3, 17, 256, 3000):
             diag, off, grid = random_tridiag(rng, size)
             op = TridiagOperator(diag=diag, off=off, grid=grid)
+            spectrum = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
             for n in (1, size // 2 + 1, size):
                 lam = nth_eigenvalue(op, n)
-                z, info = scipy.linalg.lapack.dstein(diag, off, np.array([lam]),
-                                                     np.ones(size, dtype=np.int32),
-                                                     np.full(size, size, dtype=np.int32))
-                assert info == 0
+                _, z = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                                     select_range=(n - 1, n - 1),
+                                                     lapack_driver="stebz")
+                z = z[:, 0]
                 v = eigenvector(op, lam)
-                assert np.array_equal(v, z[:, 0]) or np.array_equal(v, -z[:, 0])
+                gap = np.min(np.abs(np.delete(spectrum, n - 1) - lam))
+                residuals = sum(np.linalg.norm(op.matvec(x) - lam * x) for x in (v, z))
+                assert np.linalg.norm(v - np.sign(v @ z) * z) <= 1.5 * residuals / gap + 1e-14
 
 
 class TestLapackLoader:
@@ -307,7 +378,7 @@ class TestLapackLoader:
             f"print({self.NAME!r} in sys.modules)\n"
             "import scipy.linalg\n"
             "print(scipy.linalg.lapack.dstebz is eigen._flapack.dstebz,"
-            " scipy.linalg.lapack.dstein is eigen._flapack.dstein)\n"
+            " scipy.linalg.lapack.dgtsv is eigen._flapack.dgtsv)\n"
         ) == ["False", "True", "True"]
 
     def test_missing_file_raises(self, monkeypatch):
@@ -321,8 +392,15 @@ class TestLapackLoader:
         stub.__file__ = "/lib/_flapack.so"
         stub.dstebz = None
         monkeypatch.setitem(sys.modules, self.NAME, stub)
-        with pytest.raises(ImportError, match="/lib/_flapack.so has no dstein"):
+        with pytest.raises(ImportError, match="/lib/_flapack.so has no dgtsv"):
             eigen._load_flapack()
+
+    def test_every_called_routine_is_checked(self):
+        # the routines the loader checks are exactly those the package calls
+        package = Path(eigen.__file__).parent
+        called = {name for path in package.glob("*.py")
+                  for name in re.findall(r"_flapack\.(\w+)", path.read_text())}
+        assert called == set(eigen._LAPACK_ROUTINES)
 
 
 class TestEigenvector:

@@ -32,7 +32,7 @@ class TestBuildGrid:
             assert np.array_equal(g.nodes, -g.nodes[::-1])
 
     def test_graded_monotone_and_refined_left(self):
-        # the graded mesh of the singular-endpoint cross-check (tests/oracles.py)
+        # the wall-refined mesh of tests/oracles.py
         nodes = graded_nodes(64, 0.85)
         gaps = np.diff(np.concatenate(([-1.0], nodes, [1.0])))
         assert gaps[0] < gaps[-1]

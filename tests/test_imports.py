@@ -1,6 +1,6 @@
 """No command and no modified-flow set-up runs scipy's package imports.
 
-The eigen kernel calls LAPACK ``stebz`` and ``stein`` from the compiled
+The eigen kernel calls LAPACK ``stebz`` and ``gtsv`` from the compiled
 binding ``scipy/linalg/_flapack``, loaded as a file, so scipy.linalg (whose
 array-API layer copies the numpy namespace and so imports numpy.f2py and
 numpy.testing) is never imported.  ``modified_flow.erf`` is the C library's,

@@ -1,7 +1,6 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
+from scipy.special import hyp1f1
 
 import oracles
 from betaplane.errors import (
@@ -10,6 +9,7 @@ from betaplane.errors import (
     ValidationError,
     WrongSignBetaError,
 )
+from betaplane.eigen import eigenvalue_floor, extrapolate
 from betaplane.grid import build_grid
 from betaplane.rayleigh_kuo import (
     ShearProfile,
@@ -163,18 +163,15 @@ class TestLambdaSingular:
         pair = lambda_n_couette(0.0, -1.0)
         assert pair.value == pytest.approx(PI2_4, abs=1e-5)
 
-    def test_graded_mesh_cross_check(self):
-        # direct solve of the singular problem on a geometrically refined
-        # mesh, an independent route to the same limit
-        for beta in (1.0, 4.0):
-            reg = lambda_n_couette(beta, -1.0).value
-            direct = oracles.graded_wall_eigenvalue(beta, 2048, 0.998)
-            assert direct == pytest.approx(reg, abs=2e-4)
-
-    @pytest.mark.parametrize("beta", [1.0, 4.0, 8.0])
-    def test_within_estimate_of_shooting_oracle(self, beta):
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0, 4.0, 8.0])
+    def test_within_estimate_of_wall_series(self, beta):
+        # the exact wall value is the zero of the Frobenius series phi1(2) (tests/oracles.py)
         pair = lambda_n_couette(beta, -1.0)
-        assert abs(pair.value - oracles.wall_shooting_eigenvalue(beta)) <= pair.error_estimate
+        mirror = lambda_n_couette(-beta, 1.0)
+        assert (mirror.value, mirror.error_estimate) == (pair.value, pair.error_estimate)
+        exact = oracles.frobenius_eigenvalue(beta, -1.0, pair.value - 1e-6, pair.value + 1e-6)
+        assert abs(pair.value - exact) <= pair.error_estimate
+        assert oracles.frobenius_certifies(beta, pair.value, pair.error_estimate, c=-1.0)
 
     def test_hydrogen_closed_form(self):
         # at beta = 2, x (1 - x/2) exp(-x/2) (x = y + 1) is positive on
@@ -182,12 +179,6 @@ class TestLambdaSingular:
         # lambda = -1/4: the 2s state of -phi'' - (2/x) phi
         pair = lambda_n_couette(2.0, -1.0)
         assert abs(pair.value + 0.25) <= pair.error_estimate
-
-    def test_eps_route_cross_check(self):
-        # the eps-regularized limit lands within its own estimate of the direct value
-        for beta in (1.0, 4.0):
-            value, err = oracles.eps_route_wall_eigenvalue(beta, "left")
-            assert abs(value - lambda_n_couette(beta, -1.0).value) <= err
 
     def test_left_right_symmetry(self):
         # mirror images are solved in one orientation, so they agree bit for bit
@@ -202,12 +193,6 @@ class TestLambdaSingular:
             lambda_n_couette(-1.0, -1.0)
         with pytest.raises(WrongSignBetaError):
             lambda_n_couette(1.0, 1.0)
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValidationError):
-            oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.05, 0.025))
-        with pytest.raises(ValidationError):
-            oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.2, 0.05, 0.025))
 
     def test_error_estimate_is_honest(self):
         # reference from the same route at four times the resolution
@@ -266,6 +251,12 @@ class TestLambdaGeneral:
         monkeypatch.setattr(rk, "_solve_extrapolated", no_solve)
         with pytest.raises(ValidationError, match=f"^{name} must be finite"):
             lambda_n_general(couette(), beta, c, 1, 256)
+
+    @pytest.mark.parametrize("beta, c", [(1e306, -1.0), (-1e306, 1.0), (1e308, -1.5)])
+    def test_overflowing_potential_rejected(self, beta, c):
+        # (u'' - beta) / (u - c) passes the float range at a node
+        with pytest.raises(ValidationError, match="non-finite-potential"):
+            lambda_n_couette(beta, c)
 
     @pytest.mark.parametrize("a", [np.nan, np.inf, 0.0, -1.0])
     def test_scaled_couette_scale_finite_and_positive(self, a):
@@ -355,45 +346,46 @@ class TestSection3Properties:
             assert pair.value >= PI2_4 - 1e-8
 
 
-def test_monotone_certificate_trips(monkeypatch):
-    # feed the eps route eigenvalues with an upward jump far beyond the
-    # grid error budget; the certificate must refuse to extrapolate
-    import betaplane.rayleigh_kuo as rk
-
-    canned = iter([1.0, 0.9, 0.95, 0.8])
-
-    def fake_couette(beta, c, n=1, resolution=256):
-        return SimpleNamespace(value=next(canned), error_estimate=1e-12)
-
-    monkeypatch.setattr(rk, "lambda_n_couette", fake_couette)
-    with pytest.raises(oracles.NonMonotoneSequenceError, match="non-monotone-sequence"):
-        oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.05, 0.025, 0.0125))
+def kummer_certifies(value, err, alpha=2 * np.pi / 6.0):
+    """beta_T(alpha) lies within err of value: the root in beta of
+    M(1 - beta / (2 alpha), 2, 4 alpha) (``tests/test_atlas.py``) is inside the bar."""
+    m = [hyp1f1(1 - b / (2 * alpha), 2, 4 * alpha) for b in (value - err, value + err)]
+    return m[0] * m[1] < 0
 
 
 class TestBracketedLadder:
-    """Grids 2r and 4r bisect a bracket around the value their coarser grids predict."""
+    """Grids 2r and 4r run a certified inverse iteration at the value their coarser grids predict.
+
+    Each grid's value lies within its floor of the grid's eigenvalue on either
+    path, so the ladder differs from the whole-spectrum ladder by at most twice
+    the floors carried through the tableau.
+    """
 
     CASES = [
-        pytest.param(lambda: lambda_n_couette(2.0, -1.5, 1, 128), id="regular"),
-        pytest.param(lambda: lambda_n_couette(1.0, -2.0, 3, 128), id="regular-n3"),
-        pytest.param(lambda: lambda_n_couette(-3.0, 1.0, 1, 256), id="wall"),
-        pytest.param(lambda: wall_beta(2 * np.pi / 6.0, 256), id="wall-beta"),
+        pytest.param(lambda: lambda_n_couette(2.0, -1.5, 1, 128),
+                     lambda v, e: oracles.frobenius_certifies(2.0, v, e, c=-1.5), id="regular"),
+        pytest.param(lambda: lambda_n_couette(1.0, -2.0, 3, 128),
+                     lambda v, e: oracles.frobenius_certifies(1.0, v, e, c=-2.0), id="regular-n3"),
+        pytest.param(lambda: lambda_n_couette(-3.0, 1.0, 1, 256),
+                     lambda v, e: oracles.frobenius_certifies(3.0, v, e, c=-1.0), id="wall"),
+        pytest.param(lambda: wall_beta(2 * np.pi / 6.0, 256), kummer_certifies, id="wall-beta"),
         pytest.param(lambda: lambda_n_general(modified_profile(0.5, 0.02, 1.0), 0.5, 0.0, 2, 512),
-                     id="modified-n2"),
+                     None, id="modified-n2"),
     ]
 
     @staticmethod
     def value_and_error(result):
         return tuple(result) if isinstance(result, tuple) else (result.value, result.error_estimate)
 
-    @pytest.mark.parametrize("solve", CASES)
-    def test_matches_full_spectrum_ladder(self, solve, monkeypatch):
+    @pytest.mark.parametrize("solve, certifies", CASES)
+    def test_matches_full_spectrum_ladder(self, solve, certifies, monkeypatch):
         import betaplane.rayleigh_kuo as rk
 
-        real, seen, full_spectrum = rk.nth_eigenvalue, [], []
+        real, seen, grids, full_spectrum = rk.nth_eigenvalue, [], [], []
 
         def nth_eigenvalue(op, n, tol, near=None):
             seen.append(near)
+            grids.append((op.grid.h, eigenvalue_floor(op, tol)))
             return real(op, n, tol, None if full_spectrum else near)
 
         monkeypatch.setattr(rk, "nth_eigenvalue", nth_eigenvalue)
@@ -402,5 +394,13 @@ class TestBracketedLadder:
         assert seen[0] is None and None not in seen[1:]
         full_spectrum.append(True)
         full_value, full_err = self.value_and_error(solve())
-        assert abs(value - full_value) <= 1e-11
-        assert abs(err - full_err) <= 1e-11
+        assert grids[3:] == grids[:3]
+        # the floors through the three-point tableau and through the last two grids'
+        (h1, f1), (h2, f2), (h3, f3) = grids[:3]
+        carried = extrapolate([(h1, 0.0), (h2, 0.0), (h3, 0.0)], [f1, f2, f3])[1]
+        carried_two = (h2**2 * f3 + h3**2 * f2) / (h2**2 - h3**2)
+        assert abs(value - full_value) <= 2 * carried
+        # the estimate is the last correction plus the carried floors
+        assert abs(err - full_err) <= 2 * carried + 2 * carried_two
+        if certifies is not None:
+            assert certifies(value, err) and certifies(full_value, full_err)
