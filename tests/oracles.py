@@ -4,7 +4,13 @@ The shooting oracle solves the same boundary value problems as the library
 by a completely different route: adaptive Runge-Kutta integration of the
 second-order ODE from y = -1 with phi(-1) = 0, phi'(-1) = 1, followed by a
 root search in lambda on the boundary mismatch phi(1).  It shares no code
-with the tridiagonal solver.
+with the tridiagonal solver.  At the singular wall speed c = -1 it starts a
+small distance off the wall on the regular Frobenius solution instead.
+
+Two older routes to the wall value are kept here as cross-checks: the
+eps-regularized one (c = -1 - eps along a decreasing schedule, a
+monotonicity certificate, Neville extrapolation to eps = 0) and a direct
+solve on a mesh graded toward y = -1.
 
 ``sturm_count`` (the negative-inertia count from LDL^T pivots) certifies
 the library's eigenvalues, and ``rayleigh_quotient`` bounds them from above.
@@ -29,10 +35,12 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
+from betaplane import rayleigh_kuo as rk
 from betaplane.bifurcation import _deriv4
-from betaplane.errors import ValidationError
+from betaplane.errors import NoConvergenceError, ValidationError
 from betaplane.grid import Grid1D, assemble
 
 
@@ -79,6 +87,105 @@ def shooting_eigenvalue(Q, n: int, lam_lo: float, lam_hi: float, n_scan: int = 4
     return crossings[n - 1]
 
 
+def _wall_start(beta: float, delta: float = 1e-6):
+    """(y0, (phi, phi')) at y0 = -1 + delta on the solution vanishing at y = -1.
+
+    With x = y + 1 the Frobenius solution of -phi'' - (beta / x) phi =
+    lam phi is x - (beta / 2) x^2 + O(x^3); lam first enters at x^3, so the
+    start is the same for every lam and is off by O(delta^3).
+    """
+    return -1.0 + delta, (delta - 0.5 * beta * delta**2, 1.0 - beta * delta)
+
+
+def wall_shooting_eigenvalue(beta: float, n_scan: int = 24) -> float:
+    """lambda_1(beta, -1), beta >= 0, by shooting from the singular wall.
+
+    The scan starts below -beta^2 / 4, the ground state of -phi'' - beta/x
+    phi on the half-line, which lies below lambda_1, and ends at pi^2 / 4,
+    the beta = 0 value, which lies above it.
+    """
+    y0, start = _wall_start(beta)
+    return shooting_eigenvalue(lambda y: -beta / (y + 1.0), 1, -0.25 * beta**2 - 1.0,
+                               np.pi**2 / 4, n_scan, y0, start)
+
+
+def wall_shooting_beta_star(lo: float = 1.0, hi: float = 3.0) -> float:
+    """The root in beta of the shooting curve lambda_1(beta, -1) = 0, in [lo, hi]."""
+
+    def mismatch(beta):
+        y0, start = _wall_start(beta)
+        return shoot_boundary_value(lambda y: -beta / (y + 1.0), 0.0, y0, start)
+
+    return brentq(mismatch, lo, hi, xtol=1e-13)
+
+
+#: eps values for the endpoint regularization: 0.1 halved seven times.
+DEFAULT_EPS_SCHEDULE = tuple(0.1 * 0.5**i for i in range(8))
+
+
+class NonMonotoneSequenceError(NoConvergenceError):
+    """Endpoint-regularized eigenvalues fail the monotonicity certificate.
+
+    Signals that the grid resolution is too coarse for the smallest
+    regularization parameter; the caller must refine.
+    """
+
+
+def neville_to_zero(xs, ys):
+    """Polynomial extrapolation of (xs, ys) to x = 0.
+
+    Returns (value, error): the full-depth tableau entry, and a conservative
+    error bound.  The observed endpoint convergence is first order in eps
+    with a slowly decaying (logarithmic) second-order residue, so the last
+    tableau correction alone underestimates the bias; the spread between the
+    full-depth entry and the three-point entry tracks the true error with a
+    factor-of-a-few margin and is used instead.
+    """
+    xs = np.asarray(xs, dtype=float)
+    m = xs.size
+    # After round `level`, p[i] holds the interpolant through nodes
+    # i..i+level evaluated at 0; ascending i reads p[i+1] before overwrite.
+    p = np.asarray(ys, dtype=float).copy()
+    tail = [p[-1]]
+    for level in range(1, m):
+        for i in range(m - level):
+            p[i] = (xs[i + level] * p[i] - xs[i] * p[i + 1]) / (xs[i + level] - xs[i])
+        tail.append(p[m - level - 1])
+    err = abs(tail[-1] - tail[-2])
+    if m >= 4:
+        err = max(err, abs(tail[-1] - tail[2]))
+    return tail[-1], float(err)
+
+
+def eps_route_wall_eigenvalue(beta, side, eps_schedule=DEFAULT_EPS_SCHEDULE, resolution=256):
+    """(value, error) of lambda_1 at c = -1 (left) or +1 (right) by the eps route.
+
+    Solves the regular problem at c = -+(1 + eps) along the schedule through
+    ``rayleigh_kuo.lambda_n_couette``, certifies that the values decrease
+    (within the grid error budget), and extrapolates them to eps = 0.
+    """
+    eps = [float(e) for e in eps_schedule]
+    if len(eps) < 4:
+        raise ValidationError(f"eps_schedule needs >= 4 entries, got {len(eps)}")
+    if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValidationError("eps_schedule must be strictly decreasing and positive")
+    sign = -1.0 if side == "left" else 1.0
+    lams, herrs = [], []
+    for e in eps:
+        pair = rk.lambda_n_couette(beta, sign * (1.0 + e), 1, resolution)
+        lams.append(pair.value)
+        herrs.append(pair.error_estimate)
+    slack = max(1e-10, 10.0 * max(herrs))
+    for a, b in zip(lams, lams[1:]):
+        if b > a + slack:
+            raise NonMonotoneSequenceError(
+                "non-monotone-sequence: endpoint regularization is not decreasing; "
+                f"refine the resolution (values {a} -> {b} at resolution {resolution})"
+            )
+    value, eps_err = neville_to_zero(eps, lams)
+    return value, max(eps_err, max(herrs))
+
+
 def graded_nodes(n_interior: int, grade_ratio) -> np.ndarray:
     """Interior nodes on (-1, 1) refined geometrically toward y = -1 (a mesh for wall layers).
 
@@ -92,6 +199,21 @@ def graded_nodes(n_interior: int, grade_ratio) -> np.ndarray:
     gaps = grade_ratio ** np.arange(m, 0, -1, dtype=float)
     gaps *= 2.0 / gaps.sum()
     return -1.0 + np.cumsum(gaps)[:-1]
+
+
+def graded_wall_eigenvalue(beta: float, n_interior: int = 2048, grade_ratio: float = 0.998) -> float:
+    """lambda_1(beta, -1) solved directly on a graded mesh.
+
+    Uses the mass-symmetrized finite-element form M^{-1/2} (K + M Q) M^{-1/2}
+    with lumped masses, which stays symmetric tridiagonal.
+    """
+    nodes = graded_nodes(n_interior, grade_ratio)
+    g = np.diff(np.concatenate(([-1.0], nodes, [1.0])))
+    mass = 0.5 * (g[:-1] + g[1:])
+    diag = (1.0 / g[:-1] + 1.0 / g[1:]) / mass - beta / (nodes + 1.0)
+    off = -1.0 / (g[1:-1] * np.sqrt(mass[:-1] * mass[1:]))
+    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                  select_range=(0, 0))[0])
 
 
 def quad_integral(f, a: float, b: float, **kw) -> float:

@@ -43,6 +43,11 @@ class TestBetaStar:
     def test_tol_above_error_estimate_gives_default_value(self):
         assert atlas.find_beta_star(tol=1e-7) == atlas.find_beta_star()
 
+    def test_within_estimate_of_shooting_root(self, beta_star):
+        value, err = wall_beta(0.0)
+        assert beta_star == value
+        assert abs(value - oracles.wall_shooting_beta_star()) <= err
+
     def test_mirror_bit_identical(self):
         for beta in (0.5, 1.0, 3.0, 4.0, 8.0):
             assert atlas.lambda1_wall(beta) == atlas.lambda1_wall(-beta)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import hyp1f1
@@ -163,6 +165,19 @@ class TestLambdaSingular:
         pair = lambda_n_couette(0.0, -1.0)
         assert pair.value == pytest.approx(PI2_4, abs=1e-5)
 
+    def test_graded_mesh_cross_check(self):
+        # direct solve of the singular problem on a geometrically refined
+        # mesh, an independent route to the same limit
+        for beta in (1.0, 4.0):
+            reg = lambda_n_couette(beta, -1.0).value
+            direct = oracles.graded_wall_eigenvalue(beta, 2048, 0.998)
+            assert direct == pytest.approx(reg, abs=2e-4)
+
+    @pytest.mark.parametrize("beta", [1.0, 4.0])
+    def test_within_estimate_of_shooting_oracle(self, beta):
+        pair = lambda_n_couette(beta, -1.0)
+        assert abs(pair.value - oracles.wall_shooting_eigenvalue(beta)) <= pair.error_estimate
+
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0, 4.0, 8.0])
     def test_within_estimate_of_wall_series(self, beta):
         # the exact wall value is the zero of the Frobenius series phi1(2) (tests/oracles.py)
@@ -180,6 +195,12 @@ class TestLambdaSingular:
         pair = lambda_n_couette(2.0, -1.0)
         assert abs(pair.value + 0.25) <= pair.error_estimate
 
+    def test_eps_route_cross_check(self):
+        # the eps-regularized limit lands within its own estimate of the direct value
+        for beta in (1.0, 4.0):
+            value, err = oracles.eps_route_wall_eigenvalue(beta, "left")
+            assert abs(value - lambda_n_couette(beta, -1.0).value) <= err
+
     def test_left_right_symmetry(self):
         # mirror images are solved in one orientation, so they agree bit for bit
         for beta in (0.5, 2.0):
@@ -193,6 +214,12 @@ class TestLambdaSingular:
             lambda_n_couette(-1.0, -1.0)
         with pytest.raises(WrongSignBetaError):
             lambda_n_couette(1.0, 1.0)
+
+    def test_schedule_validation(self):
+        with pytest.raises(ValidationError):
+            oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.05, 0.025))
+        with pytest.raises(ValidationError):
+            oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.2, 0.05, 0.025))
 
     def test_error_estimate_is_honest(self):
         # reference from the same route at four times the resolution
@@ -344,6 +371,21 @@ class TestSection3Properties:
         for beta, c in ((0.5, 1.5), (2.0, 1 + 1e-6), (-0.5, -1.5), (-2.0, -(1 + 1e-6))):
             pair = lambda_n_couette(beta, c, 1, 256)
             assert pair.value >= PI2_4 - 1e-8
+
+
+def test_monotone_certificate_trips(monkeypatch):
+    # feed the eps route eigenvalues with an upward jump far beyond the
+    # grid error budget; the certificate must refuse to extrapolate
+    import betaplane.rayleigh_kuo as rk
+
+    canned = iter([1.0, 0.9, 0.95, 0.8])
+
+    def fake_couette(beta, c, n=1, resolution=256):
+        return SimpleNamespace(value=next(canned), error_estimate=1e-12)
+
+    monkeypatch.setattr(rk, "lambda_n_couette", fake_couette)
+    with pytest.raises(oracles.NonMonotoneSequenceError, match="non-monotone-sequence"):
+        oracles.eps_route_wall_eigenvalue(1.0, "left", (0.1, 0.05, 0.025, 0.0125))
 
 
 def kummer_certifies(value, err, alpha=2 * np.pi / 6.0):
