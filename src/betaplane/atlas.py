@@ -49,9 +49,11 @@ __all__ = [
     "lambda1_wall",
     "lambda1_regular",
     "find_beta_star",
+    "beta_star_and_error",
     "alpha_beta",
     "alpha_beta_curve",
     "beta_T",
+    "beta_T_and_error",
     "classify",
     "speed_for_eigenvalue",
     "speed_and_error",
@@ -109,22 +111,24 @@ def lambda1_regular(beta, c, resolution=256, cache=None):
 
 
 def _certified(alpha, tol, resolution, what):
+    """``wall_beta(alpha)`` as (value, error_estimate), the estimate at most tol."""
+    require_finite("tol", tol, positive=True)
     value, err = _wall_beta_mem(float(alpha), int(resolution))
     if err > tol:
         raise NoConvergenceError(
             f"no-convergence: {what} error estimate {err:.3g} exceeds tol {tol:.3g}"
         )
-    return value
+    return value, err
 
 
 def find_beta_star(tol=1e-5, resolution=256):
-    """The unique beta > 0 with lam1(beta, -1) = 0.
+    """The unique beta > 0 with lam1(beta, -1) = 0: ``beta_star_and_error``'s value."""
+    return beta_star_and_error(tol, resolution)[0]
 
-    It is the principal eigenvalue of -phi'' = beta phi / (1 + y)
-    (``wall_beta`` at alpha = 0).  Raises NoConvergenceError when its error
-    estimate exceeds tol.
-    """
-    require_finite("tol", tol, positive=True)
+
+def beta_star_and_error(tol=1e-5, resolution=256):
+    """(beta_star, error_estimate): the principal eigenvalue of -phi'' = beta phi / (1 + y)
+    (``wall_beta`` at alpha = 0), its estimate at most tol."""
     return _certified(0.0, tol, resolution, "beta-star")
 
 
@@ -165,18 +169,18 @@ def alpha_beta_curve(betas, resolution=256, cache=None) -> CurveTable:
 
 
 def beta_T(T, tol=1e-5, resolution=256):
-    """The unique beta_T > 0 with lam1(beta_T, -1) = -4 pi^2 / T^2.
+    """The unique beta_T > 0 with lam1(beta_T, -1) = -4 pi^2 / T^2: ``beta_T_and_error``'s value."""
+    return beta_T_and_error(T, tol, resolution)[0]
 
-    It is the principal eigenvalue of -phi'' + alpha^2 phi = beta phi / (1 + y)
-    with alpha = 2 pi / T (``wall_beta``).  Raises NoConvergenceError when
-    its error estimate exceeds tol.
-    """
+
+def beta_T_and_error(T, tol=1e-5, resolution=256):
+    """(beta_T, error_estimate): the principal eigenvalue of -phi'' + alpha^2 phi =
+    beta phi / (1 + y) with alpha = 2 pi / T (``wall_beta``), its estimate at most tol."""
     if not T > 0:
         raise ValidationError(f"period T must be positive, got {T}")
     alpha = 2.0 * np.pi / T
     if not np.isfinite(alpha * alpha):  # float ** raises OverflowError where * gives inf
         raise ValidationError(f"period T={T} is too small: (2 pi / T)^2 overflows")
-    require_finite("tol", tol, positive=True)
     return _certified(alpha, tol, resolution, "beta_T")
 
 

@@ -160,8 +160,8 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
     common = dict(resolution=cfg.resolution, cache=cache)
     if args.atlas_cmd == "beta-star":
         tol = cfg.tol("beta-star")
-        bstar = atlas.find_beta_star(tol=tol, resolution=cfg.resolution)
-        residual, err = atlas.lambda1_wall(bstar, **common)
+        bstar, err = atlas.beta_star_and_error(tol=tol, resolution=cfg.resolution)
+        residual, _ = atlas.lambda1_wall(bstar, **common)
         table = _one_row("atlas-beta-star", {"tol": tol, "resolution": cfg.resolution}, {
             "beta_star": bstar, "lambda_residual": residual, "error_estimate": err,
         })
@@ -185,12 +185,9 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         })
     elif args.atlas_cmd == "beta-T":
         tol = cfg.tol("beta-T")
-        bt = atlas.beta_T(args.period, tol=tol, resolution=cfg.resolution)
-        lam, err = atlas.lambda1_wall(bt, **common)
-        try:
-            target = -4 * np.pi**2 / args.period**2
-        except OverflowError:  # T^2 overflows, and -4 pi^2 / T^2 rounds to -0
-            target = -0.0
+        bt, err = atlas.beta_T_and_error(args.period, tol=tol, resolution=cfg.resolution)
+        lam, _ = atlas.lambda1_wall(bt, **common)
+        target = -4 * np.pi**2 / (args.period * args.period)  # -0 once T * T overflows
         table = _one_row("atlas-beta-T", {"tol": tol, "resolution": cfg.resolution}, {
             "period": args.period, "beta_T": bt, "lambda_at_beta_T": lam,
             "target": target, "error_estimate": err,

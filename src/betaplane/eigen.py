@@ -3,16 +3,20 @@
 The n-th eigenvalue is solved in a canonical orientation, so that a problem
 and its mirror image (rows reversed) give bit-identical values; the tests
 certify them with Sturm counts of their own (``tests/oracles.py``).  It is
-LAPACK's ``stebz`` bisection of the whole spectrum, or, given a guess, the
-Rayleigh quotient of two inverse-iteration steps shifted to it (LAPACK
-``gtsv``) once Sturm counts certify it.  Eigenvectors come from the same
-iteration.  Both routines are called from scipy's compiled binding, loaded
-as a file: ``import scipy.linalg`` would add about 0.4 s to each
-process.  Grid sequences are Richardson-extrapolated to the continuum limit
-assuming second-order convergence, with the kernel's rounding floor carried
-into the error; the record of one such ladder, ``EigenPair``, lives with the
-ladder in ``rayleigh_kuo``.  ``monotone_root`` is the one bracketing root
-search, shared by the speed inversion and the modified-flow level set.
+LAPACK's ``stebz`` bisection of the whole spectrum to the one tolerance
+``_EIG_TOL``, or, given a guess, the Rayleigh quotient of two
+inverse-iteration steps shifted to it (LAPACK ``gtsv``) once Sturm counts
+certify it.  Eigenvectors come from the same iteration.  One bound
+b >= ||A|| (``_norm_bound``) gives the rounding floor, the interval
+[-b, b], padded, that holds the spectrum for the counts, and the check on
+an eigenvector's shift.  Both routines are called from scipy's compiled
+binding, loaded as a file: ``import scipy.linalg`` would add about 0.4 s
+to each process.  Grid sequences are Richardson-extrapolated to the
+continuum limit assuming second-order convergence, with the kernel's
+rounding floor carried into the error; the record of one such ladder,
+``EigenPair``, lives with the ladder in ``rayleigh_kuo``.  ``monotone_root``
+is the one bracketing root search, shared by the speed inversion and the
+modified-flow level set.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .errors import NoConvergenceError, ValidationError, require_finite
 from .grid import TridiagOperator
 
 __all__ = [
-    "gershgorin_interval",
     "nth_eigenvalue",
     "eigenvalue_floor",
     "eigenvector",
@@ -38,6 +41,9 @@ __all__ = [
 
 # every routine this package calls from the binding, checked when it is loaded
 _LAPACK_ROUTINES = ("dstebz", "dgtsv")
+
+# bisection tolerance of every discrete eigenvalue
+_EIG_TOL = 1e-12
 
 
 def _load_flapack():
@@ -68,16 +74,6 @@ def _load_flapack():
 _flapack = _load_flapack()
 
 
-def gershgorin_interval(op: TridiagOperator) -> tuple[float, float]:
-    r = np.zeros(op.dim)
-    r[:-1] += np.abs(op.off)
-    r[1:] += np.abs(op.off)
-    lo = float(np.min(op.diag - r))
-    hi = float(np.max(op.diag + r))
-    pad = max(1.0, abs(lo), abs(hi)) * 1e-12
-    return lo - pad, hi + pad
-
-
 def _canonical_orientation(diag: np.ndarray, off: np.ndarray):
     """(diag, off) or their reversal, whichever is lexicographically smaller.
 
@@ -93,15 +89,27 @@ def _canonical_orientation(diag: np.ndarray, off: np.ndarray):
     return diag, off
 
 
-def _count(diag: np.ndarray, off: np.ndarray, glo: float, ghi: float, x: float) -> int:
+def _norm_bound(op: TridiagOperator) -> float:
+    """b = max |a_ii| + 2 max |a_i,i+1| >= ||A||_inf, so every eigenvalue lies in [-b, b]."""
+    return float(np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off), initial=0.0))
+
+
+def _radius(bound: float) -> float:
+    """``bound`` plus max(1, bound) 1e-12: an eigenvalue may equal -bound (the zero matrix)."""
+    return bound + max(1.0, bound) * 1e-12
+
+
+def _count(diag: np.ndarray, off: np.ndarray, bound: float, x: float) -> int:
     """Number of eigenvalues <= x, from one ``stebz`` call that does no bisection.
 
-    ``range='V'`` on (glo, x] with a tolerance as wide as the Gershgorin
-    interval [glo, ghi] stops at the Sturm counts of the ends.
+    ``range='V'`` on (-r, x] with a tolerance of 2 r, r = ``_radius(bound)``,
+    as wide as an interval holding the whole spectrum, stops at the Sturm
+    counts of the ends.
     """
-    if x <= glo:
+    r = _radius(bound)
+    if x <= -r:
         return 0
-    return int(_flapack.dstebz(diag, off, 1, glo, x, 1, 1, ghi - glo, "E")[0])
+    return int(_flapack.dstebz(diag, off, 1, -r, x, 1, 1, 2.0 * r, "E")[0])
 
 
 def _inverse_iteration(diag: np.ndarray, off: np.ndarray, shift: float):
@@ -125,11 +133,11 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, shift: float):
     return (v, rho) if np.isfinite(rho) else None
 
 
-def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12, near=None) -> float:
-    """n-th smallest eigenvalue (1-based) to absolute tolerance ``tol``.
+def nth_eigenvalue(op: TridiagOperator, n: int, near=None) -> float:
+    """n-th smallest eigenvalue (1-based) to absolute tolerance ``_EIG_TOL``.
 
     The result lambda satisfies count(lambda - d) < n <= count(lambda + d)
-    for d = ``eigenvalue_floor(op, tol)``, so eigenvalue n lies within d of it.
+    for d = ``eigenvalue_floor(op)``, so eigenvalue n lies within d of it.
     Given a finite guess ``near``, lambda is the Rayleigh quotient of
     ``_inverse_iteration`` at ``near`` when two Sturm counts certify it so;
     otherwise LAPACK ``stebz`` bisects the whole spectrum (``range='I'``).
@@ -137,8 +145,6 @@ def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12, near=None) -
     """
     if not 1 <= n <= op.dim:
         raise ValidationError(f"index-out-of-range: n={n} for dimension {op.dim}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     if not (np.isfinite(op.diag).all() and np.isfinite(op.off).all()):
         raise ValidationError("non-finite entries in the tridiagonal matrix")
     if near is not None:
@@ -147,28 +153,28 @@ def nth_eigenvalue(op: TridiagOperator, n: int, tol: float = 1e-12, near=None) -
         return float(op.diag[0])
     diag, off = _canonical_orientation(op.diag, op.off)
     if near is not None and (found := _inverse_iteration(diag, off, near)) is not None:
-        lam, d = found[1], eigenvalue_floor(op, tol)
-        glo, ghi = gershgorin_interval(op)
-        if _count(diag, off, glo, ghi, lam - d) < n <= _count(diag, off, glo, ghi, lam + d):
+        lam, b = found[1], _norm_bound(op)
+        d = _floor(b)
+        if _count(diag, off, b, lam - d) < n <= _count(diag, off, b, lam + d):
             return lam
-    m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, n, n, tol, "E")  # il = iu = n
+    m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, n, n, _EIG_TOL, "E")  # il = iu = n
     if info != 0 or m != 1:
         raise NoConvergenceError(f"no-convergence: LAPACK stebz gave {m} values (info={info})")
     return float(w[0])
 
 
-def _norm_bound(op: TridiagOperator) -> float:
-    return float(np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off), initial=0.0))
+def _floor(bound: float) -> float:
+    return max(2.0 * _EIG_TOL, 8.0 * np.finfo(float).eps * bound)
 
 
-def eigenvalue_floor(op: TridiagOperator, tol: float = 1e-12) -> float:
-    """Bound max(2 tol, 8 eps ||A||) on the error of ``nth_eigenvalue(op, n, tol)``.
+def eigenvalue_floor(op: TridiagOperator) -> float:
+    """Bound max(2 tol, 8 eps ||A||) on the error of ``nth_eigenvalue(op, n)``.
 
-    ||A|| is taken as max |a_ii| + 2 max |a_i,i+1| >= ||A||_inf (``_norm_bound``).
-    Sturm counts are backward stable only to a few eps ||A||, so on fine grids
-    (||A|| ~ 4 / h^2) this floor, not ``tol``, limits the accuracy.
+    tol is ``_EIG_TOL`` and ||A|| the bound of ``_norm_bound``.  Sturm counts
+    are backward stable only to a few eps ||A||, so on fine grids
+    (||A|| ~ 4 / h^2) this floor, not tol, limits the accuracy.
     """
-    return max(2.0 * tol, 8.0 * np.finfo(float).eps * _norm_bound(op))
+    return _floor(_norm_bound(op))
 
 
 def _apply_sign_convention(v: np.ndarray) -> np.ndarray:
@@ -185,19 +191,15 @@ def eigenvector(op: TridiagOperator, lam: float) -> np.ndarray:
 
     The start vector is fixed, so the result is deterministic; the sign makes
     the first extremum nonnegative.  The iteration takes any shift, so
-    ``lam`` is first checked against the Gershgorin interval.
+    ``lam`` is first checked against the spectral bound |lam| <= ``_radius``.
     """
-    glo, ghi = gershgorin_interval(op)
-    if not glo <= lam <= ghi:
-        raise ValidationError(f"lambda={lam} outside the Gershgorin range [{glo}, {ghi}]")
+    r = _radius(_norm_bound(op))
+    if not abs(lam) <= r:
+        raise ValidationError(f"lambda={lam} outside the spectral bound [{-r}, {r}]")
     found = _inverse_iteration(op.diag, op.off, lam)
     if found is None:
         raise NoConvergenceError(f"no-convergence: inverse iteration failed at lambda={lam}")
     return _apply_sign_convention(found[0])
-
-
-def eigen_residual(op: TridiagOperator, lam: float, v: np.ndarray) -> float:
-    return float(np.linalg.norm(op.matvec(v) - lam * v) / max(_norm_bound(op), 1e-300))
 
 
 def extrapolate(values, floors=None) -> tuple[float, float]:

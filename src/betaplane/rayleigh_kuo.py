@@ -27,7 +27,8 @@ in c) on grids of size {resolution, 2*resolution, 4*resolution},
 Richardson-extrapolated.  Grid r bisects the whole spectrum; grids 2r and
 4r start a certified inverse iteration at their coarser grids' prediction.
 It returns one ``EigenPair``, which builds its eigenvector on the finest grid
-only when ``vector`` or ``residual`` is read, and hands it out read-only.
+only when ``vector`` is read, and hands it out read-only.  Every discrete
+eigenvalue is solved to ``eigen``'s one tolerance.
 """
 
 from __future__ import annotations
@@ -45,14 +46,7 @@ from .errors import (
     WrongSignBetaError,
     require_finite,
 )
-from .eigen import (
-    eigen_residual,
-    eigenvalue_floor,
-    eigenvector,
-    extrapolate,
-    monotone_root,
-    nth_eigenvalue,
-)
+from .eigen import eigenvalue_floor, eigenvector, extrapolate, monotone_root, nth_eigenvalue
 from .grid import Grid1D, TridiagOperator, assemble, build_grid
 
 __all__ = [
@@ -65,9 +59,6 @@ __all__ = [
     "couette_speed",
     "lambda_n_general",
 ]
-
-# bisection tolerance of every discrete eigenvalue
-_EIG_TOL = 1e-12
 
 # a speed root on a grid stops once |lambda_1,h(c) - lambda0| is within this
 # many of the grid's rounding floors
@@ -126,10 +117,9 @@ class EigenPair:
 
     The value is an eigenvalue, or for ``couette_speed`` a speed.  ``op`` is
     the finest grid's operator (at the grid's root speed) and ``lam_h`` its
-    eigenvalue there.
-    The first read of ``vector`` (unit Euclidean norm, first extremum
-    nonnegative) or ``residual`` (||(A - lam_h I) v|| / ||A||) builds the
-    vector; the pair caches and shares it, so it is read-only.
+    eigenvalue there.  The first read of ``vector`` (unit Euclidean norm,
+    first extremum nonnegative) builds it; the pair caches and shares it, so
+    it is read-only.
     """
 
     value: float
@@ -146,10 +136,6 @@ class EigenPair:
         vec = eigenvector(self.op, self.lam_h)
         vec.flags.writeable = False
         return vec
-
-    @cached_property
-    def residual(self) -> float:
-        return eigen_residual(self.op, self.lam_h, self.vector)
 
 
 def _solve_extrapolated(solve, resolution: int) -> EigenPair:
@@ -184,8 +170,8 @@ def _eigenvalue(operator, n: int):
 
     def solve(grid, guess):
         op = operator(grid)
-        lam_h = nth_eigenvalue(op, n, tol=_EIG_TOL, near=guess)
-        return lam_h, eigenvalue_floor(op, _EIG_TOL), op, lam_h
+        lam_h = nth_eigenvalue(op, n, near=guess)
+        return lam_h, eigenvalue_floor(op), op, lam_h
 
     return solve
 
@@ -323,7 +309,7 @@ def couette_speed(beta: float, lambda0: float, resolution: int = 256) -> EigenPa
         def f(c):
             op = assemble(grid, _potential(profile, beta, c))
             line = lambda0 + slope * (c - centre) if coarser else None
-            seen[c] = nth_eigenvalue(op, 1, tol=_EIG_TOL, near=line), op
+            seen[c] = nth_eigenvalue(op, 1, near=line), op
             return seen[c][0] - lambda0
 
         lo, hi = centre - radius, min(centre + radius, -1.0)
@@ -341,14 +327,14 @@ def couette_speed(beta: float, lambda0: float, resolution: int = 256) -> EigenPa
             lo = centre - 8.0 * (centre - lo)
         else:
             raise BracketFailureError("bracket-failure: lam1(beta,c) never exceeded lambda0")
-        lam_floor = eigenvalue_floor(seen[hi][1], _EIG_TOL)
+        lam_floor = eigenvalue_floor(seen[hi][1])
         c_h = monotone_root(f, lo, hi, f_lo, f_hi, _ROOT_FLOORS * lam_floor)
         lam_h, op = seen[c_h]
         # the secant over the last bracket: the nearest speeds on either side of c_h
         a = max(c for c, (lam, _) in seen.items() if lam >= lambda0)
         b = min(c for c, (lam, _) in seen.items() if lam < lambda0)
         secant = (seen[b][0] - seen[a][0]) / (b - a)
-        floor = (eigenvalue_floor(op, _EIG_TOL) + abs(lam_h - lambda0)) / abs(secant)
+        floor = (eigenvalue_floor(op) + abs(lam_h - lambda0)) / abs(secant)
         coarser.append((c_h, secant, floor))
         return c_h, floor, op, lam_h
 

@@ -7,9 +7,7 @@ root search in lambda on the boundary mismatch phi(1).  It shares no code
 with the tridiagonal solver.  At the singular wall speed c = -1 it starts a
 small distance off the wall on the regular Frobenius solution instead.
 
-Two older routes to the wall value are kept here as cross-checks: the
-eps-regularized one (c = -1 - eps along a decreasing schedule, a
-monotonicity certificate, Neville extrapolation to eps = 0) and a direct
+An older route to the wall value is kept here as a cross-check: a direct
 solve on a mesh graded toward y = -1.
 
 ``sturm_count`` (the negative-inertia count from LDL^T pivots) certifies
@@ -38,9 +36,8 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from betaplane import rayleigh_kuo as rk
 from betaplane.bifurcation import _deriv4
-from betaplane.errors import NoConvergenceError, ValidationError
+from betaplane.errors import ValidationError
 from betaplane.grid import Grid1D, assemble
 
 
@@ -117,73 +114,6 @@ def wall_shooting_beta_star(lo: float = 1.0, hi: float = 3.0) -> float:
         return shoot_boundary_value(lambda y: -beta / (y + 1.0), 0.0, y0, start)
 
     return brentq(mismatch, lo, hi, xtol=1e-13)
-
-
-#: eps values for the endpoint regularization: 0.1 halved seven times.
-DEFAULT_EPS_SCHEDULE = tuple(0.1 * 0.5**i for i in range(8))
-
-
-class NonMonotoneSequenceError(NoConvergenceError):
-    """Endpoint-regularized eigenvalues fail the monotonicity certificate.
-
-    Signals that the grid resolution is too coarse for the smallest
-    regularization parameter; the caller must refine.
-    """
-
-
-def neville_to_zero(xs, ys):
-    """Polynomial extrapolation of (xs, ys) to x = 0.
-
-    Returns (value, error): the full-depth tableau entry, and a conservative
-    error bound.  The observed endpoint convergence is first order in eps
-    with a slowly decaying (logarithmic) second-order residue, so the last
-    tableau correction alone underestimates the bias; the spread between the
-    full-depth entry and the three-point entry tracks the true error with a
-    factor-of-a-few margin and is used instead.
-    """
-    xs = np.asarray(xs, dtype=float)
-    m = xs.size
-    # After round `level`, p[i] holds the interpolant through nodes
-    # i..i+level evaluated at 0; ascending i reads p[i+1] before overwrite.
-    p = np.asarray(ys, dtype=float).copy()
-    tail = [p[-1]]
-    for level in range(1, m):
-        for i in range(m - level):
-            p[i] = (xs[i + level] * p[i] - xs[i] * p[i + 1]) / (xs[i + level] - xs[i])
-        tail.append(p[m - level - 1])
-    err = abs(tail[-1] - tail[-2])
-    if m >= 4:
-        err = max(err, abs(tail[-1] - tail[2]))
-    return tail[-1], float(err)
-
-
-def eps_route_wall_eigenvalue(beta, side, eps_schedule=DEFAULT_EPS_SCHEDULE, resolution=256):
-    """(value, error) of lambda_1 at c = -1 (left) or +1 (right) by the eps route.
-
-    Solves the regular problem at c = -+(1 + eps) along the schedule through
-    ``rayleigh_kuo.lambda_n_couette``, certifies that the values decrease
-    (within the grid error budget), and extrapolates them to eps = 0.
-    """
-    eps = [float(e) for e in eps_schedule]
-    if len(eps) < 4:
-        raise ValidationError(f"eps_schedule needs >= 4 entries, got {len(eps)}")
-    if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValidationError("eps_schedule must be strictly decreasing and positive")
-    sign = -1.0 if side == "left" else 1.0
-    lams, herrs = [], []
-    for e in eps:
-        pair = rk.lambda_n_couette(beta, sign * (1.0 + e), 1, resolution)
-        lams.append(pair.value)
-        herrs.append(pair.error_estimate)
-    slack = max(1e-10, 10.0 * max(herrs))
-    for a, b in zip(lams, lams[1:]):
-        if b > a + slack:
-            raise NonMonotoneSequenceError(
-                "non-monotone-sequence: endpoint regularization is not decreasing; "
-                f"refine the resolution (values {a} -> {b} at resolution {resolution})"
-            )
-    value, eps_err = neville_to_zero(eps, lams)
-    return value, max(eps_err, max(herrs))
 
 
 def graded_nodes(n_interior: int, grade_ratio) -> np.ndarray:

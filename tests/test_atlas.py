@@ -340,9 +340,9 @@ def test_speed_inversion_budget(monkeypatch):
 
     rows, real = [], rk.nth_eigenvalue
 
-    def counting(op, n, tol, near=None):
+    def counting(op, n, near=None):
         rows.append(op.dim)
-        return real(op, n, tol, near)
+        return real(op, n, near)
 
     monkeypatch.setattr(rk, "nth_eigenvalue", counting)
     atlas.speed_for_eigenvalue(3.0, -1.0)

@@ -53,6 +53,36 @@ class TestAtlasCurveCommand:
         assert len(alphas) == 3
         assert alphas == sorted(alphas)
 
+    def test_default_beta_min_is_beta_star(self, capsys):
+        from betaplane import atlas
+        from betaplane.cli import main
+
+        assert main(["atlas", "curve", "--beta-max", "3", "--steps", "2"]) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
+        assert [float(r[0]) for r in rows] == [atlas.find_beta_star(), 3.0]
+
+
+class TestAtlasRootBars:
+    """beta-star and beta-T print the answer's own error estimate, the one --tol bounds."""
+
+    @pytest.mark.parametrize("argv, alpha", [
+        (["atlas", "beta-star"], 0.0),
+        (["atlas", "beta-T", "--period", "6"], 2.0 * np.pi / 6.0),
+    ], ids=["beta-star", "beta-T"])
+    def test_tol_bounds_the_printed_bar(self, argv, alpha, capsys):
+        from betaplane.cli import main
+        from betaplane.rayleigh_kuo import wall_beta
+
+        assert main(argv) == 0
+        bar = float(capsys.readouterr().out.splitlines()[-1].split(",")[-1])
+        assert bar == wall_beta(alpha)[1]
+        assert main([*argv, "--tol", repr(float(np.nextafter(bar, np.inf)))]) == 0
+        assert float(capsys.readouterr().out.splitlines()[-1].split(",")[-1]) == bar
+        assert main([*argv, "--tol", repr(float(np.nextafter(bar, 0.0)))]) == 3
+        captured = capsys.readouterr()
+        assert f"error estimate {bar:.3g} exceeds tol" in captured.err
+        assert captured.out == ""
+
 
 class TestModifiedFlowCommand:
     def test_positive_principal_eigenvalue_in_output(self):
@@ -80,6 +110,23 @@ class TestModifiedFlowCommand:
         ).stdout
         rows = [l for l in out.strip().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 11
+
+    def test_gamma_sweep_one_row_per_gamma(self, capsys):
+        from betaplane import modified_flow
+        from betaplane.cli import RunConfig, main
+
+        argv = ["modified-flow", "--beta", "0.5", "--gamma", "0.02", "--a", "0",
+                "--emit", "sweep", "--gamma-sweep", "0.02,0.01"]
+        assert main(argv) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert rows[0] == ["gamma", "lambda_1", "error_estimate", "asymptote_bound"]
+        assert [float(r[0]) for r in rows[1:]] == [0.02, 0.01]
+        for row in rows[1:]:
+            g = float(row[0])
+            pair = modified_flow.lambda_n_modified(
+                modified_flow.ModifiedFlowParams(0.5, g, 0.0), 1, RunConfig().modified_resolution(g)
+            )
+            assert [float(row[1]), float(row[2])] == [pair.value, pair.error_estimate]
 
 
     def test_profile_bytes_pinned(self):
@@ -186,6 +233,14 @@ class TestBifurcateCommand:
             if line.startswith("# ")
         )
         assert 1.8 <= float(meta["slope"]) <= 2.2
+
+    def test_scaled_couette_requires_c(self, capsys):
+        from betaplane.cli import main
+
+        assert main(["bifurcate", "--base", "scaled-couette", "--beta", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --base scaled-couette requires --c (the wave speed)\n"
+        assert captured.out == ""
 
     def test_speed_inside_flow_range_exit_2(self, capsys):
         from betaplane.cli import main
@@ -374,6 +429,22 @@ class TestConfigAndOutputs:
         assert run.tol("beta-T") == 1e-9
         assert run.tol("region") == 1e-9
 
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("resolution 128", "expected key=value, got 'resolution 128'", id="no-equals"),
+        pytest.param("format=xml", "unknown output format 'xml'", id="format=xml"),
+    ])
+    def test_bad_config_line_exit_2(self, line, message, tmp_path, capsys):
+        from betaplane.cli import main
+
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        assert main(["eigen", "--beta", "0.5", "--c", "-2", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        if "=" not in line:  # a line the parser cannot split names its place
+            assert captured.err.startswith(f"error: {cfg}:2: ")
+        assert captured.out == ""
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("spam=1\n")
@@ -489,6 +560,14 @@ class TestArgumentRanges:
         assert row[3] == "-0"
         # beta* = j_(1,1)^2 / 8 = 1.835246330265487 lies 2.4e-13 from the value, within its bar
         assert row[1:3] == ["1.8352463302657318", "4.3342582996745362e-11"]
+
+    def test_resolution_below_64_exit_2(self, capsys):
+        from betaplane.cli import main
+
+        assert main(["eigen", "--beta", "1", "--c", "-2", "--resolution", "32"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: resolution must be >= 64, got 32\n"
+        assert captured.out == ""
 
     def test_overflowing_potential_one_error_line(self):
         # beta / (y + 1) overflows at the first node of the 512-row grid

@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 
 from betaplane import eigen
 from betaplane.errors import NoConvergenceError, ValidationError
-from betaplane.eigen import (
-    eigenvector,
-    extrapolate,
-    gershgorin_interval,
-    monotone_root,
-    nth_eigenvalue,
-)
+from betaplane.eigen import eigenvalue_floor, eigenvector, extrapolate, monotone_root, nth_eigenvalue
 from betaplane.grid import Grid1D, TridiagOperator, assemble, build_grid
 from oracles import sturm_count
 
@@ -104,16 +98,16 @@ class TestNthEigenvalue:
             grid = build_grid(max(n, 3))
             op = TridiagOperator(diag=diag, off=off, grid=grid)
             for k in (1, n // 2 + 1, n):
-                assert nth_eigenvalue(op, k, tol=1e-12) == pytest.approx(
+                assert nth_eigenvalue(op, k) == pytest.approx(
                     eigs[k - 1], abs=1e-10
                 )
 
     def test_shift_invariance(self, rng):
         op = laplacian_op(24)
-        base = nth_eigenvalue(op, 3, tol=1e-13)
+        base = nth_eigenvalue(op, 3)
         for s in rng.uniform(-7, 7, 5):
             shifted = TridiagOperator(diag=op.diag + s, off=op.off, grid=op.grid)
-            assert nth_eigenvalue(shifted, 3, tol=1e-13) == pytest.approx(
+            assert nth_eigenvalue(shifted, 3) == pytest.approx(
                 base + s, abs=1e-12 * max(1, abs(base + s))
             )
 
@@ -126,11 +120,11 @@ class TestNthEigenvalue:
 
     def test_sturm_certificate(self):
         op = laplacian_op(64)
-        tol = 1e-11
+        d = eigenvalue_floor(op)
         for n in (1, 5, 32):
-            lam = nth_eigenvalue(op, n, tol=tol)
-            assert sturm_count(op.diag, op.off, lam - 2 * tol) < n
-            assert sturm_count(op.diag, op.off, lam + 2 * tol) >= n
+            lam = nth_eigenvalue(op, n)
+            assert sturm_count(op.diag, op.off, lam - d) < n
+            assert sturm_count(op.diag, op.off, lam + d) >= n
 
 
 def couette_op(m, beta=2.0, c=-1.5):
@@ -152,20 +146,20 @@ class TestLapackKernel:
     def test_sturm_certifies_lapack_value(self, m):
         op = couette_op(m)
         rev = TridiagOperator(diag=op.diag[::-1], off=op.off[::-1], grid=op.grid)
-        tol = 1e-12
+        tol = eigen._EIG_TOL
         row_sums = np.abs(op.diag)
         row_sums[:-1] += np.abs(op.off)
         row_sums[1:] += np.abs(op.off)
         delta = max(2 * tol, 8 * np.finfo(float).eps * row_sums.max())
         for n in (1, 2, 5):
-            full = nth_eigenvalue(op, n, tol=tol)
+            full = nth_eigenvalue(op, n)
             for near in (None, full, full - 50.0, full + 50.0, full + 1e-4 * abs(full)):
-                lam = nth_eigenvalue(op, n, tol=tol, near=near)
+                lam = nth_eigenvalue(op, n, near=near)
                 below, upto = sturm_count(op.diag, op.off, np.array([lam - delta, lam + delta]))
                 assert below < n <= upto
                 # both values lie within delta of eigenvalue n
                 assert abs(lam - full) <= 2 * delta
-                assert nth_eigenvalue(rev, n, tol=tol, near=near) == lam
+                assert nth_eigenvalue(rev, n, near=near) == lam
 
 
 class CountingLapack:
@@ -197,21 +191,40 @@ class TestBracketedSolve:
             diag, off, grid = random_tridiag(rng, int(rng.integers(3, 60)))
             ops.append(TridiagOperator(diag=diag, off=off, grid=grid))
         for op in ops:
-            glo, ghi = gershgorin_interval(op)
-            for x in rng.uniform(glo - 1.0, ghi + 1.0, 20):
-                assert eigen._count(op.diag, op.off, glo, ghi, x) == sturm_count(op.diag, op.off, x)
-            assert eigen._count(op.diag, op.off, glo, ghi, glo) == 0
-            assert eigen._count(op.diag, op.off, glo, ghi, ghi) == op.dim
+            b = eigen._norm_bound(op)
+            r = eigen._radius(b)
+            spectrum = scipy.linalg.eigh_tridiagonal(op.diag, op.off, eigvals_only=True)
+            near_eigs = np.concatenate([spectrum * (1 - 1e-9), spectrum * (1 + 1e-9)])
+            xs = np.concatenate([rng.uniform(-b - 1.0, b + 1.0, 20), near_eigs])
+            counts = [eigen._count(op.diag, op.off, b, x) for x in xs]
+            assert counts == list(sturm_count(op.diag, op.off, xs))
+            assert eigen._count(op.diag, op.off, b, -r) == 0
+            assert eigen._count(op.diag, op.off, b, r) == op.dim
+
+    @pytest.mark.parametrize("diag, off", [
+        ([0.0, 0.0], [0.0]),
+        ([-1.0, -1.0], [0.0]),
+        ([1.0, 1.0], [0.0]),
+        ([0.0, 0.0], [1.0]),
+    ], ids=["zero", "minus-identity", "identity", "swap"])
+    def test_count_at_the_bound(self, diag, off):
+        # an eigenvalue at -||A|| is counted only because the bound is padded
+        diag, off = np.array(diag), np.array(off)
+        b = eigen._norm_bound(TridiagOperator(diag=diag, off=off, grid=None))
+        spectrum = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        for x in spectrum:
+            assert eigen._count(diag, off, b, x) == np.sum(spectrum <= x)
+            assert eigen._count(diag, off, b, x - 1e-9) == np.sum(spectrum < x)
 
     def test_random_matrices(self, rng):
         for _ in range(20):
             size = int(rng.integers(2, 40))
             diag, off, grid = random_tridiag(rng, size)
             op = TridiagOperator(diag=diag, off=off, grid=grid)
-            d = eigen.eigenvalue_floor(op, 1e-12)
+            d = eigenvalue_floor(op)
             for n in {1, size // 2 + 1, size}:
-                full = nth_eigenvalue(op, n, tol=1e-12)
-                lam = nth_eigenvalue(op, n, tol=1e-12, near=full + rng.uniform(-3.0, 3.0))
+                full = nth_eigenvalue(op, n)
+                lam = nth_eigenvalue(op, n, near=full + rng.uniform(-3.0, 3.0))
                 below, upto = sturm_count(diag, off, np.array([lam - d, lam + d]))
                 assert below < n <= upto
                 assert abs(lam - full) <= 2 * d
@@ -233,12 +246,12 @@ class TestBracketedSolve:
         monkeypatch.setattr(eigen, "_flapack", types.SimpleNamespace(dstebz=dstebz, dgtsv=real.dgtsv))
         op = laplacian_op(8)
         with pytest.raises(NoConvergenceError, match="stebz"):
-            nth_eigenvalue(op, 1, tol=1e-12, near=nth_eigenvalue(op, 2))
+            nth_eigenvalue(op, 1, near=nth_eigenvalue(op, 2))
 
     def test_good_guess_certified_without_bisection(self, lapack):
         op = couette_op(4096)
         full = nth_eigenvalue(op, 1)
-        d = eigen.eigenvalue_floor(op, 1e-12)
+        d = eigenvalue_floor(op)
         lapack.whole_spectrum = 0
         lam = nth_eigenvalue(op, 1, near=full * (1 + 1e-4))
         assert lapack.whole_spectrum == 0
@@ -273,7 +286,7 @@ class TestBracketedSolve:
         lapack.whole_spectrum = 0
         lam = nth_eigenvalue(op, 2, near=full * (1 + 1e-4))
         assert lapack.whole_spectrum == 0
-        assert abs(lam - full) <= 2 * eigen.eigenvalue_floor(op, 1e-12)
+        assert abs(lam - full) <= 2 * eigenvalue_floor(op)
 
 
 class TestNonFinite:
@@ -331,8 +344,8 @@ class TestLapackParity:
                                                                  n, n, tol, "E")
                         assert (m, info) == (1, 0)
                         assert w[0] == ref
-                    if tol > 0:
-                        assert nth_eigenvalue(op, n, tol) == ref
+                    if tol == eigen._EIG_TOL:
+                        assert nth_eigenvalue(op, n) == ref
 
     def test_stein_matches_scipy_lapack(self):
         # scipy's stebz driver builds its vectors with LAPACK stein; the two unit
@@ -432,9 +445,10 @@ class TestEigenvector:
 
     def test_far_from_spectrum_fails(self):
         op = laplacian_op(16)
-        glo, ghi = gershgorin_interval(op)
-        with pytest.raises((NoConvergenceError, ValidationError)):
-            eigenvector(op, ghi + 100.0)
+        r = eigen._radius(eigen._norm_bound(op))
+        for lam in (r + 100.0, np.nextafter(r, np.inf), -np.nextafter(r, np.inf), np.nan):
+            with pytest.raises(ValidationError, match="spectral bound"):
+                eigenvector(op, lam)
 
     def test_deterministic(self):
         op = laplacian_op(40)
@@ -445,7 +459,7 @@ class TestEigenvector:
 
 
 class TestNormBound:
-    """eigenvalue_floor and eigen_residual share one ||A|| bound, with their own floors."""
+    """eigenvalue_floor is max(2 tol, 8 eps b) with the kernel's one tolerance and ||A|| bound b."""
 
     @staticmethod
     def ops(rng):
@@ -458,16 +472,8 @@ class TestNormBound:
     def test_floor_is_the_norm_bound(self, rng):
         for op in self.ops(rng):
             norm = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off), initial=0.0)
-            for tol in (1e-12, 1e-3):
-                expected = max(2.0 * tol, 8.0 * np.finfo(float).eps * float(norm))
-                assert eigen.eigenvalue_floor(op, tol) == expected
-
-    def test_residual_divides_by_the_norm_bound(self, rng):
-        for op in self.ops(rng):
-            v = rng.standard_normal(op.dim)
-            norm_a = max(np.max(np.abs(op.diag)) + 2 * (np.max(np.abs(op.off)) if op.dim > 1 else 0.0), 1e-300)
-            expected = float(np.linalg.norm(op.matvec(v) - 0.7 * v) / norm_a)
-            assert eigen.eigen_residual(op, 0.7, v) == expected
+            assert eigen._norm_bound(op) == norm
+            assert eigenvalue_floor(op) == max(2e-12, 8.0 * np.finfo(float).eps * float(norm))
 
 
 class TestMonotoneRoot:
@@ -530,7 +536,7 @@ class TestExtrapolate:
             n = int(round(2 / h)) - 1
             g = build_grid(n)
             op = assemble(g, lambda y: np.zeros_like(y))
-            seq.append((g.h, nth_eigenvalue(op, 1, tol=1e-13)))
+            seq.append((g.h, nth_eigenvalue(op, 1)))
         lam, err = extrapolate(seq)
         assert lam == pytest.approx(np.pi**2 / 4, abs=1e-7)
 

@@ -122,4 +122,4 @@ def test_discrete_laplacian_closed_form_spectrum():
         op = assemble(g, zero_q)
         for j in range(1, n + 1):
             expected = (2 / g.h**2) * (1 - np.cos(j * np.pi * g.h / 2))
-            assert nth_eigenvalue(op, j, tol=2.5e-13) == pytest.approx(expected, abs=1e-12)
+            assert nth_eigenvalue(op, j) == pytest.approx(expected, abs=1e-12)
