@@ -27,7 +27,10 @@ class Grid1D:
 
     h = 2 / (n_interior + 1).  The nodes are exactly antisymmetric, so the
     mirror images (beta, c) and (-beta, -c) of a Couette problem give
-    exactly reversed matrices.
+    exactly reversed matrices.  ``assemble`` uses the uniform stencil, so a
+    grid is rejected unless it has n_interior nodes, that h, and every gap
+    (ends included) within 2 eps of h, which also keeps the nodes increasing
+    inside (-1, 1); ``build_grid``'s gaps are within 0.5 eps.
     """
 
     n_interior: int
@@ -38,8 +41,9 @@ class Grid1D:
         if self.n_interior < 3:
             raise ValidationError(f"invalid-count: n_interior must be >= 3, got {self.n_interior}")
         d = np.diff(np.concatenate(([-1.0], self.nodes, [1.0])))
-        if not np.all(d > 0):
-            raise ValidationError("nodes must be strictly increasing inside (-1, 1)")
+        if (self.nodes.size != self.n_interior or self.h != 2.0 / (self.n_interior + 1)
+                or not np.all(np.abs(d - self.h) <= 2 * np.finfo(float).eps)):
+            raise ValidationError("non-uniform: assemble needs n_interior nodes h = 2/(n_interior + 1) apart")
 
 
 @dataclass(frozen=True)

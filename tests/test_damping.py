@@ -284,19 +284,23 @@ class TestExperiment:
 
 
 def assert_experiment_matches_textbook(ens, beta, samples=(0.0, 5.0, 10.0, 20.0, 30.0, 40.0), dt=5e-3):
+    """Check the table row by row; returns the textbook amplitudes at each sample time."""
     table = dp.run_damping_experiment(ens, beta, samples[-1], dt=dt, sample_times=samples)
     amps, t = ens.amps, ens.t
     mod0 = np.abs(amps)
+    textbook = []
     for ts, row in zip(samples, table.rows):
         if ts > t:
             amps = rk4_evolve_textbook(ens.ks, ens.etas, amps, beta, t, ts, dt)
         t = ts
+        textbook.append(amps)
         ux, uy = dp.velocity_norms(dp.ModeEnsemble(ens.ks, ens.etas, amps, ens.d_eta, ts))
         drift = float(np.max(np.abs(np.abs(amps) - mod0)))
         assert row[0] == ts
         assert row[1] == pytest.approx(ux, rel=1e-13, abs=0.0)
         assert row[2] == pytest.approx(uy, rel=1e-13, abs=0.0)
         assert abs(row[3] - drift) <= 1e-13
+    return textbook
 
 
 def multiplier_sizes(monkeypatch):
@@ -385,10 +389,10 @@ class TestRealKernel:
         # window starts 16000 - q (0, 20, .., 16000) are one class for |k| = 1
         # and 2, 8000 and 4000 class steps from first to last, and three for
         # |k| = 3 (20 m mod 6 in {0, 2, 4}, starts 60 apart), 2660 class steps
-        # each.  Each interval is advanced on its own, so the row at t = 5 is
-        # that of a short run and the row at t = 20 that of a long one (3000
-        # steps, one piece for every class); the oracle takes about 0.8 s per
-        # 20 time units.
+        # each.  The two intervals differ in length (1000 and 3000 steps), so
+        # neither shares the other's sequences: each has a plan and one call
+        # per class, one piece each; the oracle takes about 0.8 s per 20 time
+        # units.
         sizes = multiplier_sizes(monkeypatch)
         ens = dp.ModeEnsemble.from_profile(profile)
         assert_experiment_matches_textbook(ens, beta, (0.0, 5.0, 20.0))
@@ -414,10 +418,12 @@ class TestResidueClasses:
 
     @pytest.mark.parametrize("dt, samples", [
         (5e-3, [0.0, 5.0, 20.0]), (1e-2, [0.0, 5.0, 20.0]), (1e-3, [0.0, 2.74]),
-    ], ids=["0.005", "0.01", "0.001"])
+        (5e-3, [5.0 * i for i in range(21)]),
+    ], ids=["0.005", "0.01", "0.001", "0.005-shared"])
     def test_every_multiplier_is_read(self, dt, samples, monkeypatch):
         # on the default lattice; at dt 1e-3 one interval of 2740 steps, which
-        # every class takes in one piece
+        # every class takes in one piece; the default experiment's 20 equal
+        # intervals go 16 and 4 to a sequence
         calls = self.windows(monkeypatch)
         dp.run_damping_experiment(dp.ModeEnsemble.from_profile("gaussian"), 1.3, samples[-1], dt=dt,
                                   sample_times=samples)
@@ -484,6 +490,109 @@ class TestResidueClasses:
         built.clear()
         dp.evolve_rk4(dp.ModeState(1, 0.5, 1.0 + 0.0j), 1.0, 0.0, 3.0, 1e-2)
         assert built == [(300, 1e-2)]
+
+
+def recorded_amplitudes(monkeypatch):
+    """The list that a copy of the amplitudes at every later sample time is appended to."""
+    seen = []
+    norms = dp.velocity_norms
+
+    def recording(ens):
+        seen.append(ens.amps.copy())
+        return norms(ens)
+
+    monkeypatch.setattr(dp, "velocity_norms", recording)
+    return seen
+
+
+class TestSharedSequences:
+    """Consecutive intervals of one (n, step) read one multiplier sequence per batch."""
+
+    @staticmethod
+    def assert_amplitudes_match_textbook(ens, beta, samples, dt, monkeypatch):
+        # the tables read moduli only, so the phases are checked on the amplitudes
+        seen = recorded_amplitudes(monkeypatch)
+        textbook = assert_experiment_matches_textbook(ens, beta, samples, dt=dt)
+        assert len(seen) == 2 * len(samples)  # the experiment's norms, then the oracle's
+        for got, amps in zip(seen, textbook):
+            assert np.max(np.abs(got - amps)) <= 1e-13
+
+    @staticmethod
+    def sequence_calls(monkeypatch):
+        """The list that (k, starts, t0, n) of every later _sequence_products call is appended to."""
+        calls = []
+        products = dp._sequence_products
+
+        def recording(k, p, starts, beta, t0, step, n):
+            calls.append((k.copy(), starts.copy(), t0, n))
+            return products(k, p, starts, beta, t0, step, n)
+
+        monkeypatch.setattr(dp, "_sequence_products", recording)
+        return calls
+
+    def test_default_experiment_counts(self, monkeypatch):
+        # 20 intervals of 1000 steps: each class takes 16384 // 1000 = 16 of
+        # them from one sequence and the last 4 from another, at
+        # (class start range) + 1000 per interval taken; one interval at a time
+        # made 20 x (9000 + 5000 + 3 x 3660) = 499,600
+        sizes = multiplier_sizes(monkeypatch)
+        dp.run_damping_experiment(dp.ModeEnsemble.from_profile("gaussian"), 1.3, 100.0, dt=5e-3)
+        ranges = [8000, 4000] + 3 * [2660]
+        assert sizes == [r + 16000 for r in ranges] + [r + 4000 for r in ranges]
+        assert sum(sizes) == 139960
+        assert all(size <= r + dp.MAX_TERMS for size, r in zip(sizes, 2 * ranges))
+
+    def test_cap_splits_a_run(self, rng, monkeypatch):
+        # At dt 1e-3, q = 200 m: each |k| goes in three groups of q range under
+        # 16384, one class each, with at most 82 windows.  An interval is 5000
+        # steps, so a class takes 16384 // 5000 = 3 intervals to a call: the
+        # four intervals go 3 and 1, from t0 = 0 and 15.
+        calls = self.sequence_calls(monkeypatch)
+        sizes = multiplier_sizes(monkeypatch)
+        ens = small_ensemble()
+        ens.amps = ens.amps * np.exp(1j * rng.uniform(0, 2 * np.pi, ens.amps.size))
+        self.assert_amplitudes_match_textbook(ens, 1.7, (0.0, 5.0, 10.0, 15.0, 20.0), 1e-3, monkeypatch)
+        assert len(calls) == 2 * 6
+        assert [t0 for _, _, t0, _ in calls] == 6 * [0.0] + 6 * [15.0]
+        for k, starts, t0, n in calls:
+            assert n == 5000
+            if t0 == 0.0:  # three intervals: the first one's windows, then 5000 and 10000 steps on
+                first = starts[: starts.size // 3]
+                assert np.array_equal(starts, np.concatenate([first, first + 5000, first + 10000]))
+            else:
+                first = starts
+            assert first.size <= 82
+        assert max(sizes) <= dp.MAX_TERMS // 2 + dp.MAX_TERMS  # a start range is under 16384 / 2|k| steps
+
+    def test_equal_run_then_another_length(self, rng, monkeypatch):
+        # three intervals of 100 steps share one call per class; the last, of
+        # 150 steps, has a plan and sequences of its own
+        calls = self.sequence_calls(monkeypatch)
+        ens = small_ensemble()
+        ens.amps = ens.amps * np.exp(1j * rng.uniform(0, 2 * np.pi, ens.amps.size))
+        self.assert_amplitudes_match_textbook(ens, -1.7, (0.0, 1.0, 2.0, 3.0, 4.5), 1e-2, monkeypatch)
+        assert [(t0, n) for _, _, t0, n in calls] == 2 * [(0.0, 100)] + 2 * [(3.0, 150)]
+        assert [starts.size for _, starts, _, _ in calls[:2]] == [3 * 201, 3 * 201]  # 201 windows a class
+
+    def test_repeated_sample_times(self, rng, monkeypatch):
+        # a repeated time adds a row and no step, and does not split the run
+        calls = self.sequence_calls(monkeypatch)
+        ens = small_ensemble()
+        ens.amps = ens.amps * np.exp(1j * rng.uniform(0, 2 * np.pi, ens.amps.size))
+        samples = (0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 3.0)
+        self.assert_amplitudes_match_textbook(ens, 1.7, samples, 1e-2, monkeypatch)
+        assert [(t0, n) for _, _, t0, n in calls] == 2 * [(0.0, 100)]
+        table = dp.run_damping_experiment(ens, 1.7, 3.0, dt=1e-2, sample_times=samples)
+        assert [row[0] for row in table.rows] == list(samples)
+        assert table.rows[0] == table.rows[1] and table.rows[2] == table.rows[3]
+        assert table.rows[5] == table.rows[6]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_run_names_the_first_time(self):
+        # dt beta = 10 leaves RK4's stability interval: the 20 intervals of 500
+        # steps come from one call per class, and the products overflow by t = 5
+        with pytest.raises(NoConvergenceError, match="not finite at sample time t=5.0;"):
+            dp.run_damping_experiment(dp.ModeEnsemble.from_profile("gaussian"), 1000.0, 100.0, dt=1e-2)
 
 
 class TestConjugatePairs:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from betaplane.errors import ValidationError
-from betaplane.grid import assemble, build_grid
+from betaplane.grid import Grid1D, assemble, build_grid
 from oracles import graded_nodes, rayleigh_quotient
 
 
@@ -43,6 +43,33 @@ class TestBuildGrid:
     def test_count_validation(self):
         with pytest.raises(ValidationError, match="invalid-count"):
             build_grid(2)
+
+    def test_non_uniform_grid_rejected(self):
+        # assemble has the uniform stencil only, so a graded mesh is refused, not assembled wrongly
+        with pytest.raises(ValidationError, match="non-uniform"):
+            Grid1D(64, graded_nodes(64, 0.85), 2.0 / 65)
+
+    @pytest.mark.parametrize("n, h", [(63, 2.0 / 65), (64, 2.0 / 64)], ids=["count", "spacing"])
+    def test_count_and_spacing_must_match_the_nodes(self, n, h):
+        nodes = build_grid(64).nodes
+        with pytest.raises(ValidationError, match="non-uniform"):
+            Grid1D(n, nodes[:n], h)
+
+    @pytest.mark.parametrize("edit", [lambda v: v[::-1], lambda v: np.where(v == v[5], np.nan, v)],
+                             ids=["reversed", "nan"])
+    def test_nodes_out_of_order_rejected(self, edit):
+        g = build_grid(64)
+        with pytest.raises(ValidationError, match="non-uniform"):
+            Grid1D(64, edit(g.nodes), g.h)
+
+    def test_gap_tolerance(self):
+        g = build_grid(64)
+        nudged = g.nodes.copy()
+        nudged[10] += np.finfo(float).eps  # its two gaps stay within 1.5 eps of h
+        assert Grid1D(64, nudged, g.h).nodes is nudged
+        nudged[10] += 4 * np.finfo(float).eps  # now at least 4.5 eps off
+        with pytest.raises(ValidationError, match="non-uniform"):
+            Grid1D(64, nudged, g.h)
 
     def test_ratio_validation(self):
         with pytest.raises(ValidationError, match="invalid-ratio"):
