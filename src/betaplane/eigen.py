@@ -6,17 +6,19 @@ certify them with Sturm counts of their own (``tests/oracles.py``).  It is
 LAPACK's ``stebz`` bisection of the whole spectrum to the one tolerance
 ``_EIG_TOL``, or, given a guess, the Rayleigh quotient of two
 inverse-iteration steps shifted to it (LAPACK ``gtsv``) once Sturm counts
-certify it.  Eigenvectors come from the same iteration.  One bound
-b >= ||A|| (``_norm_bound``) gives the rounding floor, the interval
-[-b, b], padded, that holds the spectrum for the counts, and the check on
-an eigenvector's shift.  Both routines are called from scipy's compiled
-binding, loaded as a file: ``import scipy.linalg`` would add about 0.4 s
-to each process.  Grid sequences are Richardson-extrapolated to the
+certify it.  Eigenvectors come from the same iteration: asked for one, a
+solve hands out the iterate it certified, and runs the iteration only on
+the bisection path.  One bound b >= ||A|| (``_norm_bound``) gives the
+rounding floor, the interval [-b, b], padded, that holds the spectrum for
+the counts, and the check on an eigenvector's shift.  Both routines are
+called from scipy's compiled binding, loaded as a file: ``import
+scipy.linalg`` would add about 0.4 s to each process.  Grid sequences are Richardson-extrapolated to the
 continuum limit assuming second-order convergence, with the kernel's
 rounding floor carried into the error; the record of one such ladder,
 ``EigenPair``, lives with the ladder in ``rayleigh_kuo``.  ``monotone_root``
 is the one bracketing root search, shared by the speed inversion and the
-modified-flow level set.
+modified-flow level set: Illinois steps, or safeguarded Newton steps when
+the caller has the slope.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NoConvergenceError, ValidationError, require_finite
+from .errors import BracketFailureError, NoConvergenceError, ValidationError, require_finite
 from .grid import TridiagOperator
 
 __all__ = [
@@ -133,7 +135,7 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, shift: float):
     return (v, rho) if np.isfinite(rho) else None
 
 
-def nth_eigenvalue(op: TridiagOperator, n: int, near=None) -> float:
+def nth_eigenvalue(op: TridiagOperator, n: int, near=None, vector: bool = False):
     """n-th smallest eigenvalue (1-based) to absolute tolerance ``_EIG_TOL``.
 
     The result lambda satisfies count(lambda - d) < n <= count(lambda + d)
@@ -141,7 +143,10 @@ def nth_eigenvalue(op: TridiagOperator, n: int, near=None) -> float:
     Given a finite guess ``near``, lambda is the Rayleigh quotient of
     ``_inverse_iteration`` at ``near`` when two Sturm counts certify it so;
     otherwise LAPACK ``stebz`` bisects the whole spectrum (``range='I'``).
-    The two paths agree to within 2 d, not bit for bit.
+    The two paths agree to within 2 d, not bit for bit.  With ``vector``
+    the result is (lambda, unit eigenvector of either sign), in op's row
+    order: the certified iterate, or on the ``stebz`` path one more
+    ``_inverse_iteration`` at lambda.  Without it no vector is built.
     """
     if not 1 <= n <= op.dim:
         raise ValidationError(f"index-out-of-range: n={n} for dimension {op.dim}")
@@ -150,17 +155,28 @@ def nth_eigenvalue(op: TridiagOperator, n: int, near=None) -> float:
     if near is not None:
         require_finite("near", near)
     if op.dim == 1:
-        return float(op.diag[0])
+        return (float(op.diag[0]), np.ones(1)) if vector else float(op.diag[0])
     diag, off = _canonical_orientation(op.diag, op.off)
-    if near is not None and (found := _inverse_iteration(diag, off, near)) is not None:
-        lam, b = found[1], _norm_bound(op)
+    found = None if near is None else _inverse_iteration(diag, off, near)
+    if found is not None:
+        b = _norm_bound(op)
         d = _floor(b)
-        if _count(diag, off, b, lam - d) < n <= _count(diag, off, b, lam + d):
+        if not _count(diag, off, b, found[1] - d) < n <= _count(diag, off, b, found[1] + d):
+            found = None
+    if found is None:
+        m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, n, n, _EIG_TOL, "E")  # il = iu = n
+        if info != 0 or m != 1:
+            raise NoConvergenceError(f"no-convergence: LAPACK stebz gave {m} values (info={info})")
+        lam = float(w[0])
+        if not vector:
             return lam
-    m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, n, n, _EIG_TOL, "E")  # il = iu = n
-    if info != 0 or m != 1:
-        raise NoConvergenceError(f"no-convergence: LAPACK stebz gave {m} values (info={info})")
-    return float(w[0])
+        if (found := _inverse_iteration(diag, off, lam)) is None:
+            raise NoConvergenceError(f"no-convergence: inverse iteration failed at lambda={lam}")
+        found = found[0], lam
+    v, lam = found
+    if not vector:
+        return lam
+    return lam, v if diag is op.diag else v[::-1]
 
 
 def _floor(bound: float) -> float:
@@ -239,7 +255,7 @@ def extrapolate(values, floors=None) -> tuple[float, float]:
 _MAX_ROOT_EVALS = 100
 
 
-def monotone_root(f, lo, hi, f_lo, f_hi, tol):
+def monotone_root(f, lo, hi, f_lo, f_hi, tol, slope=None):
     """A point x in (lo, hi) with |f(x)| <= tol, given f(lo) and f(hi) of opposite signs.
 
     Illinois (modified regula falsi): the secant point of the bracket, with
@@ -247,27 +263,49 @@ def monotone_root(f, lo, hi, f_lo, f_hi, tol):
     inside the bracket is replaced by the midpoint, so f is never evaluated
     at or beyond lo and hi.  Raises NoConvergenceError after
     ``_MAX_ROOT_EVALS`` values, or once no float lies between the ends.
+
+    With ``slope``, f' at any point f has been evaluated at, each step is
+    Newton's from the last point, starting from the end of smaller |f|
+    (``rtsafe``, Numerical Recipes sec. 9.4).  It is taken when the slope
+    has the bracket's sign, the step lands strictly inside the bracket and
+    the last step reduced |f|; otherwise the step is to the midpoint.  One
+    end's value may then be None: it is taken to have the other's opposite
+    sign, and f is evaluated there only before a midpoint step, which
+    raises BracketFailureError if the signs do not differ.
     """
     kept = 0
+    neg_hi = f_hi < 0 if f_hi is not None else not f_lo < 0  # f < 0 on hi's side
+    x = fx = None
+    if slope is not None:
+        x, fx = (lo, f_lo) if f_hi is None or f_lo is not None and abs(f_lo) < abs(f_hi) else (hi, f_hi)
     for _ in range(_MAX_ROOT_EVALS):
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        d = None if x is None else slope(x)
+        if d and (d < 0) == neg_hi and lo < x - fx / d < hi:  # a zero or NaN slope fails here
+            x -= fx / d
+        else:
+            if (f_lo is None and ((f_lo := f(lo)) < 0) == neg_hi
+                    or f_hi is None and ((f_hi := f(hi)) < 0) != neg_hi):
+                raise BracketFailureError(f"bracket-failure: f has one sign at {lo} and {hi}")
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo) if slope is None else 0.5 * (lo + hi)
             if not lo < x < hi:
-                break
-        fx = f(x)
+                x = 0.5 * (lo + hi)
+                if not lo < x < hi:
+                    break
+        fx, f_last = f(x), fx
         if abs(fx) <= tol:
             return x
-        if (fx < 0) == (f_hi < 0):
+        if (fx < 0) == neg_hi:
             hi, f_hi = x, fx
-            if kept < 0:
+            if kept < 0 and f_lo is not None:
                 f_lo *= 0.5
             kept = -1
         else:
             lo, f_lo = x, fx
-            if kept > 0:
+            if kept > 0 and f_hi is not None:
                 f_hi *= 0.5
             kept = 1
+        if slope is None or f_last is not None and abs(fx) >= abs(f_last):
+            x = None
     raise NoConvergenceError(
         f"no-convergence: root search did not reach |f| <= {tol:.3g} in ({lo}, {hi})"
     )

@@ -229,7 +229,10 @@ def profile(params: ModifiedFlowParams) -> ShearProfile:
         )
         return u, du, d2u
 
-    lo, hi = jet(np.array([-1.0, 1.0]))[0]
+    # U alone at the ends, as jet computes it: the flow range
+    ends = np.array([-1.0, 1.0])
+    x1, x2 = ends / g, (ends - 5.0 * g) / g
+    lo, hi = ends + 0.5 * beta * g**2 * x1**2 * cutoff_I(x1) + a * g**2 * erf(x2) * cutoff_I(x2)
     label = f"modified-flow(beta={beta:g}, gamma={g:g}, a={a:g})"
     return ShearProfile(jet, float(lo), float(hi), label, flat_zone=(-g, g), flat_d2u=beta)
 

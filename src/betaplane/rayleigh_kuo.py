@@ -20,12 +20,15 @@ and is solved the same way.
 ``wall_beta`` inverts the wall curve: the beta with lambda_1(beta, -1) =
 -alpha^2 is itself the principal eigenvalue of a weighted problem.
 ``couette_speed`` inverts the curve in c: the c0 < -1 with
-lambda_1(beta, c0) = lambda0, found on each grid and then extrapolated.
+lambda_1(beta, c0) = lambda0, found on each grid by safeguarded Newton
+steps with the exact discrete slope, read from each solve's eigenvector
+(Hellmann-Feynman), and then extrapolated.
 
 One ladder serves all of them: a per-grid value (an eigenvalue, or a root
 in c) on grids of size {resolution, 2*resolution, 4*resolution},
-Richardson-extrapolated.  Grid r bisects the whole spectrum; grids 2r and
-4r start a certified inverse iteration at their coarser grids' prediction.
+Richardson-extrapolated.  For an eigenvalue, grid r bisects the whole
+spectrum; grids 2r and 4r start a certified inverse iteration at their
+coarser grids' prediction.
 It returns one ``EigenPair``, which builds its eigenvector on the finest grid
 only when ``vector`` is read, and hands it out read-only.  Every discrete
 eigenvalue is solved to ``eigen``'s one tolerance.
@@ -76,10 +79,11 @@ _SINGULAR_NODE_TOL = 1e-13
 class ShearProfile:
     """A shear flow given by its jet: ``jet(y)`` returns (u, u', u'') at y.
 
-    Every reader takes what it needs from one evaluation.  ``flat_zone``
-    marks an interval [lo, hi] on which u'' takes the constant value
-    ``flat_d2u`` identically; the Rayleigh-Kuo potential is removable across
-    a critical layer inside that zone whenever beta equals ``flat_d2u``.
+    Every reader takes what it needs from one evaluation; a constant
+    derivative may come as a scalar.  ``flat_zone`` marks an interval
+    [lo, hi] on which u'' takes the constant value ``flat_d2u``
+    identically; the Rayleigh-Kuo potential is removable across a critical
+    layer inside that zone whenever beta equals ``flat_d2u``.
     """
 
     jet: callable
@@ -94,8 +98,7 @@ def couette() -> ShearProfile:
     """The Couette flow u(y) = y."""
 
     def jet(y):
-        y = np.asarray(y, dtype=float)
-        return y, np.ones_like(y), np.zeros_like(y)
+        return np.asarray(y, dtype=float), 1.0, 0.0
 
     return ShearProfile(jet, -1.0, 1.0, "couette")
 
@@ -105,8 +108,7 @@ def scaled_couette(a: float) -> ShearProfile:
     require_finite("scale a", a, positive=True)
 
     def jet(y):
-        y = np.asarray(y, dtype=float)
-        return a * y, np.full_like(y, a), np.zeros_like(y)
+        return a * np.asarray(y, dtype=float), a, 0.0
 
     return ShearProfile(jet, -a, a, f"scaled-couette(a={a:g})")
 
@@ -254,19 +256,20 @@ def _potential(profile: ShearProfile, beta: float, c: float):
         u, _, d2u = profile.jet(y)
         num = d2u - beta
         den = u - c
+        bad = np.abs(den) < _SINGULAR_NODE_TOL
         if removable:
             zone_mask = (y >= zone[0]) & (y <= zone[1])
-        else:
-            zone_mask = np.zeros(y.shape, dtype=bool)
-        bad = (np.abs(den) < _SINGULAR_NODE_TOL) & ~zone_mask
+            bad &= ~zone_mask
         if np.any(bad):
             worst = y[bad][np.argmin(np.abs(den[bad]))]
             raise SingularPotentialError(
                 f"singular-potential: u(y)-c vanishes at node y={worst} "
                 "with non-vanishing numerator"
             )
-        out = np.empty_like(den)
         with np.errstate(over="ignore"):  # an overflowed quotient is assemble's to reject
+            if not removable:
+                return num / den
+            out = np.empty_like(den)
             np.divide(num, den, out=out, where=~zone_mask)
         out[zone_mask] = 0.0
         return out
@@ -280,62 +283,85 @@ def couette_speed(beta: float, lambda0: float, resolution: int = 256) -> EigenPa
     Requires beta >= 0 and lambda0 between the wall value lambda_1(beta, -1)
     and pi^2/4 (``atlas.speed_and_error`` checks both).  The ladder's value
     is the root c_h of the discrete lambda_1,h(beta, c) = lambda0 on each
-    grid, found by ``monotone_root`` to within _ROOT_FLOORS rounding floors
-    of lambda0; its floor is (rounding floor + residual) / |slope|, with the
-    slope of the secant over the last bracket.  Grid r brackets from its own
-    wall value at c = -1 out to -8; grids 2r and 4r about the ladder's guess,
-    within lambda's 1e-3 relative spread over the slope (2r) and within
-    |c_r - c_2r| / 20 + 8 floor_2r (4r).  Each end widens 8x about the centre
-    until the signs differ, and each eigenvalue is guessed on the line the
-    coarser grid's slope draws through (centre, lambda0).  A grid whose own
-    wall value is not below lambda0 has no root: BracketFailureError names it.
+    grid, found by ``monotone_root``'s safeguarded Newton steps to within
+    _ROOT_FLOORS rounding floors of lambda0.  Each solve hands out its unit
+    eigenvector v, so the slope is exact for the discrete problem
+    (Hellmann-Feynman): -beta sum v_i^2 / (y_i - c)^2.  The steps run on
+    1/(pi^2/4 - lambda) - 1/(pi^2/4 - lambda0), which has the same root and
+    sign and is close to linear in c where lambda nears pi^2/4 like 1/|c|,
+    so a far speed takes few steps.  The grid's floor is (rounding floor +
+    residual) / |slope| at c_h.
+
+    Grid r starts from its own wall value at c = -1 and brackets out to -8;
+    grids 2r and 4r start from the ladder's guess and bracket on the root's
+    side of it, within lambda's 1e-3 relative spread over the coarser slope
+    (2r) and within |c_r - c_2r| / 20 + 8 floor_2r (4r).  The far end is
+    solved only when a step falls back to the bracket's midpoint, and then
+    widens 8x about the start until the signs differ.  Every solve but grid
+    r's first guesses its eigenvalue at lambda0, where the step aims.  A
+    grid whose own wall value is not below lambda0 has no root:
+    BracketFailureError names it.
     """
     profile = couette()
     spread = 1e-3 * max(1.0, abs(lambda0))  # grid 2r's radius in lambda
+    # above every lambda_1,h(beta, c): the potential is <= 0, and the grid's Laplacian lies below it
+    top = np.pi**2 / 4
     coarser = []  # (c_h, slope, floor) of each grid solved so far
 
     def solve(grid, guess):
-        seen = {}  # c -> (lambda_1,h(c), operator)
+        seen = {}  # c -> (lambda_1,h(c), its slope in c, operator)
         if not coarser:  # grid r: from its own wall value out to -8
-            centre, radius = -1.0, 7.0
+            start, radius = -1.0, 7.0
         else:
-            _, slope, floor = coarser[-1]
-            centre = guess
+            start, (_, coarse_slope, floor) = min(guess, -1.0), coarser[-1]
             if len(coarser) == 1:  # grid 2r: c_r, within lambda's spread over the slope
-                radius = spread / abs(slope)
+                radius = spread / abs(coarse_slope)
             else:  # grid 4r: floors grow as 1/h^2
                 radius = abs(coarser[0][0] - coarser[1][0]) / 20.0 + 8.0 * floor
 
+        # 1/(top - lambda) - 1/(top - lambda0): linear in c where lambda ~ top - A/(B - c)
         def f(c):
-            op = assemble(grid, _potential(profile, beta, c))
-            line = lambda0 + slope * (c - centre) if coarser else None
-            seen[c] = nth_eigenvalue(op, 1, near=line), op
-            return seen[c][0] - lambda0
+            if c not in seen:
+                op = assemble(grid, _potential(profile, beta, c))
+                lam, v = nth_eigenvalue(op, 1, near=lambda0 if seen or coarser else None, vector=True)
+                seen[c] = lam, -beta * float(np.sum((v / (grid.nodes - c)) ** 2)), op
+            lam = seen[c][0]
+            return (lam - lambda0) / ((top - lam) * (top - lambda0))
 
-        lo, hi = centre - radius, min(centre + radius, -1.0)
-        while (f_hi := f(hi)) >= 0:  # lambda_1,h(hi) >= lambda0: the root lies above hi
-            if hi == -1.0:
-                raise BracketFailureError(
-                    f"bracket-failure: on the {grid.n_interior}-row grid lam1(beta,-1) lies "
-                    f"{f_hi:.3g} above lambda0, so no speed below -1 attains it"
-                )
-            hi = min(centre + 8.0 * (hi - centre), -1.0)
+        def slope(c):
+            lam, dlam, _ = seen[c]
+            return dlam / (top - lam) ** 2
+
+        def wall_failure():
+            return BracketFailureError(
+                f"bracket-failure: on the {grid.n_interior}-row grid lam1(beta,-1) lies "
+                f"{seen[-1.0][0] - lambda0:.3g} above lambda0, so no speed below -1 attains it"
+            )
+
+        near = start
+        f_near = f(near)
+        if near == -1.0 and f_near >= 0:
+            raise wall_failure()
+        # |lambda - lambda0| <= tol wherever |f| <= tol / ((top - lambda0) (top - lambda0 + tol))
+        tol = _ROOT_FLOORS * eigenvalue_floor(seen[start][2])
+        tol /= (top - lambda0) * (top - lambda0 + tol)
         for _ in range(_MAX_WIDENINGS):
-            if (f_lo := f(lo)) > 0:
+            # lambda_1,h(c) decreases in c: the root lies below near where lambda_1,h(near) < lambda0
+            far = start - radius if f_near < 0 else min(start + radius, -1.0)
+            try:
+                c_h = monotone_root(f, *((far, near, None, f_near) if f_near < 0 else
+                                         (near, far, f_near, None)), tol, slope)
                 break
-            hi, f_hi = lo, f_lo
-            lo = centre - 8.0 * (centre - lo)
+            except BracketFailureError:  # far has near's sign: the root lies beyond it
+                near, f_near = far, f(far)
+                if near == -1.0:
+                    raise wall_failure() from None
+                radius *= 8.0
         else:
             raise BracketFailureError("bracket-failure: lam1(beta,c) never exceeded lambda0")
-        lam_floor = eigenvalue_floor(seen[hi][1])
-        c_h = monotone_root(f, lo, hi, f_lo, f_hi, _ROOT_FLOORS * lam_floor)
-        lam_h, op = seen[c_h]
-        # the secant over the last bracket: the nearest speeds on either side of c_h
-        a = max(c for c, (lam, _) in seen.items() if lam >= lambda0)
-        b = min(c for c, (lam, _) in seen.items() if lam < lambda0)
-        secant = (seen[b][0] - seen[a][0]) / (b - a)
-        floor = (eigenvalue_floor(op) + abs(lam_h - lambda0)) / abs(secant)
-        coarser.append((c_h, secant, floor))
+        lam_h, slope_h, op = seen[c_h]
+        floor = (eigenvalue_floor(op) + abs(lam_h - lambda0)) / abs(slope_h)
+        coarser.append((c_h, slope_h, floor))
         return c_h, floor, op, lam_h
 
     return _solve_extrapolated(solve, resolution)

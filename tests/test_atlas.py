@@ -326,13 +326,24 @@ class TestAgainstFrobeniusSeries:
         assert oracles.frobenius_speed(4.0, -3.0, -1.0388, -1.0387) == pytest.approx(
             -1.038776411624734, abs=1e-15)
 
+    # the last six are the speed queries of the atlas benchmark at seeds 1-6
     @pytest.mark.parametrize("beta, lambda0",
-                             [(4.0, -3.0), (3.0, -1.0), (3.0, 0.0), (5.5, -5.0), (2.5, -0.3)])
+                             [(4.0, -3.0), (3.0, -1.0), (3.0, 0.0), (5.5, -5.0), (2.5, -0.3),
+                              (3.29899, -1.47708), (4.13253, -1.75418), (3.19577, -0.624695),
+                              (5.32888, -1.50442), (3.72445, -0.958018), (3.07895, -0.977664)])
     def test_speed_within_bar(self, beta, lambda0):
         c0, err = atlas.speed_and_error(beta, lambda0)
         exact = oracles.frobenius_speed(beta, lambda0, c0 - 1e-6, c0 + 1e-6)
         assert abs(c0 - exact) <= err <= 1e-7
         assert oracles.frobenius_certifies(beta, c0, err, lambda0=lambda0)
+
+    def test_far_speed_within_bar(self):
+        # near pi^2/4 the slope falls like 1/c0^2, and the bar grows with it
+        c0, err = atlas.speed_and_error(4.0, 2.4)
+        exact = oracles.frobenius_speed(4.0, 2.4, c0 - 1e-6, c0 + 1e-6)
+        assert c0 == pytest.approx(-59.3484, abs=1e-4)
+        assert abs(c0 - exact) <= err <= 1e-5
+        assert oracles.frobenius_certifies(4.0, c0, err, lambda0=2.4)
 
 
 def test_speed_inversion_budget(monkeypatch):
@@ -340,14 +351,15 @@ def test_speed_inversion_budget(monkeypatch):
 
     rows, real = [], rk.nth_eigenvalue
 
-    def counting(op, n, near=None):
+    def counting(op, n, near=None, vector=False):
         rows.append(op.dim)
-        return real(op, n, near)
+        return real(op, n, near, vector)
 
     monkeypatch.setattr(rk, "nth_eigenvalue", counting)
     atlas.speed_for_eigenvalue(3.0, -1.0)
-    assert len(rows) <= 24
-    assert sum(rows) <= 12_000
+    # the wall value's ladder, then Newton's steps on grids 256, 512 and 1024: 5, 2 and 2
+    assert len(rows) <= 12
+    assert sum(rows) <= 6_144
 
 
 def test_warm_speed_cache_solves_nothing(tmp_path, monkeypatch, capsys):
@@ -381,12 +393,49 @@ def test_disk_cache_round_trip(tmp_path):
 
 
 def test_atlas_builds_no_vectors(monkeypatch):
+    """classify and the wall and regular values build no vector; the speed inversion
+    reads one from every solve, and builds one only where a solve falls through to
+    the whole-spectrum bisection (the certified iteration's vector comes free)."""
+    import types
+
+    import betaplane.eigen as eigen
     import betaplane.rayleigh_kuo as rk
 
     def no_vectors(*args, **kwargs):
         raise AssertionError("atlas must not build eigenvectors")
 
+    work = {"iterations": 0, "bisections": 0}
+    iteration, lapack, solve = eigen._inverse_iteration, eigen._flapack, rk.nth_eigenvalue
+
+    def counted_iteration(*args):
+        work["iterations"] += 1
+        return iteration(*args)
+
+    def dstebz(d, e, kind, *args):
+        work["bisections"] += kind == 2  # range='I': the whole-spectrum solve
+        return lapack.dstebz(d, e, kind, *args)
+
+    solves = []
+
+    def counted_solve(op, n, near=None, vector=False):
+        before = dict(work)
+        result = solve(op, n, near, vector)
+        fell_through = work["bisections"] > before["bisections"]
+        built = work["iterations"] - before["iterations"] - (near is not None)
+        solves.append((vector, fell_through, built))
+        return result
+
     monkeypatch.setattr(rk, "eigenvector", no_vectors)
+    monkeypatch.setattr(eigen, "_inverse_iteration", counted_iteration)
+    monkeypatch.setattr(eigen, "_flapack", types.SimpleNamespace(dstebz=dstebz, dgtsv=lapack.dgtsv))
+    monkeypatch.setattr(rk, "nth_eigenvalue", counted_solve)
+    atlas.classify(1.0, 3.0)
     atlas.lambda1_wall(3.0)
     atlas.lambda1_regular(3.0, -2.0)
+    assert solves and not any(vector or built for vector, _, built in solves)
+    del solves[:]
     atlas.speed_for_eigenvalue(3.0, 0.0)
+    inversion = [(fell, built) for vector, fell, built in solves if vector]
+    assert inversion[0] == (True, 1)  # grid r's wall value has no guess
+    assert all(built == fell for fell, built in inversion)
+    assert not any(built for vector, _, built in solves if not vector)

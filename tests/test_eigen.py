@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betaplane import eigen
-from betaplane.errors import NoConvergenceError, ValidationError
+from betaplane.errors import BracketFailureError, NoConvergenceError, ValidationError
 from betaplane.eigen import eigenvalue_floor, eigenvector, extrapolate, monotone_root, nth_eigenvalue
 from betaplane.grid import Grid1D, TridiagOperator, assemble, build_grid
 from oracles import sturm_count
@@ -476,6 +476,91 @@ class TestNormBound:
             assert eigenvalue_floor(op) == max(2e-12, 8.0 * np.finfo(float).eps * float(norm))
 
 
+class TestKeptVector:
+    """``vector=True`` returns the unit eigenvector in op's row order on every path.
+
+    Its Hellmann-Feynman slope in c, -beta sum v_i^2 / (y_i - c)^2, is the
+    exact derivative of the discrete eigenvalue.  The mirror (-beta, -c) has
+    the reversed matrix, whose canonical orientation is reversed, so a vector
+    not mapped back would fail both checks.
+    """
+
+    @staticmethod
+    def couette(grid, beta, c):
+        return assemble(grid, lambda y: -beta / (y - c))
+
+    @pytest.mark.parametrize("beta, c", [(3.0, -1.5), (-3.0, 1.5)], ids=["canonical", "reversed"])
+    @pytest.mark.parametrize("path", ["certified", "whole-spectrum", "fall-through"])
+    def test_slope_matches_finite_difference(self, beta, c, path, lapack):
+        grid = build_grid(128)
+        op = self.couette(grid, beta, c)
+        assert (eigen._canonical_orientation(op.diag, op.off)[0] is not op.diag) == (beta < 0)
+        guesses = {"certified": nth_eigenvalue(op, 1) + 1e-3, "whole-spectrum": None,
+                   "fall-through": nth_eigenvalue(op, 2)}
+        lapack.whole_spectrum = 0
+        lam, v = nth_eigenvalue(op, 1, near=guesses[path], vector=True)
+        assert lapack.whole_spectrum == (path != "certified")
+        assert lam == nth_eigenvalue(op, 1, near=guesses[path])
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(op.matvec(v) - lam * v) <= 1e-9 * eigen._norm_bound(op)
+        slope = -beta * np.sum((v / (grid.nodes - c)) ** 2)
+        dc = 1e-4
+        centred = (nth_eigenvalue(self.couette(grid, beta, c + dc), 1)
+                   - nth_eigenvalue(self.couette(grid, beta, c - dc), 1)) / (2 * dc)
+        assert slope == pytest.approx(centred, rel=1e-6)
+
+    def test_no_vector_unless_asked(self, monkeypatch):
+        real, shifts = eigen._inverse_iteration, []
+        monkeypatch.setattr(eigen, "_inverse_iteration", lambda d, e, s: shifts.append(s) or real(d, e, s))
+        op = laplacian_op(64)
+        lam = nth_eigenvalue(op, 1)
+        assert shifts == []
+        assert nth_eigenvalue(op, 1, vector=True)[0] == lam
+        assert shifts == [lam]
+
+    def test_single_row(self):
+        op = TridiagOperator(diag=np.array([2.5]), off=np.zeros(0), grid=None)
+        lam, v = nth_eigenvalue(op, 1, vector=True)
+        assert lam == 2.5 and v.tolist() == [1.0]
+
+
+def illinois(f, lo, hi, f_lo, f_hi, tol):
+    """Illinois alone, written out: ``monotone_root`` without a slope takes exactly these steps."""
+    kept = 0
+    for _ in range(100):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if abs(fx) <= tol:
+            return x
+        if (fx < 0) == (f_hi < 0):
+            hi, f_hi = x, fx
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+        else:
+            lo, f_lo = x, fx
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+    raise NoConvergenceError("no-convergence")
+
+
+# closed-form roots with their exact slopes: (f, f', lo, hi, root)
+ROOTS = [
+    pytest.param(lambda x: x**3 - 2.0, lambda x: 3.0 * x**2, 0.0, 2.0, 2.0 ** (1 / 3), id="cube"),
+    pytest.param(lambda x: np.exp(x) - 3.0, np.exp, -5.0, 5.0, np.log(3.0), id="exp"),
+    pytest.param(lambda x: np.cos(x) - x, lambda x: -np.sin(x) - 1.0, 0.0, 1.0, 0.7390851332151607,
+                 id="cos"),
+    pytest.param(lambda x: 1.0 / x - 0.25, lambda x: -1.0 / x**2, 0.5, 100.0, 4.0, id="hyperbola"),
+    pytest.param(lambda x: np.tanh(50 * (x - 0.3)), lambda x: 50.0 / np.cosh(50 * (x - 0.3)) ** 2,
+                 -1.0, 1.0, 0.3, id="steep"),
+]
+
+
 class TestMonotoneRoot:
     @pytest.mark.parametrize("f, lo, hi, root", [
         (lambda x: x**3 - 2.0, 0.0, 2.0, 2.0 ** (1 / 3)),
@@ -521,6 +606,58 @@ class TestMonotoneRoot:
             monotone_root(step, 0.0, 1.0, -1.0, 1.0, 1e-6)
         assert len(calls) <= 100
         assert min(abs(x - 0.3) for x in calls) < 1e-12
+
+
+    @pytest.mark.parametrize("f, df, lo, hi, root", ROOTS)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_exact_slope_meets_tolerance_in_few_evaluations(self, f, df, lo, hi, root, tol):
+        newton, plain = [], []
+        x = monotone_root(lambda t: newton.append(t) or f(t), lo, hi, f(lo), f(hi), tol, slope=df)
+        monotone_root(lambda t: plain.append(t) or f(t), lo, hi, f(lo), f(hi), tol)
+        assert abs(f(x)) <= tol
+        assert x == pytest.approx(root, abs=1e3 * tol)
+        assert all(lo < t < hi for t in newton)
+        assert len(newton) <= min(10, len(plain))
+
+    @pytest.mark.parametrize("bad", [lambda d: -d, lambda d: 0.0, lambda d: float("nan")],
+                             ids=["wrong-sign", "zero", "nan"])
+    @pytest.mark.parametrize("f, df, lo, hi, root", ROOTS)
+    def test_bad_slope_falls_back_inside_the_bracket(self, f, df, lo, hi, root, bad):
+        def spy(x):
+            assert lo < x < hi
+            return f(x)
+
+        x = monotone_root(spy, lo, hi, f(lo), f(hi), 1e-10, slope=lambda t: bad(df(t)))
+        assert abs(f(x)) <= 1e-10
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        *((p.values[0], p.values[2], p.values[3]) for p in ROOTS),
+        (lambda x: x**9 - 1e-3, 0.0, 1.0),
+        (lambda x: np.expm1(40 * x) - 1.0, -1.0, 1.0),
+        (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
+    ])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_without_slope_takes_the_illinois_steps(self, f, lo, hi, tol):
+        ours, written = [], []
+        results = []
+        for search, seen in ((monotone_root, ours), (illinois, written)):
+            try:
+                results.append(search(lambda t: seen.append(t) or f(t), lo, hi, f(lo), f(hi), tol))
+            except NoConvergenceError:
+                results.append(None)
+        assert results[0] == results[1]
+        assert ours == written
+
+    def test_unevaluated_end_is_not_evaluated_while_newton_converges(self):
+        seen = []
+        x = monotone_root(lambda t: seen.append(t) or 1.0 - t, 0.0, 5.0, None, -4.0, 1e-12,
+                          slope=lambda t: -1.0)
+        assert x == 1.0 and seen == [1.0]
+
+    def test_unevaluated_end_of_the_wrong_sign_raises(self):
+        # Newton's step from hi leaves the bracket, so lo is evaluated: f < 0 there too
+        with pytest.raises(BracketFailureError, match="bracket-failure: f has one sign"):
+            monotone_root(lambda t: -1.0 - t, 0.0, 5.0, None, -6.0, 1e-12, slope=lambda t: -1.0)
 
 
 class TestExtrapolate:

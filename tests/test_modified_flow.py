@@ -291,6 +291,19 @@ class TestOneJetPerGrid:
         # construction (u at -1 and 1), the removable layer's ends, one per grid
         assert calls == [2, 2, 256, 512, 1024]
 
+    @pytest.mark.parametrize("gamma", [0.02, 0.15], ids=["ends-outside", "erf-reaches-1"])
+    def test_flow_range_reads_u_alone(self, gamma, monkeypatch):
+        mf._cutoff_table()
+        bumps = []
+        bump = mf._bump
+        monkeypatch.setattr(mf, "_bump", lambda x: bumps.append(np.size(x)) or bump(x))
+        prof = mf.profile(mf.ModifiedFlowParams(0.5, gamma, 0.3))
+        assert bumps == []  # no cutoff derivative is evaluated
+        monkeypatch.undo()
+        u = prof.jet(np.array([-1.0, 1.0]))[0]
+        assert (prof.range_lo, prof.range_hi) == (u[0], u[1])
+        assert (gamma == 0.15) == (prof.range_hi != 1.0)
+
     def test_jet_matches_its_parts(self):
         beta, g, a = 0.8, 0.03, 2.0
         ys = np.linspace(-1.0, 1.0, 2001)

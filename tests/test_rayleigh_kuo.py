@@ -222,6 +222,17 @@ class TestLambdaSingular:
 
 
 class TestLambdaGeneral:
+    @pytest.mark.parametrize("profile, scale", [(couette(), 1.0), (scaled_couette(0.5), 0.5)],
+                             ids=["couette", "scaled"])
+    def test_linear_flow_potential_is_the_closed_form(self, profile, scale):
+        # the jet gives u' and u'' as constants, and the potential is -beta / (a y - c) bit for bit
+        from betaplane.rayleigh_kuo import _potential
+
+        nodes = build_grid(64).nodes
+        u, du, d2u = profile.jet(nodes)
+        assert np.array_equal(u, scale * nodes) and (du, d2u) == (scale, 0.0)
+        assert np.array_equal(_potential(profile, 2.5, -1.3)(nodes), -2.5 / (scale * nodes + 1.3))
+
     def test_scaled_flow_identity(self):
         # lam for (a y, beta, c) equals the Couette lam at (beta/a, c/a)
         a, beta, c = 0.5, 0.7, -1.0
