@@ -36,7 +36,7 @@ from .errors import (
     WrongSignBetaError,
     require_finite,
 )
-from .rayleigh_kuo import couette_speed, lambda_n_couette, wall_beta
+from .rayleigh_kuo import PI2_OVER_4, couette_speed, lambda_n_couette, wall_beta
 from .tables import CurveTable
 
 __all__ = [
@@ -64,8 +64,6 @@ REGION_GAMMA_PLUS = "Gamma+"
 REGION_GAMMA_MINUS = "Gamma-"
 REGION_I_PLUS = "I+"
 REGION_I_MINUS = "I-"
-
-PI2_OVER_4 = np.pi**2 / 4.0
 
 
 @dataclass(frozen=True)
@@ -200,8 +198,7 @@ def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict
     require_finite("wavenumber alpha", alpha, positive=True)
     require_finite("beta", beta)
     require_finite("tol", tol, positive=True)
-    bstar = find_beta_star(resolution=resolution)
-    bstar_err = _wall_beta_mem(0.0, int(resolution))[1]
+    bstar, bstar_err = _wall_beta_mem(0.0, int(resolution))
     if abs(beta) <= bstar - bstar_err:
         return RegionVerdict(REGION_O, bstar, None, tol)
     if abs(beta) <= bstar + bstar_err:

@@ -146,7 +146,11 @@ def nth_eigenvalue(op: TridiagOperator, n: int, near=None, vector: bool = False)
     The two paths agree to within 2 d, not bit for bit.  With ``vector``
     the result is (lambda, unit eigenvector of either sign), in op's row
     order: the certified iterate, or on the ``stebz`` path one more
-    ``_inverse_iteration`` at lambda.  Without it no vector is built.
+    ``_inverse_iteration`` at lambda.  Without it no vector is built.  The
+    certified iterate is shifted to ``near``, not to lambda, so it is accurate
+    only to first order in |near - lambda|: enough for a Hellmann-Feynman
+    slope, whose error is second order.  A vector whose residual must stay
+    within the floor comes from ``eigenvector`` at lambda.
     """
     if not 1 <= n <= op.dim:
         raise ValidationError(f"index-out-of-range: n={n} for dimension {op.dim}")

@@ -67,8 +67,12 @@ __all__ = [
 # many of the grid's rounding floors
 _ROOT_FLOORS = 4.0
 
-# ends of a speed bracket, each widened 8x about its centre, before a search gives up
+# moves of a speed bracket's start to its far end, 8x further out, before a search gives up
 _MAX_WIDENINGS = 60
+
+# lambda_1(beta, c) -> pi^2/4 as c -> -inf, and every lambda_1,h(beta, c) lies below it:
+# the potential is <= 0, and the grid's Laplacian lies below its limit
+PI2_OVER_4 = np.pi**2 / 4
 
 # |u(node) - c| below this outside a removable zone is treated as a genuine
 # critical layer; above it the quotient is formed (it is finite, if large).
@@ -292,45 +296,34 @@ def couette_speed(beta: float, lambda0: float, resolution: int = 256) -> EigenPa
     so a far speed takes few steps.  The grid's floor is (rounding floor +
     residual) / |slope| at c_h.
 
-    Grid r starts from its own wall value at c = -1 and brackets out to -8;
-    grids 2r and 4r start from the ladder's guess and bracket on the root's
-    side of it, within lambda's 1e-3 relative spread over the coarser slope
-    (2r) and within |c_r - c_2r| / 20 + 8 floor_2r (4r).  The far end is
-    solved only when a step falls back to the bracket's midpoint, and then
-    widens 8x about the start until the signs differ.  Every solve but grid
-    r's first guesses its eigenvalue at lambda0, where the step aims.  A
-    grid whose own wall value is not below lambda0 has no root:
-    BracketFailureError names it.
+    Every grid brackets its root by one rule.  It starts at the ladder's
+    guess, or at the wall c = -1 on grid r, which has none.  Where
+    lambda_1,h(start) < lambda0 the root lies below the start, and the
+    search runs out to 8 times the start; otherwise it runs between the
+    start and the wall.  The far end is solved only when a step falls back
+    to the bracket's midpoint; when it has the start's sign, the start moves
+    there and the search repeats.  Every solve but grid r's first guesses
+    its eigenvalue at lambda0, where the step aims.  A grid whose own wall
+    value is not below lambda0 has no root: BracketFailureError names it.
     """
     profile = couette()
-    spread = 1e-3 * max(1.0, abs(lambda0))  # grid 2r's radius in lambda
-    # above every lambda_1,h(beta, c): the potential is <= 0, and the grid's Laplacian lies below it
-    top = np.pi**2 / 4
-    coarser = []  # (c_h, slope, floor) of each grid solved so far
 
     def solve(grid, guess):
         seen = {}  # c -> (lambda_1,h(c), its slope in c, operator)
-        if not coarser:  # grid r: from its own wall value out to -8
-            start, radius = -1.0, 7.0
-        else:
-            start, (_, coarse_slope, floor) = min(guess, -1.0), coarser[-1]
-            if len(coarser) == 1:  # grid 2r: c_r, within lambda's spread over the slope
-                radius = spread / abs(coarse_slope)
-            else:  # grid 4r: floors grow as 1/h^2
-                radius = abs(coarser[0][0] - coarser[1][0]) / 20.0 + 8.0 * floor
 
-        # 1/(top - lambda) - 1/(top - lambda0): linear in c where lambda ~ top - A/(B - c)
+        # 1/(pi^2/4 - lambda) - 1/(pi^2/4 - lambda0): linear in c where lambda ~ pi^2/4 - A/(B - c)
         def f(c):
             if c not in seen:
                 op = assemble(grid, _potential(profile, beta, c))
-                lam, v = nth_eigenvalue(op, 1, near=lambda0 if seen or coarser else None, vector=True)
+                first = guess is None and not seen  # grid r's first solve: no eigenvalue guess
+                lam, v = nth_eigenvalue(op, 1, near=None if first else lambda0, vector=True)
                 seen[c] = lam, -beta * float(np.sum((v / (grid.nodes - c)) ** 2)), op
             lam = seen[c][0]
-            return (lam - lambda0) / ((top - lam) * (top - lambda0))
+            return (lam - lambda0) / ((PI2_OVER_4 - lam) * (PI2_OVER_4 - lambda0))
 
         def slope(c):
             lam, dlam, _ = seen[c]
-            return dlam / (top - lam) ** 2
+            return dlam / (PI2_OVER_4 - lam) ** 2
 
         def wall_failure():
             return BracketFailureError(
@@ -338,16 +331,16 @@ def couette_speed(beta: float, lambda0: float, resolution: int = 256) -> EigenPa
                 f"{seen[-1.0][0] - lambda0:.3g} above lambda0, so no speed below -1 attains it"
             )
 
-        near = start
+        near = -1.0 if guess is None else min(guess, -1.0)
         f_near = f(near)
         if near == -1.0 and f_near >= 0:
             raise wall_failure()
-        # |lambda - lambda0| <= tol wherever |f| <= tol / ((top - lambda0) (top - lambda0 + tol))
-        tol = _ROOT_FLOORS * eigenvalue_floor(seen[start][2])
-        tol /= (top - lambda0) * (top - lambda0 + tol)
+        # |lambda - lambda0| <= tol wherever |f| <= tol / ((pi^2/4 - lambda0) (pi^2/4 - lambda0 + tol))
+        tol = _ROOT_FLOORS * eigenvalue_floor(seen[near][2])
+        tol /= (PI2_OVER_4 - lambda0) * (PI2_OVER_4 - lambda0 + tol)
         for _ in range(_MAX_WIDENINGS):
             # lambda_1,h(c) decreases in c: the root lies below near where lambda_1,h(near) < lambda0
-            far = start - radius if f_near < 0 else min(start + radius, -1.0)
+            far = 8.0 * near if f_near < 0 else -1.0
             try:
                 c_h = monotone_root(f, *((far, near, None, f_near) if f_near < 0 else
                                          (near, far, f_near, None)), tol, slope)
@@ -356,12 +349,10 @@ def couette_speed(beta: float, lambda0: float, resolution: int = 256) -> EigenPa
                 near, f_near = far, f(far)
                 if near == -1.0:
                     raise wall_failure() from None
-                radius *= 8.0
         else:
             raise BracketFailureError("bracket-failure: lam1(beta,c) never exceeded lambda0")
         lam_h, slope_h, op = seen[c_h]
         floor = (eigenvalue_floor(op) + abs(lam_h - lambda0)) / abs(slope_h)
-        coarser.append((c_h, slope_h, floor))
         return c_h, floor, op, lam_h
 
     return _solve_extrapolated(solve, resolution)

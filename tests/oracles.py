@@ -4,8 +4,7 @@ The shooting oracle solves the same boundary value problems as the library
 by a completely different route: adaptive Runge-Kutta integration of the
 second-order ODE from y = -1 with phi(-1) = 0, phi'(-1) = 1, followed by a
 root search in lambda on the boundary mismatch phi(1).  It shares no code
-with the tridiagonal solver.  At the singular wall speed c = -1 it starts a
-small distance off the wall on the regular Frobenius solution instead.
+with the tridiagonal solver.
 
 An older route to the wall value is kept here as a cross-check: a direct
 solve on a mesh graded toward y = -1.
@@ -41,8 +40,8 @@ from betaplane.errors import ValidationError
 from betaplane.grid import Grid1D, assemble
 
 
-def shoot_boundary_value(Q, lam: float, y0: float = -1.0, start=(0.0, 1.0)) -> float:
-    """phi(1) for the IVP -phi'' + Q phi = lam phi, (phi, phi')(y0) = start."""
+def shoot_boundary_value(Q, lam: float) -> float:
+    """phi(1) for the IVP -phi'' + Q phi = lam phi, phi(-1) = 0, phi'(-1) = 1."""
 
     def rhs(y, state):
         phi, dphi = state
@@ -50,8 +49,8 @@ def shoot_boundary_value(Q, lam: float, y0: float = -1.0, start=(0.0, 1.0)) -> f
 
     sol = solve_ivp(
         rhs,
-        (y0, 1.0),
-        list(start),
+        (-1.0, 1.0),
+        [0.0, 1.0],
         method="RK45",
         rtol=1e-11,
         atol=1e-13,
@@ -60,8 +59,7 @@ def shoot_boundary_value(Q, lam: float, y0: float = -1.0, start=(0.0, 1.0)) -> f
     return float(sol.y[0, -1])
 
 
-def shooting_eigenvalue(Q, n: int, lam_lo: float, lam_hi: float, n_scan: int = 400,
-                        y0: float = -1.0, start=(0.0, 1.0)) -> float:
+def shooting_eigenvalue(Q, n: int, lam_lo: float, lam_hi: float, n_scan: int = 400) -> float:
     """n-th eigenvalue of -phi'' + Q phi with Dirichlet conditions by shooting.
 
     Scans [lam_lo, lam_hi] for sign changes of phi(1); the n-th sign change
@@ -69,7 +67,7 @@ def shooting_eigenvalue(Q, n: int, lam_lo: float, lam_hi: float, n_scan: int = 4
     """
 
     def mismatch(lam):
-        return shoot_boundary_value(Q, lam, y0, start)
+        return shoot_boundary_value(Q, lam)
 
     lams = np.linspace(lam_lo, lam_hi, n_scan)
     vals = [mismatch(lam) for lam in lams]
@@ -82,38 +80,6 @@ def shooting_eigenvalue(Q, n: int, lam_lo: float, lam_hi: float, n_scan: int = 4
     if len(crossings) < n:
         raise RuntimeError(f"only {len(crossings)} eigenvalues in [{lam_lo}, {lam_hi}]")
     return crossings[n - 1]
-
-
-def _wall_start(beta: float, delta: float = 1e-6):
-    """(y0, (phi, phi')) at y0 = -1 + delta on the solution vanishing at y = -1.
-
-    With x = y + 1 the Frobenius solution of -phi'' - (beta / x) phi =
-    lam phi is x - (beta / 2) x^2 + O(x^3); lam first enters at x^3, so the
-    start is the same for every lam and is off by O(delta^3).
-    """
-    return -1.0 + delta, (delta - 0.5 * beta * delta**2, 1.0 - beta * delta)
-
-
-def wall_shooting_eigenvalue(beta: float, n_scan: int = 24) -> float:
-    """lambda_1(beta, -1), beta >= 0, by shooting from the singular wall.
-
-    The scan starts below -beta^2 / 4, the ground state of -phi'' - beta/x
-    phi on the half-line, which lies below lambda_1, and ends at pi^2 / 4,
-    the beta = 0 value, which lies above it.
-    """
-    y0, start = _wall_start(beta)
-    return shooting_eigenvalue(lambda y: -beta / (y + 1.0), 1, -0.25 * beta**2 - 1.0,
-                               np.pi**2 / 4, n_scan, y0, start)
-
-
-def wall_shooting_beta_star(lo: float = 1.0, hi: float = 3.0) -> float:
-    """The root in beta of the shooting curve lambda_1(beta, -1) = 0, in [lo, hi]."""
-
-    def mismatch(beta):
-        y0, start = _wall_start(beta)
-        return shoot_boundary_value(lambda y: -beta / (y + 1.0), 0.0, y0, start)
-
-    return brentq(mismatch, lo, hi, xtol=1e-13)
 
 
 def graded_nodes(n_interior: int, grade_ratio) -> np.ndarray:

@@ -43,11 +43,6 @@ class TestBetaStar:
     def test_tol_above_error_estimate_gives_default_value(self):
         assert atlas.find_beta_star(tol=1e-7) == atlas.find_beta_star()
 
-    def test_within_estimate_of_shooting_root(self, beta_star):
-        value, err = wall_beta(0.0)
-        assert beta_star == value
-        assert abs(value - oracles.wall_shooting_beta_star()) <= err
-
     def test_mirror_bit_identical(self):
         for beta in (0.5, 1.0, 3.0, 4.0, 8.0):
             assert atlas.lambda1_wall(beta) == atlas.lambda1_wall(-beta)
@@ -231,6 +226,14 @@ class TestClassify:
             atlas.classify(1.0, -beta_star)
         assert atlas.classify(1.0, beta_star - 2 * err).label == atlas.REGION_O
 
+    def test_beta_star_bar_not_held_to_beta_star_tol(self):
+        # beta*'s bar at 16384 rows is 2.34e-5, above beta-star's own default tol of 1e-5;
+        # |beta| = 4 lies 2.2 above beta*, so the bar decides nothing
+        verdict = atlas.classify(1.0, 4.0, resolution=16384)
+        assert verdict.label == atlas.REGION_I_PLUS
+        assert verdict.beta_star == wall_beta(0.0, 16384)[0]
+        assert verdict.alpha_beta == 1.9662458229815356
+
 
 class TestSpeedInversion:
     def test_crossing_speed(self, beta_star):
@@ -326,9 +329,10 @@ class TestAgainstFrobeniusSeries:
         assert oracles.frobenius_speed(4.0, -3.0, -1.0388, -1.0387) == pytest.approx(
             -1.038776411624734, abs=1e-15)
 
-    # the last six are the speed queries of the atlas benchmark at seeds 1-6
+    # the last six are the speed queries of the atlas benchmark at seeds 1-6;
+    # (5.0, -5.9) lies 0.0054 from the wall, where grid r starts
     @pytest.mark.parametrize("beta, lambda0",
-                             [(4.0, -3.0), (3.0, -1.0), (3.0, 0.0), (5.5, -5.0), (2.5, -0.3),
+                             [(4.0, -3.0), (3.0, -1.0), (3.0, 0.0), (5.5, -5.0), (2.5, -0.3), (5.0, -5.9),
                               (3.29899, -1.47708), (4.13253, -1.75418), (3.19577, -0.624695),
                               (5.32888, -1.50442), (3.72445, -0.958018), (3.07895, -0.977664)])
     def test_speed_within_bar(self, beta, lambda0):
@@ -344,6 +348,39 @@ class TestAgainstFrobeniusSeries:
         assert c0 == pytest.approx(-59.3484, abs=1e-4)
         assert abs(c0 - exact) <= err <= 1e-5
         assert oracles.frobenius_certifies(4.0, c0, err, lambda0=2.4)
+
+    # far out the bracket's start moves 8x at a time; a bar of 1e-4 is too wide to
+    # bisect in the series' precision, so the series only certifies it
+    @pytest.mark.parametrize("beta, c_approx", [(2.0, -270.2306), (4.0, -540.4604)])
+    def test_farther_speed_within_bar(self, beta, c_approx):
+        c0, err = atlas.speed_and_error(beta, 2.46)
+        assert c0 == pytest.approx(c_approx, abs=1e-4)
+        assert err <= 4e-4
+        assert oracles.frobenius_certifies(beta, c0, err, lambda0=2.46)
+
+    def test_speed_beyond_its_bar_raises(self):
+        # c0 = -29694 with a bar of 70: the relative bar 2.4e-3 exceeds tol
+        with pytest.raises(NoConvergenceError, match="exceeds tol"):
+            atlas.speed_and_error(3.0, 2.4673)
+
+    # (beta, lambda0, c0, error_estimate) of the benchmark's atlas and cli speed queries
+    # at seeds 1-6, pinned bit for bit
+    @pytest.mark.parametrize("beta, lambda0, c0, err", [
+        (3.29899, -1.47708, -1.0821772636115954, 6.515627129071459e-10),
+        (2.85376, -0.957014, -1.0718253566834808, 7.586902943092888e-10),
+        (4.13253, -1.75418, -1.1909742620990846, 5.469196826502668e-10),
+        (4.92689, -3.77391, -1.0843192967740354, 5.600227486135755e-10),
+        (3.19577, -0.624695, -1.217596195031981, 7.858017317805882e-10),
+        (3.92216, -1.81506, -1.1440556182175046, 5.259712677405213e-10),
+        (5.32888, -1.50442, -1.4923113608397156, 8.420398707096003e-10),
+        (2.7703, -0.315599, -1.182270229642768, 8.391434650184151e-10),
+        (3.72445, -0.958018, -1.2664915966753478, 7.537244073373054e-10),
+        (4.7197, -3.64108, -1.071974349654343, 6.20841085479799e-10),
+        (3.07895, -0.977664, -1.1148665019338706, 6.47265520685061e-10),
+        (4.48846, -2.15677, -1.1904004712874086, 4.977001534565509e-10),
+    ])
+    def test_bench_speeds_pinned(self, beta, lambda0, c0, err):
+        assert atlas.speed_and_error(beta, lambda0) == (c0, err)
 
 
 def test_speed_inversion_budget(monkeypatch):
