@@ -288,7 +288,7 @@ def cmd_bifurcate(args, cfg: RunConfig) -> CurveTable:
     if args.control:
         y = base.grid.nodes
         phi_fake = np.sin(np.pi * (y + 1) / 2) + 0.3 * np.sin(np.pi * (y + 1))
-        phi_fake /= np.linalg.norm(phi_fake)
+        phi_fake /= np.sqrt(np.einsum("i,i->", phi_fake, phi_fake))  # not BLAS ddot, which threads
     for kappa in kappas:
         wave = replace(base, kappa=float(kappa))
         row = [kappa, bifurcation.residual_norm(wave, args.beta)]

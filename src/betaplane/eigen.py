@@ -5,14 +5,20 @@ and its mirror image (rows reversed) give bit-identical values; the tests
 certify them with Sturm counts of their own (``tests/oracles.py``).  It is
 LAPACK's ``stebz`` bisection of the whole spectrum to the one tolerance
 ``_EIG_TOL``, or, given a guess, the Rayleigh quotient of two
-inverse-iteration steps shifted to it (LAPACK ``gtsv``) once Sturm counts
-certify it.  Eigenvectors come from the same iteration: asked for one, a
-solve hands out the iterate it certified, and runs the iteration only on
-the bisection path.  One bound b >= ||A|| (``_norm_bound``) gives the
-rounding floor, the interval [-b, b], padded, that holds the spectrum for
-the counts, and the check on an eigenvector's shift.  Both routines are
-called from scipy's compiled binding, loaded as a file: ``import
-scipy.linalg`` would add about 0.4 s to each process.  Grid sequences are Richardson-extrapolated to the
+inverse-iteration steps shifted to it (LAPACK ``gtsv``) once two Sturm
+counts certify it; a quotient that fails is given one restart, two more
+steps shifted to it, before the whole spectrum is bisected.  For the
+principal eigenvalue the two counts are two positive-definiteness tests
+(LAPACK ``pttrf``, one pass each); for any other, ``stebz`` counts.
+Eigenvectors come from the same iteration: asked for one, a solve hands
+out the iterate it certified, and runs the iteration only on the bisection
+path.  Every inner product is a numpy reduction, not BLAS ``ddot``, whose
+sum order (so its last bit) depends on the thread count.  One bound
+b >= ||A|| (``_norm_bound``) gives the rounding floor, the interval
+[-b, b], padded, that holds the spectrum for the counts, and the check on
+an eigenvector's shift.  The routines are called from scipy's compiled
+binding, loaded as a file: ``import scipy.linalg`` would add about 0.4 s
+to each process.  Grid sequences are Richardson-extrapolated to the
 continuum limit assuming second-order convergence, with the kernel's
 rounding floor carried into the error; the record of one such ladder,
 ``EigenPair``, lives with the ladder in ``rayleigh_kuo``.  ``monotone_root``
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -42,7 +49,7 @@ __all__ = [
 ]
 
 # every routine this package calls from the binding, checked when it is loaded
-_LAPACK_ROUTINES = ("dstebz", "dgtsv")
+_LAPACK_ROUTINES = ("dstebz", "dgtsv", "dpttrf")
 
 # bisection tolerance of every discrete eigenvalue
 _EIG_TOL = 1e-12
@@ -114,6 +121,32 @@ def _count(diag: np.ndarray, off: np.ndarray, bound: float, x: float) -> int:
     return int(_flapack.dstebz(diag, off, 1, -r, x, 1, 1, 2.0 * r, "E")[0])
 
 
+def _definite(diag: np.ndarray, off: np.ndarray, x: float) -> bool:
+    """Whether A - x I is positive definite, that is count(x) = 0.
+
+    LAPACK ``pttrf``: an LDL^T factorization without pivoting, one pass that
+    stops at the first non-positive pivot.
+    """
+    return _flapack.dpttrf(diag - x, off, overwrite_d=1)[2] == 0
+
+
+def _certified(diag: np.ndarray, off: np.ndarray, n: int, bound: float, rho: float) -> bool:
+    """count(rho - d) < n <= count(rho + d) for d = ``_floor(bound)``: eigenvalue n lies within d of rho.
+
+    For n = 1 that says A - (rho - d) I is positive definite and
+    A - (rho + d) I is not: two ``_definite`` tests, not two ``_count`` calls.
+    """
+    d = _floor(bound)
+    if n == 1:
+        return _definite(diag, off, rho - d) and not _definite(diag, off, rho + d)
+    return _count(diag, off, bound, rho - d) < n <= _count(diag, off, bound, rho + d)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u.v by numpy's own sum, whose bits do not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", u, v))
+
+
 def _inverse_iteration(diag: np.ndarray, off: np.ndarray, shift: float):
     """Two steps of inverse iteration at ``shift`` (LAPACK ``gtsv``): (unit v, rho), or None.
 
@@ -126,12 +159,12 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, shift: float):
         shifted, v = diag - shift, np.linspace(1.0, 2.0, diag.size)
         for _ in range(2):
             *_, w, info = _flapack.dgtsv(off, shifted, off, v)
-            norm = np.linalg.norm(w)
-            if info != 0 or not 0.0 < norm < np.inf:
+            norm = math.sqrt(_dot(w, w))
+            if info != 0 or not 0.0 < norm < math.inf:
                 return None
             v = w / norm
         # (A - shift I) v row by row: the unshifted v.(A v) loses digits
-        rho = shift + float(v @ TridiagOperator(shifted, off, None).matvec(v))
+        rho = shift + _dot(v, TridiagOperator(shifted, off, None).matvec(v))
     return (v, rho) if np.isfinite(rho) else None
 
 
@@ -141,16 +174,19 @@ def nth_eigenvalue(op: TridiagOperator, n: int, near=None, vector: bool = False)
     The result lambda satisfies count(lambda - d) < n <= count(lambda + d)
     for d = ``eigenvalue_floor(op)``, so eigenvalue n lies within d of it.
     Given a finite guess ``near``, lambda is the Rayleigh quotient of
-    ``_inverse_iteration`` at ``near`` when two Sturm counts certify it so;
-    otherwise LAPACK ``stebz`` bisects the whole spectrum (``range='I'``).
-    The two paths agree to within 2 d, not bit for bit.  With ``vector``
-    the result is (lambda, unit eigenvector of either sign), in op's row
-    order: the certified iterate, or on the ``stebz`` path one more
+    ``_inverse_iteration`` at ``near`` when ``_certified`` says so (for
+    n = 1 by two positive-definiteness tests, otherwise by two Sturm
+    counts).  A quotient that fails gets one restart: the iteration again,
+    from the same start, shifted to that quotient, and certified again.
+    Only then does LAPACK ``stebz`` bisect the whole spectrum
+    (``range='I'``).  The paths agree to within 2 d, not bit for bit.  With
+    ``vector`` the result is (lambda, unit eigenvector of either sign), in
+    op's row order: the certified iterate, or on the ``stebz`` path one more
     ``_inverse_iteration`` at lambda.  Without it no vector is built.  The
-    certified iterate is shifted to ``near``, not to lambda, so it is accurate
-    only to first order in |near - lambda|: enough for a Hellmann-Feynman
-    slope, whose error is second order.  A vector whose residual must stay
-    within the floor comes from ``eigenvector`` at lambda.
+    certified iterate is shifted to its guess, not to lambda, so it is
+    accurate only to first order in |guess - lambda|: enough for a
+    Hellmann-Feynman slope, whose error is second order.  A vector whose
+    residual must stay within the floor comes from ``eigenvector`` at lambda.
     """
     if not 1 <= n <= op.dim:
         raise ValidationError(f"index-out-of-range: n={n} for dimension {op.dim}")
@@ -161,12 +197,14 @@ def nth_eigenvalue(op: TridiagOperator, n: int, near=None, vector: bool = False)
     if op.dim == 1:
         return (float(op.diag[0]), np.ones(1)) if vector else float(op.diag[0])
     diag, off = _canonical_orientation(op.diag, op.off)
-    found = None if near is None else _inverse_iteration(diag, off, near)
-    if found is not None:
+    found = None
+    if near is not None:
         b = _norm_bound(op)
-        d = _floor(b)
-        if not _count(diag, off, b, found[1] - d) < n <= _count(diag, off, b, found[1] + d):
-            found = None
+        for _ in range(2):  # the guess, then one restart at the quotient it gave
+            found = _inverse_iteration(diag, off, near)
+            if found is None or _certified(diag, off, n, b, found[1]):
+                break
+            near, found = found[1], None
     if found is None:
         m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, n, n, _EIG_TOL, "E")  # il = iu = n
         if info != 0 or m != 1:

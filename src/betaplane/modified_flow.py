@@ -17,6 +17,9 @@ The cutoff integral G(u) = int_u^2 eta is tabulated once on 8193 nodes of
 with its exact slopes -eta, limited per interval (Fritsch-Carlson) so that
 the cutoff stays monotone and nonnegative; its derivatives are analytic,
 and ``cutoff_jet`` returns I, I' and I'' from one evaluation of eta.
+The profile's jet evaluates the cutoffs and erf on the corrections'
+support [-2 gamma, 7 gamma] only: at gamma = 0.0025 that is 164 of the
+16,384 nodes of the finest grid.
 ``b0`` uses the same Gauss-Legendre rule.  ``erf`` is the C library's error
 function (``math.erf``) applied elementwise where |x| < 6 and sign(x)
 beyond, where erf rounds to +-1; scipy.special is never imported.
@@ -206,12 +209,15 @@ class ModifiedFlowParams:
 def profile(params: ModifiedFlowParams) -> ShearProfile:
     """The modified shear profile, whose jet gives (U, U', U'') analytically.
 
-    One jet evaluation computes x1 = y/gamma and x2 = (y - 5 gamma)/gamma,
-    the cutoff jets at both and the erf jet at x2 once each.  The quadratic
-    correction is supported on [-2 gamma, 2 gamma], the translated
-    error-function term on [3 gamma, 7 gamma]; U'' == beta holds identically
-    on [-gamma, gamma], which is recorded as the profile's flat zone for the
-    removable critical layer at y = 0.
+    The quadratic correction is supported on [-2 gamma, 2 gamma], the
+    translated error-function term on [3 gamma, 7 gamma].  One jet
+    evaluation computes x1 = y/gamma and x2 = (y - 5 gamma)/gamma, and the
+    cutoff jets at both and the erf jet at x2 once each, at the nodes of
+    that support (|x1| < 2 or |x2| < 2) only.  Elsewhere U = y, U' = 1 and
+    U'' is the signed zero that the full formula gives there: -0.0 where
+    beta < 0 and x2 > 0, +0.0 otherwise.  A 0-d y gives scalars.
+    U'' == beta holds identically on [-gamma, gamma], which is recorded as
+    the profile's flat zone for the removable critical layer at y = 0.
     """
     beta, g, a = params.beta, params.gamma, params.a
 
@@ -219,15 +225,19 @@ def profile(params: ModifiedFlowParams) -> ShearProfile:
         y = np.asarray(y, dtype=float)
         x1 = y / g
         x2 = (y - 5.0 * g) / g
+        # off the support U = y, U' = 1, and U'' is the signed zero the formula gives there
+        u, du, d2u = y.copy(), np.ones_like(y), np.where((x2 > 0.0) & (beta < 0.0), -0.0, 0.0)
+        on = (np.abs(x1) < 2.0) | (np.abs(x2) < 2.0)
+        y, x1, x2 = y[on], x1[on], x2[on]
         c1, dc1, d2c1 = cutoff_jet(x1)
         c2, dc2, d2c2 = cutoff_jet(x2)
         e, de, d2e = _erf_jet(x2)
-        u = y + 0.5 * beta * g**2 * x1**2 * c1 + a * g**2 * e * c2
-        du = 1.0 + 0.5 * beta * g * (2.0 * x1 * c1 + x1**2 * dc1) + a * g * (de * c2 + e * dc2)
-        d2u = 0.5 * beta * (2.0 * c1 + 4.0 * x1 * dc1 + x1**2 * d2c1) + a * (
+        u[on] = y + 0.5 * beta * g**2 * x1**2 * c1 + a * g**2 * e * c2
+        du[on] = 1.0 + 0.5 * beta * g * (2.0 * x1 * c1 + x1**2 * dc1) + a * g * (de * c2 + e * dc2)
+        d2u[on] = 0.5 * beta * (2.0 * c1 + 4.0 * x1 * dc1 + x1**2 * d2c1) + a * (
             d2e * c2 + 2.0 * de * dc2 + e * d2c2
         )
-        return u, du, d2u
+        return u[()], du[()], d2u[()]
 
     # U alone at the ends, as jet computes it: the flow range
     ends = np.array([-1.0, 1.0])

@@ -6,8 +6,8 @@ second-order ODE from y = -1 with phi(-1) = 0, phi'(-1) = 1, followed by a
 root search in lambda on the boundary mismatch phi(1).  It shares no code
 with the tridiagonal solver.
 
-An older route to the wall value is kept here as a cross-check: a direct
-solve on a mesh graded toward y = -1.
+``graded_nodes`` is a mesh refined toward y = -1, which the uniform
+assembly must refuse.
 
 ``sturm_count`` (the negative-inertia count from LDL^T pivots) certifies
 the library's eigenvalues, and ``rayleigh_quotient`` bounds them from above.
@@ -21,6 +21,9 @@ They work in decimal arithmetic, at enough digits for the cancellation the
 series suffer, and bisect to 1e-30.  ``frobenius_certifies`` checks that
 an eigenvalue or a speed lies inside a reported error bar.
 
+``modified_flow_jet`` is the modified flow's jet by its full formula at
+every point, the reference for the library's jet on the support.
+
 ``grid_residual_norm`` samples the first-order bifurcation wave on an x-y
 grid (Fourier derivatives in x) as the reference for the library's closed
 form over its x-harmonics; ``divergence_max`` and ``boundary_velocity_max``
@@ -32,12 +35,12 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from betaplane.bifurcation import _deriv4
 from betaplane.errors import ValidationError
 from betaplane.grid import Grid1D, assemble
+from betaplane.modified_flow import _erf_jet, cutoff_jet
 
 
 def shoot_boundary_value(Q, lam: float) -> float:
@@ -97,19 +100,25 @@ def graded_nodes(n_interior: int, grade_ratio) -> np.ndarray:
     return -1.0 + np.cumsum(gaps)[:-1]
 
 
-def graded_wall_eigenvalue(beta: float, n_interior: int = 2048, grade_ratio: float = 0.998) -> float:
-    """lambda_1(beta, -1) solved directly on a graded mesh.
+def modified_flow_jet(beta: float, g: float, a: float, y):
+    """(U, U', U'') of the modified flow by its full formula at every point.
 
-    Uses the mass-symmetrized finite-element form M^{-1/2} (K + M Q) M^{-1/2}
-    with lumped masses, which stays symmetric tridiagonal.
+    The reference for ``modified_flow.profile``'s jet, which evaluates the
+    cutoffs and erf on the corrections' support only and must give the same
+    bits, signed zeros included.
     """
-    nodes = graded_nodes(n_interior, grade_ratio)
-    g = np.diff(np.concatenate(([-1.0], nodes, [1.0])))
-    mass = 0.5 * (g[:-1] + g[1:])
-    diag = (1.0 / g[:-1] + 1.0 / g[1:]) / mass - beta / (nodes + 1.0)
-    off = -1.0 / (g[1:-1] * np.sqrt(mass[:-1] * mass[1:]))
-    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                  select_range=(0, 0))[0])
+    y = np.asarray(y, dtype=float)
+    x1 = y / g
+    x2 = (y - 5.0 * g) / g
+    c1, dc1, d2c1 = cutoff_jet(x1)
+    c2, dc2, d2c2 = cutoff_jet(x2)
+    e, de, d2e = _erf_jet(x2)
+    u = y + 0.5 * beta * g**2 * x1**2 * c1 + a * g**2 * e * c2
+    du = 1.0 + 0.5 * beta * g * (2.0 * x1 * c1 + x1**2 * dc1) + a * g * (de * c2 + e * dc2)
+    d2u = 0.5 * beta * (2.0 * c1 + 4.0 * x1 * dc1 + x1**2 * d2c1) + a * (
+        d2e * c2 + 2.0 * de * dc2 + e * d2c2
+    )
+    return u, du, d2u
 
 
 def quad_integral(f, a: float, b: float, **kw) -> float:

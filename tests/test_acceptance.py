@@ -6,6 +6,7 @@ beta*, comes from a session fixture and is memoized inside the library, so
 order does not matter.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -268,4 +269,13 @@ def test_criterion_10_determinism(tmp_path):
         RUN + atlas_args + ["--cache-dir", str(cache_dir)], capture_output=True, text=True
     ).stdout
     ok &= plain == cold == warm and len(plain) > 0
-    report("10", ok, "repeat invocations and cache on/off/warm outputs byte-identical")
+
+    # BLAS splits long dot products across threads; no printed bit may depend on that
+    wall = ["eigen", "--beta", "4", "--c", "-1", "--resolution", "16384"]
+    by_threads = [
+        subprocess.run(RUN + wall, capture_output=True, text=True,
+                       env={**os.environ, "OMP_NUM_THREADS": t, "OPENBLAS_NUM_THREADS": t}).stdout
+        for t in ("1", "2")
+    ]
+    ok &= by_threads[0] == by_threads[1] and len(by_threads[0]) > 0
+    report("10", ok, "repeat invocations, cache on/off/warm and 1 or 2 BLAS threads byte-identical")

@@ -152,9 +152,9 @@ class TestModifiedFlowCommand:
             "# beta: 2\n"
             "# gamma: 0.02\n"
             "n,lambda_n,error_estimate\n"
-            "1,-2.962855557959061,0.0048306334770031453\n"
-            "2,12.452872764061093,6.9031763337791817e-05\n"
-            "3,19.425150961648896,0.0032619188837312422\n"
+            "1,-2.9628555580294558,0.0048306334770280143\n"
+            "2,12.452872764068973,6.9031762843964616e-05\n"
+            "3,19.425150961598007,0.0032619188837276895\n"
         )
 
 
@@ -558,8 +558,8 @@ class TestArgumentRanges:
         row = captured.out.splitlines()[-1].split(",")
         assert float(row[0]) == float(period)
         assert row[3] == "-0"
-        # beta* = j_(1,1)^2 / 8 = 1.835246330265487 lies 2.4e-13 from the value, within its bar
-        assert row[1:3] == ["1.8352463302657318", "4.3342582996745362e-11"]
+        # beta* = j_(1,1)^2 / 8 = 1.835246330265487 lies 7.4e-13 from the value, within its bar
+        assert row[1:3] == ["1.8352463302647484", "4.905921781386136e-11"]
 
     def test_resolution_below_64_exit_2(self, capsys):
         from betaplane.cli import main

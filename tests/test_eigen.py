@@ -11,9 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betaplane import eigen
+from betaplane import modified_flow as mf
 from betaplane.errors import BracketFailureError, NoConvergenceError, ValidationError
 from betaplane.eigen import eigenvalue_floor, eigenvector, extrapolate, monotone_root, nth_eigenvalue
 from betaplane.grid import Grid1D, TridiagOperator, assemble, build_grid
+from betaplane.rayleigh_kuo import _potential
+from lapack_fake import CountingLapack
 from oracles import sturm_count
 
 
@@ -162,18 +165,6 @@ class TestLapackKernel:
                 assert nth_eigenvalue(rev, n, near=near) == lam
 
 
-class CountingLapack:
-    """The binding's routines, with each whole-spectrum ``stebz`` call (``range='I'``) counted."""
-
-    def __init__(self, real):
-        self.real, self.whole_spectrum = real, 0
-        self.dgtsv = real.dgtsv
-
-    def dstebz(self, d, e, kind, *args):
-        self.whole_spectrum += kind == 2
-        return self.real.dstebz(d, e, kind, *args)
-
-
 @pytest.fixture
 def lapack(monkeypatch):
     counting = CountingLapack(eigen._flapack)
@@ -243,7 +234,7 @@ class TestBracketedSolve:
             m, *rest = real.dstebz(d, e, kind, vl, vu, il, iu, tol, order)
             return (m + 1 if kind == 2 else m), *rest  # the whole-spectrum solve, not a count
 
-        monkeypatch.setattr(eigen, "_flapack", types.SimpleNamespace(dstebz=dstebz, dgtsv=real.dgtsv))
+        monkeypatch.setattr(eigen, "_flapack", CountingLapack(real, dstebz))
         op = laplacian_op(8)
         with pytest.raises(NoConvergenceError, match="stebz"):
             nth_eigenvalue(op, 1, near=nth_eigenvalue(op, 2))
@@ -289,6 +280,90 @@ class TestBracketedSolve:
         assert abs(lam - full) <= 2 * eigenvalue_floor(op)
 
 
+def modified_op(m, beta=2.0, gamma=0.02, a=0.0):
+    """The modified-flow operator at c = 0, its critical layer removable."""
+    return assemble(build_grid(m), _potential(mf.profile(mf.ModifiedFlowParams(beta, gamma, a)), beta, 0.0))
+
+
+class TestPrincipalCertificate:
+    """For n = 1, count(rho - d) < 1 <= count(rho + d) is read from two ``pttrf``
+    factorizations: A - x I is positive definite exactly when no eigenvalue is <= x."""
+
+    @staticmethod
+    def operators(rng):
+        ops = []
+        for _ in range(20):
+            diag, off, grid = random_tridiag(rng, int(rng.integers(2, 60)))
+            ops.append(TridiagOperator(diag=diag, off=off, grid=grid))
+        ops += [TridiagOperator(diag=rng.uniform(-5, 5, 7), off=np.zeros(6), grid=None),
+                TridiagOperator(diag=np.array([3.0, 1.0, 1.0, 2.0]), off=np.zeros(3), grid=None)]
+        for m in (256, 1024, 4096, 16384):
+            ops += [couette_op(m), couette_op(m, 4.0, -1.0), modified_op(m)]
+        return ops + [TridiagOperator(diag=op.diag[::-1], off=op.off[::-1], grid=op.grid) for op in ops]
+
+    def test_verdicts_match_sturm_oracle(self, rng):
+        for op in self.operators(rng):
+            rho, d = nth_eigenvalue(op, 1), eigenvalue_floor(op)
+            xs = np.array([rho - d, rho + d])
+            verdicts = [eigen._definite(op.diag, op.off, x) for x in xs]
+            assert verdicts == list(sturm_count(op.diag, op.off, xs) == 0)
+            assert verdicts == [True, False]
+
+    @pytest.mark.parametrize("diag, off, x", [
+        ([1.0, 2.0, 3.0], [0.0, 0.0], 1.0),
+        ([0.0, 0.0], [1.0], 0.0),
+        ([2.0, 1.0, 2.0], [1.0, 1.0], 1.0),
+    ], ids=["diagonal", "swap", "second-pivot"])
+    def test_exact_zero_pivot_is_not_definite(self, diag, off, x):
+        # a zero pivot means an eigenvalue <= x, which a count of those strictly below
+        # x sees only from the next float up
+        diag, off = np.array(diag), np.array(off)
+        assert not eigen._definite(diag, off, x)
+        assert sturm_count(diag, off, np.nextafter(x, np.inf)) >= 1
+        assert eigen._definite(diag, off, x - 1e-3) == (sturm_count(diag, off, x - 1e-3) == 0)
+
+    def test_principal_certificate_factors_twice(self, lapack):
+        op = couette_op(4096)
+        full = nth_eigenvalue(op, 1)
+        lapack.whole_spectrum = lapack.definite = 0
+        nth_eigenvalue(op, 1, near=full * (1 + 1e-4))
+        assert (lapack.whole_spectrum, lapack.definite) == (0, 2)
+
+    def test_other_indices_count_with_stebz(self, lapack):
+        op = couette_op(1024)
+        full = nth_eigenvalue(op, 2)
+        lapack.definite = 0
+        assert abs(nth_eigenvalue(op, 2, near=full * (1 + 1e-4)) - full) <= 2 * eigenvalue_floor(op)
+        assert lapack.definite == 0
+
+
+class TestRestart:
+    """A quotient that fails its certificate gets one more iteration shifted to it."""
+
+    @pytest.mark.parametrize("offset", [0.3, -0.3])
+    def test_guess_off_by_a_third_certifies_after_restart(self, offset, lapack, monkeypatch):
+        op = modified_op(1024)
+        full = nth_eigenvalue(op, 1)
+        real, shifts = eigen._inverse_iteration, []
+        monkeypatch.setattr(eigen, "_inverse_iteration", lambda d, e, s: shifts.append(s) or real(d, e, s))
+        lapack.whole_spectrum = 0
+        lam = nth_eigenvalue(op, 1, near=full + offset)
+        assert lapack.whole_spectrum == 0
+        # the first quotient is 1e-6 off, outside lambda -+ d; the restart's passes
+        assert len(shifts) == 2 and shifts[0] == full + offset
+        assert abs(shifts[1] - full) > eigenvalue_floor(op)
+        d = eigenvalue_floor(op)
+        below, upto = sturm_count(op.diag, op.off, np.array([lam - d, lam + d]))
+        assert below < 1 <= upto
+
+    def test_guess_at_second_eigenvalue_falls_through(self, lapack):
+        op = modified_op(1024)
+        full, guess = nth_eigenvalue(op, 1), nth_eigenvalue(op, 2)
+        lapack.whole_spectrum = 0
+        assert nth_eigenvalue(op, 1, near=guess) == full
+        assert lapack.whole_spectrum == 1
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["diag", "off"])
@@ -312,7 +387,7 @@ class TestStebzFailure:
         def dstebz(*args):
             return m, np.zeros(8), None, None, info
 
-        monkeypatch.setattr(eigen, "_flapack", types.SimpleNamespace(dstebz=dstebz))
+        monkeypatch.setattr(eigen, "_flapack", CountingLapack(eigen._flapack, dstebz))
         with pytest.raises(NoConvergenceError, match="stebz"):
             nth_eigenvalue(laplacian_op(8), 1)
 

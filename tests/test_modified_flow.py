@@ -10,7 +10,8 @@ import scipy.special
 from betaplane import modified_flow as mf
 from betaplane.errors import NoBracketError, NoConvergenceError, ValidationError
 from betaplane.rayleigh_kuo import lambda_n_general
-from oracles import quad_integral, simpson_integral
+from betaplane.grid import build_grid
+from oracles import modified_flow_jet, quad_integral, simpson_integral
 
 # frozen from the quadrature oracle (2/sqrt(pi)) int_0^1 exp(-s^2) ds
 ERF_ONE = 0.8427007929497149
@@ -289,7 +290,7 @@ class TestOneJetPerGrid:
         monkeypatch.setattr(mf, "erf", lambda x: calls.append(np.size(x)) or erf(x))
         mf.lambda_n_modified(mf.ModifiedFlowParams(0.7, 0.02, 0.8), 1, 256)
         # construction (u at -1 and 1), the removable layer's ends, one per grid
-        assert calls == [2, 2, 256, 512, 1024]
+        assert calls == [2, 2, 20, 41, 81]
 
     @pytest.mark.parametrize("gamma", [0.02, 0.15], ids=["ends-outside", "erf-reaches-1"])
     def test_flow_range_reads_u_alone(self, gamma, monkeypatch):
@@ -317,6 +318,42 @@ class TestOneJetPerGrid:
         assert np.array_equal(de, c * np.exp(-(x2**2)))
         assert np.array_equal(d2e, -2.0 * x2 * c * np.exp(-(x2**2)))
         assert du.shape == d2u.shape == ys.shape
+
+
+class TestJetOnSupport:
+    """The jet evaluates its corrections on |x1| < 2 or |x2| < 2 only, and gives the
+    full formula's bits everywhere (``oracles.modified_flow_jet``), signed zeros included."""
+
+    @staticmethod
+    def samples(g, rng):
+        nodes = build_grid(int(rng.choice([256, 1000, 4096, 16384]))).nodes
+        ends = np.array([-2.0, -1.0, 1.0, 2.0, 3.0, 7.0]) * g
+        yield from (nodes, np.concatenate(([-1.0], nodes, [1.0])), np.linspace(-1.0, 1.0, 129),
+                    np.array([-g, g]), ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf))
+        yield from (np.asarray(y) for y in (-1.0, -g, 0.0, 5.0 * g, 7.0 * g, 0.5))
+
+    def test_bitwise_equal_to_full_formula(self, rng):
+        consts, checked = mf.cutoff_constants(), 0
+        for _ in range(120):
+            beta = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0))
+            a = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+            limit = min(0.5, 1.0 / (10.0 * abs(beta)), 1.0 / (0.5 * abs(beta) * consts.M + a * consts.M0))
+            g = float(limit * rng.uniform(0.01, 0.99))
+            jet = mf.profile(mf.ModifiedFlowParams(beta, g, a)).jet
+            for y in self.samples(g, rng):
+                for got, want in zip(jet(y), modified_flow_jet(beta, g, a, y)):
+                    assert type(got) is type(want)
+                    assert np.shape(got) == np.shape(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                    checked += 1
+        assert checked == 120 * 13 * 3
+
+    def test_off_support_values(self):
+        y = np.array([-0.5, 0.5])
+        for beta, zeros in ((1.5, [False, False]), (-1.5, [False, True])):
+            u, du, d2u = mf.profile(mf.ModifiedFlowParams(beta, 0.02, 0.8)).jet(y)
+            assert np.array_equal(u, y) and np.array_equal(du, [1.0, 1.0])
+            assert np.array_equal(d2u, [0.0, 0.0]) and list(np.signbit(d2u)) == zeros
 
 
 class TestEigenvalues:

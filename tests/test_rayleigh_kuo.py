@@ -183,14 +183,6 @@ class TestLambdaSingular:
         pair = lambda_n_couette(0.0, -1.0)
         assert pair.value == pytest.approx(PI2_4, abs=1e-5)
 
-    def test_graded_mesh_cross_check(self):
-        # direct solve of the singular problem on a geometrically refined
-        # mesh, an independent route to the same limit
-        for beta in (1.0, 4.0):
-            reg = lambda_n_couette(beta, -1.0).value
-            direct = oracles.graded_wall_eigenvalue(beta, 2048, 0.998)
-            assert direct == pytest.approx(reg, abs=2e-4)
-
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0, 4.0, 8.0])
     def test_within_estimate_of_wall_series(self, beta):
         # the exact wall value is the zero of the Frobenius series phi1(2) (tests/oracles.py)
