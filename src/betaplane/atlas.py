@@ -17,9 +17,14 @@ lambda0 finds the root on each grid and extrapolates it
 (``rayleigh_kuo.couette_speed``), so c0 carries its own error estimate.
 The tolerances of beta_star and beta_T bound their error estimates, that of
 the speed bounds c0's relative to |c0|, and classify's is the half-width of
-the Gamma strip.  beta_star and beta_T are memoized in process; when a
-cache is supplied, wall and regular eigenvalues and each speed inversion
-are kept on disk.
+the Gamma strip, to which it also holds beta_star's and alpha_beta's
+estimates.  Every wall route (beta_star, beta_T, lam1 at the wall,
+alpha_beta and classify) climbs from a smallest base, 64 by default, until
+its answer's estimate meets its tolerance (``rayleigh_kuo``'s ladder); the
+speed inversion and the regular values keep the fixed ladder on base 256.
+beta_star and beta_T are memoized in process; when a cache is supplied,
+wall and regular eigenvalues, alpha_beta and each speed inversion are kept
+on disk.
 """
 
 from __future__ import annotations
@@ -68,145 +73,194 @@ REGION_I_MINUS = "I-"
 
 @dataclass(frozen=True)
 class RegionVerdict:
-    """Classification of one (alpha, beta) point, with the curve data used."""
+    """Classification of one (alpha, beta) point, with the curve data used.
+
+    ``bases`` holds the accepted base of each wall ladder solved: beta_star's,
+    then alpha_beta's where it was needed.
+    """
 
     label: str
     beta_star: float
     alpha_beta: float | None
     tolerance: float
     error_estimate: float = 0.0
+    bases: tuple = ()
 
 
-# every classify re-derives beta_star, so this memo pays; a session rarely asks
-# for the same wall or regular value twice, so those go to the disk cache only
-_wall_beta_mem = lru_cache(maxsize=256)(wall_beta)
+# the tolerance lambda1_wall holds lam1's error estimate to
+_WALL_TOL = 1e-5
+# the tolerance alpha_beta and the curve hold alpha's error estimate to: classify's default strip
+_CURVE_TOL = 1e-4
 
 
-def _lambda1(name, args, c, resolution, cache):
-    """lam1(args["beta"], c) as (value, error); a cache keeps it on disk as curve ``name``."""
+@lru_cache(maxsize=256)
+def _wall_beta_mem(alpha, tol, resolution):
+    """``wall_beta(alpha)``, its ladder climbing from base ``resolution`` to tol, as
+    (value, error_estimate, accepted base).
 
-    def solve():
-        pair = lambda_n_couette(args["beta"], c, 1, int(resolution))
-        return pair.value, pair.error_estimate
+    Every classify re-derives beta_star, so this memo pays; a session rarely
+    asks for the same wall or regular value twice, so those go to the disk
+    cache only.
+    """
+    pair = wall_beta(alpha, resolution, tol)
+    return pair.value, pair.error_estimate, pair.base
 
-    return solve() if cache is None else cache.lookup(name, args, resolution, solve)
+
+def _cached(cache, name, args, settings, solve, columns=("lambda1", "error_estimate")):
+    """solve()'s result, kept on disk as curve ``name`` when a cache is given."""
+    return solve() if cache is None else cache.lookup(name, args, settings, solve, columns)
 
 
-def lambda1_wall(beta, resolution=256, cache=None):
+def lambda1_wall(beta, resolution=64, cache=None):
     """lam1(beta, -1) for beta >= 0 (resp. lam1(beta, +1) for beta < 0).
 
-    Returns (value, error_estimate), kept on disk when a cache is given.
+    Returns (value, error_estimate).  The ladder climbs from base
+    ``resolution`` until the estimate is at most ``_WALL_TOL``; a cache
+    keeps the result, keyed on both, with the accepted base.
     """
     beta = float(beta)
-    wall = -1.0 if beta >= 0 else 1.0
-    return _lambda1("lambda1-wall-direct", {"beta": beta}, wall, resolution, cache)
+
+    def solve():
+        pair = lambda_n_couette(beta, -1.0 if beta >= 0 else 1.0, 1, int(resolution), _WALL_TOL)
+        return pair.base, pair.value, pair.error_estimate
+
+    return _cached(cache, "lambda1-wall-direct", {"beta": beta},
+                   {"resolution": resolution, "tol": _WALL_TOL}, solve,
+                   ("accepted_base", "lambda1", "error_estimate"))[1:]
 
 
 def lambda1_regular(beta, c, resolution=256, cache=None):
     """lam1(beta, c) for a speed c outside (-1, 1) (``lambda_n_couette``); (value, error)."""
     beta, c = float(beta), float(c)
-    return _lambda1("lambda1-regular", {"beta": beta, "c": c}, c, resolution, cache)
+
+    def solve():
+        pair = lambda_n_couette(beta, c, 1, int(resolution))
+        return pair.value, pair.error_estimate
+
+    return _cached(cache, "lambda1-regular", {"beta": beta, "c": c}, {"resolution": resolution}, solve)
 
 
-def _certified(alpha, tol, resolution, what):
-    """``wall_beta(alpha)`` as (value, error_estimate), the estimate at most tol."""
+def _certified(alpha, tol, resolution):
+    """``wall_beta(alpha)`` as (value, error_estimate, accepted base), the estimate at most tol."""
     require_finite("tol", tol, positive=True)
-    value, err = _wall_beta_mem(float(alpha), int(resolution))
-    if err > tol:
-        raise NoConvergenceError(
-            f"no-convergence: {what} error estimate {err:.3g} exceeds tol {tol:.3g}"
-        )
-    return value, err
+    return _wall_beta_mem(float(alpha), tol, int(resolution))
 
 
-def find_beta_star(tol=1e-5, resolution=256):
+def find_beta_star(tol=1e-5, resolution=64):
     """The unique beta > 0 with lam1(beta, -1) = 0: ``beta_star_and_error``'s value."""
     return beta_star_and_error(tol, resolution)[0]
 
 
-def beta_star_and_error(tol=1e-5, resolution=256):
-    """(beta_star, error_estimate): the principal eigenvalue of -phi'' = beta phi / (1 + y)
-    (``wall_beta`` at alpha = 0), its estimate at most tol."""
-    return _certified(0.0, tol, resolution, "beta-star")
+def beta_star_and_error(tol=1e-5, resolution=64):
+    """(beta_star, error_estimate, accepted base): the principal eigenvalue of
+    -phi'' = beta phi / (1 + y) (``wall_beta`` at alpha = 0), its estimate at most tol."""
+    return _certified(0.0, tol, resolution)
 
 
-def alpha_beta(beta, resolution=256, cache=None):
-    """Borderline wavenumber alpha_beta = sqrt(-lam1(|beta|, -1)).
-
-    Returns (alpha, error_estimate), the estimate an exact bound on alpha's
-    error when lam1's estimate bounds lam1's; requires lam1(|beta|, -1) <= 0,
-    i.e. |beta| >= beta_star up to the eigenvalue error.
-    """
-    lam, err = lambda1_wall(abs(float(beta)), resolution, cache)
-    if lam > err:
-        raise ValidationError(
-            f"below-threshold: lam1({abs(beta)}, -1) = {lam} > 0, |beta| < beta_star"
-        )
+def _alpha(lam, err):
+    """alpha = sqrt(-lam) and its error estimate, exact when err bounds lam's error."""
     a2 = max(-lam, 0.0)
     alpha = float(np.sqrt(a2))
     # |lam_true - lam| <= err puts alpha_true in [sqrt(max(a2 - err, 0)), sqrt(a2 + err)];
     # the larger distance to alpha, written without cancellation
     if a2 > err:
-        alpha_err = err / (alpha + np.sqrt(a2 - err))
-    else:
-        alpha_err = max(alpha, np.sqrt(a2 + err) - alpha)
-    return alpha, float(alpha_err)
+        return alpha, float(err / (alpha + np.sqrt(a2 - err)))
+    return alpha, float(max(alpha, np.sqrt(a2 + err) - alpha))
 
 
-def alpha_beta_curve(betas, resolution=256, cache=None) -> CurveTable:
-    """Rows (beta, alpha_beta, error) of the borderline curve, sorted by beta."""
+def _alpha_beta(beta, resolution, cache, tol):
+    """(alpha_beta, error_estimate, accepted base) of ``alpha_beta``, alpha's estimate at most tol."""
+    beta = abs(float(beta))
+
+    def solve():
+        pair = lambda_n_couette(beta, -1.0, 1, int(resolution), tol,
+                                bar=lambda lam, err: _alpha(lam, err)[1])
+        lam, err = pair.value, pair.error_estimate
+        if lam > err:
+            raise ValidationError(
+                f"below-threshold: lam1({beta}, -1) = {lam} > 0, |beta| < beta_star"
+            )
+        return pair.base, *_alpha(lam, err)
+
+    base, alpha, alpha_err = _cached(cache, "alpha-beta", {"beta": beta},
+                                     {"resolution": resolution, "tol": tol}, solve,
+                                     ("accepted_base", "alpha_beta", "error_estimate"))
+    return alpha, alpha_err, int(base)
+
+
+def alpha_beta(beta, resolution=64, cache=None):
+    """Borderline wavenumber alpha_beta = sqrt(-lam1(|beta|, -1)).
+
+    Returns (alpha, error_estimate), the estimate an exact bound on alpha's
+    error when lam1's estimate bounds lam1's.  The ladder climbs from base
+    ``resolution`` until alpha's estimate is at most ``_CURVE_TOL``; a cache
+    keeps the result, keyed on both, with the accepted base.  Requires
+    lam1(|beta|, -1) <= 0, i.e. |beta| >= beta_star up to the eigenvalue error.
+    """
+    return _alpha_beta(beta, resolution, cache, _CURVE_TOL)[:2]
+
+
+def alpha_beta_curve(betas, resolution=64, cache=None) -> CurveTable:
+    """Rows (beta, alpha_beta, error) of the borderline curve, sorted by beta.
+
+    The metadata records the smallest base, the tolerance and each row's accepted base.
+    """
+    rows = [(beta, *_alpha_beta(beta, resolution, cache, _CURVE_TOL))
+            for beta in sorted(float(b) for b in betas)]
     table = CurveTable(
         name="alpha-beta-curve",
         columns=["beta", "alpha_beta", "error_estimate"],
-        metadata={"resolution": resolution},
+        metadata={"resolution": resolution, "tol": _CURVE_TOL, "accepted_base": [row[3] for row in rows]},
     )
-    for beta in sorted(float(b) for b in betas):
-        alpha, err = alpha_beta(beta, resolution, cache)
+    for beta, alpha, err, _ in rows:
         table.add_row(beta, alpha, max(err, 1e-16))
     return table
 
 
-def beta_T(T, tol=1e-5, resolution=256):
+def beta_T(T, tol=1e-5, resolution=64):
     """The unique beta_T > 0 with lam1(beta_T, -1) = -4 pi^2 / T^2: ``beta_T_and_error``'s value."""
     return beta_T_and_error(T, tol, resolution)[0]
 
 
-def beta_T_and_error(T, tol=1e-5, resolution=256):
-    """(beta_T, error_estimate): the principal eigenvalue of -phi'' + alpha^2 phi =
-    beta phi / (1 + y) with alpha = 2 pi / T (``wall_beta``), its estimate at most tol."""
+def beta_T_and_error(T, tol=1e-5, resolution=64):
+    """(beta_T, error_estimate, accepted base): the principal eigenvalue of
+    -phi'' + alpha^2 phi = beta phi / (1 + y) with alpha = 2 pi / T
+    (``wall_beta``), its estimate at most tol."""
     if not T > 0:
         raise ValidationError(f"period T must be positive, got {T}")
     alpha = 2.0 * np.pi / T
     if not np.isfinite(alpha * alpha):  # float ** raises OverflowError where * gives inf
         raise ValidationError(f"period T={T} is too small: (2 pi / T)^2 overflows")
-    return _certified(alpha, tol, resolution, "beta_T")
+    return _certified(alpha, tol, resolution)
 
 
-def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict:
+def classify(alpha, beta, tol=1e-4, resolution=64, cache=None) -> RegionVerdict:
     """Place (alpha, beta) into one of O, Gamma+/-, I+/-.
 
     The borderline verdicts Gamma+/- are assigned on the strip
     |alpha - alpha_beta| <= tol, since exact curve membership is numerically
     meaningless; the verdict records beta_star, alpha_beta with its error
-    estimate, and the tolerance used.  A label holds for every curve within
-    the error bars: |beta| against beta_star's, and |alpha - alpha_beta|
-    against tol -+ alpha_beta's.  Where a bar alone decides the label,
-    NoConvergenceError is raised.
+    estimate, the tolerance used and the ladders' accepted bases.  Both
+    curves climb from base ``resolution`` until their estimates are at most
+    tol.  A label holds for every curve within the error bars: |beta|
+    against beta_star's, and |alpha - alpha_beta| against tol -+
+    alpha_beta's.  Where a bar alone decides the label, NoConvergenceError
+    is raised.
     """
     alpha = float(alpha)
     beta = float(beta)
     require_finite("wavenumber alpha", alpha, positive=True)
     require_finite("beta", beta)
     require_finite("tol", tol, positive=True)
-    bstar, bstar_err = _wall_beta_mem(0.0, int(resolution))
+    bstar, bstar_err, bstar_base = _wall_beta_mem(0.0, tol, int(resolution))
     if abs(beta) <= bstar - bstar_err:
-        return RegionVerdict(REGION_O, bstar, None, tol)
+        return RegionVerdict(REGION_O, bstar, None, tol, bases=(bstar_base,))
     if abs(beta) <= bstar + bstar_err:
         raise NoConvergenceError(
             f"no-convergence: |beta|={abs(beta)} lies within beta_star's error estimate "
             f"{bstar_err:.3g} of beta_star={bstar}"
         )
-    ab, ab_err = alpha_beta(beta, resolution, cache)
+    ab, ab_err, ab_base = _alpha_beta(beta, resolution, cache, tol)
     gap = abs(alpha - ab)
     if gap <= tol - ab_err:
         label = REGION_GAMMA_PLUS if beta > 0 else REGION_GAMMA_MINUS
@@ -217,7 +271,7 @@ def classify(alpha, beta, tol=1e-4, resolution=256, cache=None) -> RegionVerdict
             f"no-convergence: alpha={alpha} lies within alpha_beta's error estimate "
             f"{ab_err:.3g} of the Gamma strip's edge (alpha_beta={ab}, tol={tol:.3g})"
         )
-    return RegionVerdict(label, bstar, ab, tol, ab_err)
+    return RegionVerdict(label, bstar, ab, tol, ab_err, (bstar_base, ab_base))
 
 
 def speed_for_eigenvalue(beta, lambda0, tol=1e-5, resolution=256, cache=None):
@@ -256,9 +310,8 @@ def speed_and_error(beta, lambda0, tol=1e-5, resolution=256, cache=None):
         pair = couette_speed(beta, lambda0, int(resolution))
         return pair.value, pair.error_estimate
 
-    args = {"beta": beta, "lambda0": lambda0}
-    name = "speed-for-eigenvalue"
-    c0, err = solve() if cache is None else cache.lookup(name, args, resolution, solve, "c0")
+    c0, err = _cached(cache, "speed-for-eigenvalue", {"beta": beta, "lambda0": lambda0},
+                      {"resolution": resolution}, solve, ("c0", "error_estimate"))
     if err > tol * abs(c0):
         raise NoConvergenceError(
             f"no-convergence: speed c0={c0} error estimate {err:.3g} exceeds tol {tol:.3g} times |c0|"

@@ -1,11 +1,13 @@
 """On-disk cache of eigenvalue curve points.
 
-An entry is a one-row CSV CurveTable (the curve's arguments, the value,
-named ``lambda1`` or for a speed ``c0``, and ``error_estimate``, resolution
-metadata) keyed by a stable hash of the curve name and every argument, so
-identical requests are served from disk and the files double as golden
-outputs.  A read takes the last row's last two cells;
-an entry that does not end in two numbers is a miss, recomputed and rewritten.
+An entry is a one-row CSV CurveTable (the curve's arguments, then its
+result columns, such as the value, named ``lambda1`` or for a speed ``c0``,
+and ``error_estimate``; the settings it was solved with, such as the
+resolution, as metadata) keyed by a stable hash of the curve name, every
+argument and every setting, so identical requests are served from disk and
+the files double as golden outputs.  A read takes the last row's result
+cells; an entry that does not end in that many numbers is a miss,
+recomputed and rewritten.
 Writes go through a temporary file plus atomic replace: concurrent readers
 are safe, writers are expected to arrive one at a time.
 """
@@ -47,11 +49,13 @@ class CurveCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.csv"
 
-    def get(self, key: str) -> tuple[float, float] | None:
-        """(value, error) from the entry's last row, or None if it is absent or damaged."""
+    def get(self, key: str, count: int = 2) -> tuple | None:
+        """The last ``count`` cells of the entry's last row as floats, or None if it is absent or damaged."""
         try:
             cells = self._path(key).read_text(encoding="utf-8").splitlines()[-1].split(",")
-            hit = float(cells[-2]), float(cells[-1])
+            if len(cells) < count:
+                raise IndexError(key)
+            hit = tuple(float(cell) for cell in cells[-count:])
         except (OSError, IndexError, ValueError):
             self.misses += 1
             return None
@@ -69,22 +73,18 @@ class CurveCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
-    def lookup(self, name: str, args: dict, resolution, compute,
-               column="lambda1") -> tuple[float, float]:
-        """(value, error) at ``args`` (column order), read back, or else compute()'s, written.
+    def lookup(self, name: str, args: dict, settings: dict, compute,
+               columns=("lambda1", "error_estimate")) -> tuple:
+        """compute()'s result cells at ``args`` (column order), read back, or else computed and written.
 
-        The table names the value's column ``column``.
+        ``columns`` names the result cells; ``settings`` are keyed and kept as metadata.
         """
-        key = cache_key(name, resolution=resolution, **args)
-        hit = self.get(key)
+        key = cache_key(name, **settings, **args)
+        hit = self.get(key, len(columns))
         if hit is not None:
             return hit
-        value, err = compute()
-        table = CurveTable(
-            name=name,
-            columns=[*args, column, "error_estimate"],
-            metadata={"resolution": resolution},
-        )
-        table.add_row(*args.values(), value, err)
+        result = compute()
+        table = CurveTable(name=name, columns=[*args, *columns], metadata=dict(settings))
+        table.add_row(*args.values(), *result)
         self.put(key, table)
-        return value, err
+        return tuple(result)

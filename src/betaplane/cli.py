@@ -36,7 +36,7 @@ _BUILTIN_TOLS = {
 
 @dataclass
 class RunConfig:
-    resolution: int = 256
+    resolution: int | None = None  # --resolution; None gives each command its default base
     tolerances: dict = field(default_factory=dict)
     cache_dir: str | None = None
     format: str = "csv"
@@ -53,9 +53,16 @@ class RunConfig:
     def cache(self):
         return CurveCache(self.cache_dir) if self.cache_dir else None
 
+    def base(self, wall: bool = False) -> int:
+        """--resolution, or by default 64 on the atlas wall routes, whose ladders climb
+        from that smallest base to their tolerance, and 256 on the fixed ladders."""
+        if self.resolution is not None:
+            return self.resolution
+        return 64 if wall else 256
+
     def modified_resolution(self, gamma: float) -> int:
         """The resolution, raised to what a modified flow of width gamma needs."""
-        return max(self.resolution, modified_flow.suggested_resolution(gamma))
+        return max(self.base(), modified_flow.suggested_resolution(gamma))
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -111,7 +118,7 @@ def _config_from(args) -> RunConfig:
             setattr(cfg, key, val)
     if cfg.format not in ("csv", "json"):
         raise ValidationError(f"unknown output format {cfg.format!r}")
-    if cfg.resolution < 64:
+    if cfg.resolution is not None and cfg.resolution < 64:
         raise ValidationError(f"resolution must be >= 64, got {cfg.resolution}")
     for name, value in cfg.tolerances.items():
         require_finite(f"tolerance {name}", value, positive=True)
@@ -148,21 +155,22 @@ def _one_row(name: str, metadata: dict, row: dict) -> CurveTable:
 
 
 def cmd_eigen(args, cfg: RunConfig) -> CurveTable:
-    pair = lambda_n_couette(args.beta, args.c, args.n, cfg.resolution)
+    pair = lambda_n_couette(args.beta, args.c, args.n, cfg.base())
     return _one_row("eigen", {"version": __version__}, {
         "beta": args.beta, "c": args.c, "n": args.n, "lambda": pair.value,
-        "error_estimate": pair.error_estimate, "resolution": cfg.resolution,
+        "error_estimate": pair.error_estimate, "resolution": cfg.base(),
     })
 
 
 def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
     cache = cfg.cache()
-    common = dict(resolution=cfg.resolution, cache=cache)
+    base = cfg.base(wall=args.atlas_cmd != "speed")
+    common = dict(resolution=base, cache=cache)
     if args.atlas_cmd == "beta-star":
         tol = cfg.tol("beta-star")
-        bstar, err = atlas.beta_star_and_error(tol=tol, resolution=cfg.resolution)
+        bstar, err, accepted = atlas.beta_star_and_error(tol=tol, resolution=base)
         residual, _ = atlas.lambda1_wall(bstar, **common)
-        table = _one_row("atlas-beta-star", {"tol": tol, "resolution": cfg.resolution}, {
+        table = _one_row("atlas-beta-star", {"tol": tol, "resolution": base, "accepted_base": accepted}, {
             "beta_star": bstar, "lambda_residual": residual, "error_estimate": err,
         })
     elif args.atlas_cmd == "curve":
@@ -171,13 +179,13 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         require_finite("--beta-max", args.beta_max)
         lo = args.beta_min
         if lo is None:
-            lo = atlas.find_beta_star(tol=cfg.tol("beta-star"), resolution=cfg.resolution)
+            lo = atlas.find_beta_star(tol=cfg.tol("beta-star"), resolution=base)
         else:
             require_finite("--beta-min", lo)
         table = atlas.alpha_beta_curve(np.linspace(lo, args.beta_max, args.steps), **common)
     elif args.atlas_cmd == "region":
         verdict = atlas.classify(args.alpha, args.beta, tol=cfg.tol("region"), **common)
-        table = _one_row("atlas-region", {"resolution": cfg.resolution}, {
+        table = _one_row("atlas-region", {"resolution": base, "accepted_base": list(verdict.bases)}, {
             "alpha": args.alpha, "beta": args.beta, "label": verdict.label,
             "beta_star": verdict.beta_star,
             "alpha_beta": verdict.alpha_beta if verdict.alpha_beta is not None else float("nan"),
@@ -185,10 +193,10 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         })
     elif args.atlas_cmd == "beta-T":
         tol = cfg.tol("beta-T")
-        bt, err = atlas.beta_T_and_error(args.period, tol=tol, resolution=cfg.resolution)
+        bt, err, accepted = atlas.beta_T_and_error(args.period, tol=tol, resolution=base)
         lam, _ = atlas.lambda1_wall(bt, **common)
         target = -4 * np.pi**2 / (args.period * args.period)  # -0 once T * T overflows
-        table = _one_row("atlas-beta-T", {"tol": tol, "resolution": cfg.resolution}, {
+        table = _one_row("atlas-beta-T", {"tol": tol, "resolution": base, "accepted_base": accepted}, {
             "period": args.period, "beta_T": bt, "lambda_at_beta_T": lam,
             "target": target, "error_estimate": err,
         })
@@ -196,7 +204,7 @@ def cmd_atlas(args, cfg: RunConfig) -> CurveTable:
         tol = cfg.tol("speed")
         c0, err = atlas.speed_and_error(args.beta, args.lambda0, tol=tol, **common)
         lam, _ = atlas.lambda1_regular(args.beta, c0, **common)
-        table = _one_row("atlas-speed", {"tol": tol, "resolution": cfg.resolution}, {
+        table = _one_row("atlas-speed", {"tol": tol, "resolution": base}, {
             "beta": args.beta, "lambda0": args.lambda0, "c0": c0, "lambda_at_c0": lam,
             "error_estimate": err,
         })
@@ -259,7 +267,7 @@ def cmd_modified_flow(args, cfg: RunConfig) -> CurveTable:
 
 def cmd_bifurcate(args, cfg: RunConfig) -> CurveTable:
     kappas = _parse_floats(args.kappas, "--kappas")
-    resolution = cfg.resolution
+    resolution = cfg.base()
     if args.base == "modified":
         params = modified_flow.ModifiedFlowParams(args.beta, args.gamma, args.a)
         prof = modified_flow.profile(params)
@@ -326,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--plot", action="store_true", default=sup,
                         help="also write an SVG next to --out")
     common.add_argument("--cache-dir", default=sup, help="directory for the on-disk curve cache")
-    common.add_argument("--resolution", type=int, default=sup, help="base grid resolution (>= 64)")
+    common.add_argument("--resolution", type=int, default=sup,
+                        help="base grid resolution (>= 64): the smallest base on the atlas wall "
+                        "routes (default 64), the fixed base elsewhere (default 256)")
     common.add_argument("--tol", type=float, default=sup, help="default tolerance for root finding")
 
     parser = argparse.ArgumentParser(

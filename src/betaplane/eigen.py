@@ -14,17 +14,17 @@ Eigenvectors come from the same iteration: asked for one, a solve hands
 out the iterate it certified, and runs the iteration only on the bisection
 path.  Every inner product is a numpy reduction, not BLAS ``ddot``, whose
 sum order (so its last bit) depends on the thread count.  One bound
-b >= ||A|| (``_norm_bound``) gives the rounding floor, the interval
-[-b, b], padded, that holds the spectrum for the counts, and the check on
-an eigenvector's shift.  The routines are called from scipy's compiled
-binding, loaded as a file: ``import scipy.linalg`` would add about 0.4 s
-to each process.  Grid sequences are Richardson-extrapolated to the
-continuum limit assuming second-order convergence, with the kernel's
-rounding floor carried into the error; the record of one such ladder,
-``EigenPair``, lives with the ladder in ``rayleigh_kuo``.  ``monotone_root``
-is the one bracketing root search, shared by the speed inversion and the
-modified-flow level set: Illinois steps, or safeguarded Newton steps when
-the caller has the slope.
+b >= ||A|| (``TridiagOperator.norm_bound``, computed once per operator)
+gives the rounding floor, the interval [-b, b], padded, that holds the
+spectrum for the counts, and the check on an eigenvector's shift.  The
+routines are called from scipy's compiled binding, loaded as a file:
+``import scipy.linalg`` would add about 0.4 s to each process.  Grid
+sequences are Richardson-extrapolated to the continuum limit assuming
+second-order convergence, with the kernel's rounding floor carried into
+the error; the record of one such ladder, ``EigenPair``, lives with the
+ladder in ``rayleigh_kuo``.  ``monotone_root`` is the one bracketing root
+search, shared by the speed inversion and the modified-flow level set:
+Illinois steps, or safeguarded Newton steps when the caller has the slope.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -98,11 +99,6 @@ def _canonical_orientation(diag: np.ndarray, off: np.ndarray):
     return diag, off
 
 
-def _norm_bound(op: TridiagOperator) -> float:
-    """b = max |a_ii| + 2 max |a_i,i+1| >= ||A||_inf, so every eigenvalue lies in [-b, b]."""
-    return float(np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off), initial=0.0))
-
-
 def _radius(bound: float) -> float:
     """``bound`` plus max(1, bound) 1e-12: an eigenvalue may equal -bound (the zero matrix)."""
     return bound + max(1.0, bound) * 1e-12
@@ -147,16 +143,24 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
+@lru_cache(maxsize=32)
+def _start_vector(m: int) -> np.ndarray:
+    """linspace(1, 2, m), built once per size and shared, so read-only."""
+    v = np.linspace(1.0, 2.0, m)
+    v.flags.writeable = False
+    return v
+
+
 def _inverse_iteration(diag: np.ndarray, off: np.ndarray, shift: float):
     """Two steps of inverse iteration at ``shift`` (LAPACK ``gtsv``): (unit v, rho), or None.
 
-    rho = shift + v.((A - shift I) v).  The start vector is fixed and not
-    reversal-symmetric: a constant one is orthogonal to every antisymmetric
-    eigenvector of a persymmetric matrix.  A zero pivot, or an iterate or a
-    quotient that is not finite, gives None.
+    rho = shift + v.((A - shift I) v).  The start vector (``_start_vector``)
+    is fixed and not reversal-symmetric: a constant one is orthogonal to
+    every antisymmetric eigenvector of a persymmetric matrix.  A zero pivot,
+    or an iterate or a quotient that is not finite, gives None.
     """
     with np.errstate(all="ignore"):
-        shifted, v = diag - shift, np.linspace(1.0, 2.0, diag.size)
+        shifted, v = diag - shift, _start_vector(diag.size)
         for _ in range(2):
             *_, w, info = _flapack.dgtsv(off, shifted, off, v)
             norm = math.sqrt(_dot(w, w))
@@ -199,7 +203,7 @@ def nth_eigenvalue(op: TridiagOperator, n: int, near=None, vector: bool = False)
     diag, off = _canonical_orientation(op.diag, op.off)
     found = None
     if near is not None:
-        b = _norm_bound(op)
+        b = op.norm_bound
         for _ in range(2):  # the guess, then one restart at the quotient it gave
             found = _inverse_iteration(diag, off, near)
             if found is None or _certified(diag, off, n, b, found[1]):
@@ -228,11 +232,11 @@ def _floor(bound: float) -> float:
 def eigenvalue_floor(op: TridiagOperator) -> float:
     """Bound max(2 tol, 8 eps ||A||) on the error of ``nth_eigenvalue(op, n)``.
 
-    tol is ``_EIG_TOL`` and ||A|| the bound of ``_norm_bound``.  Sturm counts
+    tol is ``_EIG_TOL`` and ||A|| the bound ``op.norm_bound``.  Sturm counts
     are backward stable only to a few eps ||A||, so on fine grids
     (||A|| ~ 4 / h^2) this floor, not tol, limits the accuracy.
     """
-    return _floor(_norm_bound(op))
+    return _floor(op.norm_bound)
 
 
 def _apply_sign_convention(v: np.ndarray) -> np.ndarray:
@@ -251,7 +255,7 @@ def eigenvector(op: TridiagOperator, lam: float) -> np.ndarray:
     the first extremum nonnegative.  The iteration takes any shift, so
     ``lam`` is first checked against the spectral bound |lam| <= ``_radius``.
     """
-    r = _radius(_norm_bound(op))
+    r = _radius(op.norm_bound)
     if not abs(lam) <= r:
         raise ValidationError(f"lambda={lam} outside the spectral bound [{-r}, {r}]")
     found = _inverse_iteration(op.diag, op.off, lam)

@@ -13,6 +13,7 @@ in standard symmetric form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class TridiagOperator:
     def dim(self) -> int:
         return self.diag.size
 
+    @cached_property
+    def norm_bound(self) -> float:
+        """b = max |a_ii| + 2 max |a_i,i+1| >= ||A||_inf, so every eigenvalue lies in [-b, b]."""
+        return float(np.max(np.abs(self.diag)) + 2.0 * np.max(np.abs(self.off), initial=0.0))
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         out[1:] += self.off * v[:-1]
@@ -65,12 +71,17 @@ class TridiagOperator:
         return out
 
 
+@lru_cache(maxsize=32)
 def build_grid(n_interior: int) -> Grid1D:
-    """The uniform grid with ``n_interior`` nodes inside (-1, 1)."""
+    """The uniform grid with ``n_interior`` nodes inside (-1, 1).
+
+    Built once per size and shared, so its nodes are read-only.
+    """
     if n_interior < 3:
         raise ValidationError(f"invalid-count: n_interior must be >= 3, got {n_interior}")
     h = 2.0 / (n_interior + 1)
     nodes = (2.0 * np.arange(1, n_interior + 1) - (n_interior + 1)) / (n_interior + 1)
+    nodes.flags.writeable = False
     return Grid1D(n_interior=n_interior, nodes=nodes, h=h)
 
 

@@ -144,16 +144,27 @@ def cutoff_I(x):
 
 
 def cutoff_jet(x):
-    """(I, I', I'') at x from one evaluation of eta: I' = -sign(x) eta(|x|)/G(1), I'' = -eta'(|x|)/G(1)."""
+    """(I, I', I'') at x from one evaluation of eta: I' = -sign(x) eta(|x|)/G(1), I'' = -eta'(|x|)/G(1).
+
+    One |x|, one mask of 1 < |x| < 2, and on it one table lookup and one
+    ``_bump``; the bits are ``cutoff_I``'s and the full formulas', signed
+    zeros included.
+    """
     arr = np.asarray(x, dtype=float)
     a = np.abs(arr)
-    eta = _bump(a)
-    _, norm = _cutoff_table()
-    deta = np.zeros_like(a)
+    coeffs, norm = _cutoff_table()
     inside = (a > 1.0) & (a < 2.0)
     ai = a[inside]
-    deta[inside] = eta[inside] * (1.0 / (ai - 1.0) ** 2 - 1.0 / (2.0 - ai) ** 2)
-    return cutoff_I(arr), -np.sign(arr) * eta / norm, -deta / norm
+    eta, deta, cut = np.zeros_like(a), np.zeros_like(a), np.where(a <= 1.0, 1.0, 0.0)
+    eta[inside] = eta_i = _bump(ai)
+    from_1 = ai - 1.0
+    deta[inside] = eta_i * (1.0 / from_1**2 - 1.0 / (2.0 - ai) ** 2)
+    s = from_1 * (_TABLE_POINTS - 1)
+    i = np.minimum(s.astype(np.intp), _TABLE_POINTS - 2)
+    t = s - i
+    c0, c1, c2, c3 = coeffs[i].T
+    cut[inside] = (c0 + t * (c1 + t * (c2 + t * c3))) / norm
+    return (float(cut) if cut.ndim == 0 else cut), -np.sign(arr) * eta / norm, -deta / norm
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,11 @@ One ladder serves all of them: a per-grid value (an eigenvalue, or a root
 in c) on grids of size {resolution, 2*resolution, 4*resolution},
 Richardson-extrapolated.  For an eigenvalue, grid r bisects the whole
 spectrum; grids 2r and 4r start a certified inverse iteration at their
-coarser grids' prediction.
+coarser grids' prediction.  Given a tolerance, the eigenvalue ladders
+climb instead: from the smallest base ``resolution`` to {2r, 4r, 8r} and
+on, one new grid at a time, until the ratio of successive differences
+shows second-order convergence and the answer's error bar meets the
+tolerance.
 It returns one ``EigenPair``, which builds its eigenvector on the finest grid
 only when ``vector`` is read, and hands it out read-only.  Every discrete
 eigenvalue is solved to ``eigen``'s one tolerance.
@@ -43,6 +47,7 @@ import numpy as np
 
 from .errors import (
     BracketFailureError,
+    NoConvergenceError,
     SingularPotentialError,
     SingularSpeedError,
     ValidationError,
@@ -62,6 +67,12 @@ __all__ = [
     "couette_speed",
     "lambda_n_general",
 ]
+
+# a climbing ladder accepts {b, 2b, 4b} when (x_b - x_2b) / (x_2b - x_4b) lies here
+_RATIO_RANGE = (3.5, 4.5)
+
+# rows of the finest grid a climbing ladder may reach, unless its smallest base is above a quarter of it
+_MAX_ROWS = 16384
 
 # a speed root on a grid stops once |lambda_1,h(c) - lambda0| is within this
 # many of the grid's rounding floors
@@ -137,6 +148,11 @@ class EigenPair:
     def grid(self) -> Grid1D:
         return self.op.grid
 
+    @property
+    def base(self) -> int:
+        """The ladder's base b: its grids have b, 2b and 4b rows."""
+        return self.grid.n_interior // 4
+
     @cached_property
     def vector(self) -> np.ndarray:
         vec = eigenvector(self.op, self.lam_h)
@@ -144,7 +160,7 @@ class EigenPair:
         return vec
 
 
-def _solve_extrapolated(solve, resolution: int) -> EigenPair:
+def _solve_extrapolated(solve, resolution: int, tol=None, bar=None) -> EigenPair:
     """A per-grid value x_h over uniform grids {r, 2r, 4r}, Richardson-extrapolated.
 
     ``solve(grid, guess)`` returns (x_h, floor_h, op, lam_h): the grid's value,
@@ -154,17 +170,49 @@ def _solve_extrapolated(solve, resolution: int) -> EigenPair:
     x_2r - (x_r - x_2r) / 4.  The error estimate is the last Richardson
     correction plus the floors carried through the tableau; the record keeps
     the finest grid's operator and eigenvalue.
+
+    Given ``tol``, r is the smallest base and the ladder climbs.  It accepts
+    {b, 2b, 4b} once the ratio (x_b - x_2b) / (x_2b - x_4b) lies in
+    ``_RATIO_RANGE`` (4 in the asymptotic regime), or the last difference
+    lies within grids 2b's and 4b's floors, and the answer's bar,
+    ``bar(value, error)`` (the error itself by default), is at most tol.
+    Otherwise it moves to {2b, 4b, 8b}: one new grid, guessed at the
+    Richardson prediction.  A ladder past max(``_MAX_ROWS``, 4r) rows raises
+    NoConvergenceError.
     """
     if resolution < 64:
         raise ValidationError(f"resolution must be >= 64, got {resolution}")
-    seq, floors, guess = [], [], None
-    for m in (resolution, 2 * resolution, 4 * resolution):
+    cap = max(_MAX_ROWS, 4 * resolution)
+    seq, floors, guess, m = [], [], None, resolution
+    while True:
         grid = build_grid(m)
         x_h, floor, op, lam_h = solve(grid, guess)
         seq.append((grid.h, x_h))
         floors.append(floor)
-        guess = x_h if len(seq) == 1 else x_h - (seq[0][1] - x_h) / 4.0
-    return EigenPair(*extrapolate(seq, floors), op, lam_h)
+        if len(seq) == 3:
+            value, err = extrapolate(seq, floors)
+            if tol is None:
+                return EigenPair(value, err, op, lam_h)
+            (_, x_b), (_, x_2b), _ = seq
+            last = x_2b - x_h  # every floor is positive, so a zero difference is settled
+            settled = abs(last) <= floors[1] + floors[2] or (
+                _RATIO_RANGE[0] <= (x_b - x_2b) / last <= _RATIO_RANGE[1])
+            answer_bar = err if bar is None else bar(value, err)
+            if settled and answer_bar <= tol:
+                return EigenPair(value, err, op, lam_h)
+            if 2 * m > cap:
+                faults = []
+                if not settled:
+                    faults.append(f"ratio {(x_b - x_2b) / last:.3g} outside {list(_RATIO_RANGE)}")
+                if answer_bar > tol:
+                    faults.append(f"error estimate {answer_bar:.3g} exceeds tol {tol:.3g}")
+                raise NoConvergenceError(
+                    f"no-convergence: {' and '.join(faults)} on grids {m // 4}, {m // 2} and {m}, "
+                    f"and a finer ladder passes the {cap}-row cap"
+                )
+            del seq[0], floors[0]
+        guess = x_h if len(seq) == 1 else x_h - (seq[-2][1] - x_h) / 4.0
+        m *= 2
 
 
 def _eigenvalue(operator, n: int):
@@ -182,13 +230,15 @@ def _eigenvalue(operator, n: int):
     return solve
 
 
-def lambda_n_couette(beta: float, c: float, n: int = 1, resolution: int = 256) -> EigenPair:
+def lambda_n_couette(
+    beta: float, c: float, n: int = 1, resolution: int = 256, tol=None, bar=None
+) -> EigenPair:
     """n-th eigenvalue of the Couette flow u(y) = y at the speed c.
 
     The wall speeds give the principal eigenvalue only, c = -1 for
     beta >= 0 and c = +1 for beta <= 0; the two are mirror images, and give
     identical bits for (beta, -1) and (-beta, +1).  Any other speed must lie
-    outside [-1, 1].
+    outside [-1, 1].  ``tol`` and ``bar`` are ``lambda_n_general``'s.
     """
     if c in (-1.0, 1.0):
         if n != 1:
@@ -196,18 +246,20 @@ def lambda_n_couette(beta: float, c: float, n: int = 1, resolution: int = 256) -
         if c * beta > 0:
             side, sign = ("left", ">=") if c < 0 else ("right", "<=")
             raise WrongSignBetaError(f"wrong-sign-beta: {side} endpoint requires beta {sign} 0")
-    return lambda_n_general(couette(), beta, c, n, resolution)
+    return lambda_n_general(couette(), beta, c, n, resolution, tol, bar)
 
 
-def wall_beta(alpha: float, resolution: int = 256) -> tuple[float, float]:
-    """The beta >= 0 with lambda_1(beta, -1) = -alpha^2, and its error estimate.
+def wall_beta(alpha: float, resolution: int = 64, tol=None) -> EigenPair:
+    """The beta >= 0 with lambda_1(beta, -1) = -alpha^2, with its error estimate.
 
     On the grid, lambda_1(beta, -1) is the smallest eigenvalue of K - beta D,
     with K the Dirichlet second difference and D = diag(1 / (1 + y_i)).  It
     equals -alpha^2 exactly when beta is the smallest eigenvalue of
     W^(1/2) (K + alpha^2 I) W^(1/2) with W = diag(1 + y_i): the discrete
     form of beta = min (int phi'^2 + alpha^2 phi^2) / (int phi^2 / (1 + y)).
-    So one solve per grid replaces a root search on the wall curve.
+    So one solve per grid replaces a root search on the wall curve.  Given
+    ``tol``, the ladder climbs from base ``resolution`` until its error
+    estimate is at most tol (``_solve_extrapolated``).
     """
 
     def weighted(grid):
@@ -215,8 +267,7 @@ def wall_beta(alpha: float, resolution: int = 256) -> tuple[float, float]:
         w = grid.nodes + 1.0
         return TridiagOperator(op.diag * w, op.off * np.sqrt(w[:-1] * w[1:]), grid)
 
-    pair = _solve_extrapolated(_eigenvalue(weighted, 1), resolution)
-    return pair.value, pair.error_estimate
+    return _solve_extrapolated(_eigenvalue(weighted, 1), resolution, tol)
 
 
 def lambda_n_general(
@@ -225,6 +276,8 @@ def lambda_n_general(
     c: float,
     n: int,
     resolution: int = 256,
+    tol=None,
+    bar=None,
 ) -> EigenPair:
     """n-th eigenvalue for a general profile, handling removable layers.
 
@@ -234,9 +287,13 @@ def lambda_n_general(
     on that zone; any other speed raises SingularSpeedError before a solve.
     At an endpoint speed the potential is finite at every interior node.
     A non-finite beta or c raises ValidationError before anything is assembled.
+    Without ``tol`` the ladder is {resolution, 2 resolution, 4 resolution};
+    with it, resolution is the smallest base, and the ladder climbs until
+    ``bar(value, error)`` (the error by default) is at most tol
+    (``_solve_extrapolated``).
     """
     Q = _potential(profile, beta, c)
-    return _solve_extrapolated(_eigenvalue(lambda g: assemble(g, Q), n), resolution)
+    return _solve_extrapolated(_eigenvalue(lambda g: assemble(g, Q), n), resolution, tol, bar)
 
 
 def _potential(profile: ShearProfile, beta: float, c: float):

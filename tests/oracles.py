@@ -22,7 +22,9 @@ series suffer, and bisect to 1e-30.  ``frobenius_certifies`` checks that
 an eigenvalue or a speed lies inside a reported error bar.
 
 ``modified_flow_jet`` is the modified flow's jet by its full formula at
-every point, the reference for the library's jet on the support.
+every point, the reference for the library's jet on the support; it
+evaluates the cutoff and erf jets by ``cutoff_jet`` and ``erf_jet``, full-array
+forms of the library's, which also pin the library's cutoff jet bit for bit.
 
 ``grid_residual_norm`` samples the first-order bifurcation wave on an x-y
 grid (Fourier derivatives in x) as the reference for the library's closed
@@ -40,7 +42,7 @@ from scipy.optimize import brentq
 from betaplane.bifurcation import _deriv4
 from betaplane.errors import ValidationError
 from betaplane.grid import Grid1D, assemble
-from betaplane.modified_flow import _erf_jet, cutoff_jet
+from betaplane.modified_flow import _TWO_OVER_SQRT_PI, _bump, _cutoff_table, cutoff_I, erf
 
 
 def shoot_boundary_value(Q, lam: float) -> float:
@@ -100,6 +102,26 @@ def graded_nodes(n_interior: int, grade_ratio) -> np.ndarray:
     return -1.0 + np.cumsum(gaps)[:-1]
 
 
+def erf_jet(x):
+    """(erf, erf', erf'') at the array x, with one exp: a copy of the library's ``_erf_jet``."""
+    gauss = np.exp(-(x**2))
+    return erf(x), _TWO_OVER_SQRT_PI * gauss, -2.0 * x * _TWO_OVER_SQRT_PI * gauss
+
+
+def cutoff_jet(x):
+    """(I, I', I'') at x, I' = -sign(x) eta(|x|)/G(1), I'' = -eta'(|x|)/G(1): the full-array
+    form of the library's ``cutoff_jet``, by ``cutoff_I`` and ``_bump`` at every point."""
+    arr = np.asarray(x, dtype=float)
+    a = np.abs(arr)
+    eta = _bump(a)
+    _, norm = _cutoff_table()
+    deta = np.zeros_like(a)
+    inside = (a > 1.0) & (a < 2.0)
+    ai = a[inside]
+    deta[inside] = eta[inside] * (1.0 / (ai - 1.0) ** 2 - 1.0 / (2.0 - ai) ** 2)
+    return cutoff_I(arr), -np.sign(arr) * eta / norm, -deta / norm
+
+
 def modified_flow_jet(beta: float, g: float, a: float, y):
     """(U, U', U'') of the modified flow by its full formula at every point.
 
@@ -112,7 +134,7 @@ def modified_flow_jet(beta: float, g: float, a: float, y):
     x2 = (y - 5.0 * g) / g
     c1, dc1, d2c1 = cutoff_jet(x1)
     c2, dc2, d2c2 = cutoff_jet(x2)
-    e, de, d2e = _erf_jet(x2)
+    e, de, d2e = erf_jet(x2)
     u = y + 0.5 * beta * g**2 * x1**2 * c1 + a * g**2 * e * c2
     du = 1.0 + 0.5 * beta * g * (2.0 * x1 * c1 + x1**2 * dc1) + a * g * (de * c2 + e * dc2)
     d2u = 0.5 * beta * (2.0 * c1 + 4.0 * x1 * dc1 + x1**2 * d2c1) + a * (

@@ -36,9 +36,10 @@ class TestBetaStar:
         assert abs(b512 - beta_star) <= 5e-4
 
     def test_tol_below_error_estimate_raises(self):
-        # the bar of beta* is about 5.7e-9
+        # the bar of beta* is 6.5e-10 at base 64 and grows with the rounding floor of the
+        # finer bases (1.5e-9 at 128, 5.7e-9 at 256), so no ladder up to the cap meets 1e-10
         with pytest.raises(NoConvergenceError, match="exceeds tol"):
-            atlas.find_beta_star(tol=1e-9)
+            atlas.find_beta_star(tol=1e-10)
 
     def test_tol_above_error_estimate_gives_default_value(self):
         assert atlas.find_beta_star(tol=1e-7) == atlas.find_beta_star()
@@ -50,7 +51,8 @@ class TestBetaStar:
     def test_within_estimate_of_bessel_zero(self, beta_star):
         # at lambda = 0 the wall eigenfunction is sqrt(x) J1(2 sqrt(beta x)), x = 1 + y,
         # so beta* = j_(1,1)^2 / 8
-        value, err = wall_beta(0.0)
+        pair = wall_beta(0.0, 256)  # the fixture's base
+        value, err = pair.value, pair.error_estimate
         assert beta_star == value
         assert abs(value - jn_zeros(1, 1)[0] ** 2 / 8) <= err
 
@@ -127,8 +129,20 @@ class TestBetaT:
         # at lambda = -alpha^2 the wall eigenfunction is x e^(-alpha x) M(1 - beta/(2 alpha), 2, 2 alpha x),
         # x = 1 + y, so beta_T is the root in beta of M(1 - beta/(2 alpha), 2, 4 alpha)
         alpha = 2 * np.pi / T
-        value, err = wall_beta(alpha)
+        pair = wall_beta(alpha)
+        value, err = pair.value, pair.error_estimate
         assert atlas.beta_T(T) == value
+        exact = brentq(lambda b: hyp1f1(1 - b / (2 * alpha), 2, 4 * alpha),
+                       value - 1e-3, value + 1e-3, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        assert abs(value - exact) <= err
+
+    @pytest.mark.parametrize("T, base", [(0.3, 256), (0.1, 1024)])
+    def test_short_period_climbs_within_estimate_of_kummer_root(self, T, base):
+        # the layer is 1/alpha wide, so base 64's ladder misses tol (T = 0.3: bar 8.6e-4;
+        # T = 0.1: ratio 3.36) and the ladder climbs; a fixed base 256 left T = 0.1 at 8.5e-4
+        alpha = 2 * np.pi / T
+        value, err, accepted = atlas.beta_T_and_error(T)
+        assert accepted == base and err <= 1e-5
         exact = brentq(lambda b: hyp1f1(1 - b / (2 * alpha), 2, 4 * alpha),
                        value - 1e-3, value + 1e-3, xtol=1e-15, rtol=4 * np.finfo(float).eps)
         assert abs(value - exact) <= err
@@ -138,7 +152,7 @@ class TestBetaT:
             atlas.beta_T(-2.0)
 
     def test_tol_below_error_estimate_raises(self):
-        _, err = wall_beta(2 * np.pi / 6.0)
+        err = wall_beta(2 * np.pi / 6.0).error_estimate
         with pytest.raises(NoConvergenceError, match="exceeds tol"):
             atlas.beta_T(6.0, tol=err / 2)
 
@@ -206,11 +220,18 @@ class TestClassify:
     @pytest.mark.parametrize("beta, label", [(160.0, atlas.REGION_I_PLUS),
                                              (-160.0, atlas.REGION_I_MINUS)])
     def test_bar_decides_label_raises(self, beta, label):
-        # alpha_beta(160) = 80; at resolution 256 the curve reads 79.99791 with a bar of
-        # 0.0089, at resolution 1024 79.9999993 with a bar of 4.6e-5
+        # alpha_beta(160) = 80; on the fixed base 256 the curve read 79.99791 with a bar of
+        # 0.0089, which alone decided alpha = 79.9985; the ladder now climbs from base 64
+        # until alpha's bar meets tol, to base 1024: 79.9999993 with a bar of 4.6e-5
+        verdict = atlas.classify(79.9985, beta)
+        assert verdict.label == label
+        assert verdict.bases == (64, 1024)
+        fine = atlas.classify(79.9985, beta, resolution=1024)
+        # the same grids, reached by guesses instead of grid 1024's bisection: within 2 floors
+        assert abs(verdict.alpha_beta - fine.alpha_beta) <= 1e-11
+        # a point at the strip's edge is still decided by the bar alone
         with pytest.raises(NoConvergenceError, match="alpha_beta's error estimate"):
-            atlas.classify(79.9985, beta)
-        assert atlas.classify(79.9985, beta, resolution=1024).label == label
+            atlas.classify(verdict.alpha_beta + 1e-4, beta)
 
     def test_strip_edge_near_the_curve_raises(self, beta_star):
         # alpha_beta's bar at 2 beta_star is 8.8e-10, so alpha = alpha_beta + tol is undecided
@@ -221,7 +242,7 @@ class TestClassify:
         assert atlas.classify(alpha + 2e-4, beta, tol=1e-4).label == atlas.REGION_O
 
     def test_beta_star_within_its_bar_raises(self, beta_star):
-        _, err = wall_beta(0.0)
+        err = wall_beta(0.0).error_estimate
         with pytest.raises(NoConvergenceError, match="beta_star's error estimate"):
             atlas.classify(1.0, -beta_star)
         assert atlas.classify(1.0, beta_star - 2 * err).label == atlas.REGION_O
@@ -231,7 +252,7 @@ class TestClassify:
         # |beta| = 4 lies 2.2 above beta*, so the bar decides nothing
         verdict = atlas.classify(1.0, 4.0, resolution=16384)
         assert verdict.label == atlas.REGION_I_PLUS
-        assert verdict.beta_star == wall_beta(0.0, 16384)[0]
+        assert verdict.beta_star == wall_beta(0.0, 16384).value
         assert verdict.alpha_beta == 1.966245822988337
 
 

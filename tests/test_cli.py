@@ -75,13 +75,76 @@ class TestAtlasRootBars:
 
         assert main(argv) == 0
         bar = float(capsys.readouterr().out.splitlines()[-1].split(",")[-1])
-        assert bar == wall_beta(alpha)[1]
+        assert bar == wall_beta(alpha).error_estimate
         assert main([*argv, "--tol", repr(float(np.nextafter(bar, np.inf)))]) == 0
         assert float(capsys.readouterr().out.splitlines()[-1].split(",")[-1]) == bar
+        # below base 64's bar the ladder climbs, but the finer bases' bars grow with their
+        # rounding floors, so no ladder up to the 16384-row cap meets the tolerance
         assert main([*argv, "--tol", repr(float(np.nextafter(bar, 0.0)))]) == 3
         captured = capsys.readouterr()
-        assert f"error estimate {bar:.3g} exceeds tol" in captured.err
+        assert "exceeds tol" in captured.err and "16384-row cap" in captured.err
         assert captured.out == ""
+
+
+class TestClimbingWallLadders:
+    """The atlas wall routes climb from base 64 (or --resolution) to their tolerance and
+    record the accepted base; the fixed-ladder commands print the bytes they printed
+    before the wall routes climbed."""
+
+    @pytest.mark.parametrize("period, base", [("0.3", 256), ("0.1", 1024)])
+    def test_short_periods_answer_at_a_finer_base(self, period, base, capsys):
+        # base 256 alone left T = 0.1 at a bar of 8.5e-4, which exited 3
+        from betaplane.cli import main
+
+        assert main(["atlas", "beta-T", "--period", period]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"# accepted_base: {base}" in lines and "# resolution: 64" in lines
+        assert float(lines[-1].split(",")[-1]) <= 1e-5
+
+    def test_resolution_is_the_smallest_base(self, capsys):
+        from betaplane.cli import main
+
+        assert main(["atlas", "beta-T", "--period", "0.1", "--resolution", "2048"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "# accepted_base: 2048" in lines and "# resolution: 2048" in lines
+
+    # sha256 over (exit code, stdout, stderr) of each run, a cold and a warm one with a cache,
+    # then the name and bytes of each file written: the bench cli workload's argv sets at
+    # seed 5 and a modified-base ladder, as printed before the wall ladders climbed
+    PINNED = [
+        (["eigen", "--beta", "1.77116", "--c", "3.277"],
+         "e69f7fa6966a8cf46a323ed6430f5bc4741f16b5b38345f427e43dd7a9d5e2cd"),
+        (["eigen", "--beta", "3.79858", "--c", "-1", "--format", "json"],
+         "2d07585c8aae8c0b6fcf3a996dda3d6d7bd12a5d7d18eb8af758e95d8698342c"),
+        (["atlas", "speed", "--beta", "4.7197", "--lambda0", "-3.64108"],
+         "af1b06aed1d40184e40f7b5d46deb1a50dc9beee3832d5719fe85afddf35a809"),
+        (["atlas", "speed", "--beta", "4.7197", "--lambda0", "-3.64108", "--cache-dir", "{tmp}/cache"],
+         "a7c1febe6cbaa9b83bf1dbd230f27c80a40d1f9cd5c265d1dfc68b6fc55c2333"),
+        (["modified-flow", "--beta", "0.55801", "--gamma", "0.01", "--a", "1.55192", "--emit", "profile",
+          "--samples", "129", "--format", "json"],
+         "1c4895934ca2261808523f5b6a8107fb8b88a8b8d9b61c72230b5b1935885e27"),
+        (["damping", "--beta", "-1.50568", "--t-end", "10", "--samples", "0,2.5,5,7.5,10",
+          "--out", "{tmp}/damping.csv", "--plot"],
+         "a218c963b1ec6194d8a20222b462fab9d0689069fcfaeffe681591178c89cfe6"),
+        (["bifurcate", "--base", "modified", "--beta", "2", "--gamma", "0.02", "--a", "0", "--control"],
+         "cfa97ae85c6698c6412c171fa8b21d53fb39c2617c7bc479af059cfd155d9f8d"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", PINNED,
+                             ids=["eigen", "eigen-wall", "speed", "speed-cache", "profile", "damping",
+                                  "bifurcate"])
+    def test_fixed_ladder_bytes_pinned(self, argv, digest, tmp_path, capsys):
+        from betaplane.cli import main
+
+        args = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        h = hashlib.sha256()
+        for _ in range(2 if "--cache-dir" in argv else 1):
+            code = main(args)
+            captured = capsys.readouterr()
+            h.update(f"{code}\n{captured.out}\n{captured.err}".encode())
+        for path in sorted(tmp_path.glob("*.*")):
+            h.update(path.name.encode() + path.read_bytes())
+        assert h.hexdigest() == digest
 
 
 class TestModifiedFlowCommand:
@@ -558,8 +621,8 @@ class TestArgumentRanges:
         row = captured.out.splitlines()[-1].split(",")
         assert float(row[0]) == float(period)
         assert row[3] == "-0"
-        # beta* = j_(1,1)^2 / 8 = 1.835246330265487 lies 7.4e-13 from the value, within its bar
-        assert row[1:3] == ["1.8352463302647484", "4.905921781386136e-11"]
+        # beta* = j_(1,1)^2 / 8 = 1.835246330265487 lies 1.1e-12 from the value, within its bar
+        assert row[1:3] == ["1.8352463302665709", "2.9586206703303835e-13"]
 
     def test_resolution_below_64_exit_2(self, capsys):
         from betaplane.cli import main
@@ -583,9 +646,11 @@ class TestArgumentRanges:
 
     @pytest.mark.parametrize("beta", ["160", "-160"])
     def test_region_decided_by_bar_exit_3(self, beta, capsys):
+        # alpha_beta(160) reads 79.9999993 with a bar of 4.6e-5 at the accepted base 1024;
+        # 80.0001 lies on the strip's edge, where the bar alone decides the label
         from betaplane.cli import main
 
-        assert main(["atlas", "region", "--alpha", "79.9985", "--beta", beta]) == 3
+        assert main(["atlas", "region", "--alpha", "80.0001", "--beta", beta]) == 3
         captured = capsys.readouterr()
         assert "alpha_beta's error estimate" in captured.err
         assert captured.out == ""
@@ -640,11 +705,13 @@ class TestOneRowTables:
         (["eigen", "--beta", "1", "--c", "2"],
          "beta,c,n,lambda,error_estimate,resolution", ["table", "version"]),
         (["atlas", "beta-star"],
-         "beta_star,lambda_residual,error_estimate", ["table", "resolution", "tol"]),
+         "beta_star,lambda_residual,error_estimate", ["table", "accepted_base", "resolution", "tol"]),
         (["atlas", "beta-T", "--period", "6"],
-         "period,beta_T,lambda_at_beta_T,target,error_estimate", ["table", "resolution", "tol"]),
+         "period,beta_T,lambda_at_beta_T,target,error_estimate",
+         ["table", "accepted_base", "resolution", "tol"]),
         (["atlas", "region", "--alpha", "0.5", "--beta", "5"],
-         "alpha,beta,label,beta_star,alpha_beta,tolerance,error_estimate", ["table", "resolution"]),
+         "alpha,beta,label,beta_star,alpha_beta,tolerance,error_estimate",
+         ["table", "accepted_base", "resolution"]),
         (["atlas", "speed", "--beta", "4", "--lambda0", "0"],
          "beta,lambda0,c0,lambda_at_c0,error_estimate", ["table", "resolution", "tol"]),
     ], ids=["eigen", "beta-star", "beta-T", "region", "speed"])

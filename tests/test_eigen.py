@@ -182,7 +182,7 @@ class TestBracketedSolve:
             diag, off, grid = random_tridiag(rng, int(rng.integers(3, 60)))
             ops.append(TridiagOperator(diag=diag, off=off, grid=grid))
         for op in ops:
-            b = eigen._norm_bound(op)
+            b = op.norm_bound
             r = eigen._radius(b)
             spectrum = scipy.linalg.eigh_tridiagonal(op.diag, op.off, eigvals_only=True)
             near_eigs = np.concatenate([spectrum * (1 - 1e-9), spectrum * (1 + 1e-9)])
@@ -201,7 +201,7 @@ class TestBracketedSolve:
     def test_count_at_the_bound(self, diag, off):
         # an eigenvalue at -||A|| is counted only because the bound is padded
         diag, off = np.array(diag), np.array(off)
-        b = eigen._norm_bound(TridiagOperator(diag=diag, off=off, grid=None))
+        b = TridiagOperator(diag=diag, off=off, grid=None).norm_bound
         spectrum = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         for x in spectrum:
             assert eigen._count(diag, off, b, x) == np.sum(spectrum <= x)
@@ -520,7 +520,7 @@ class TestEigenvector:
 
     def test_far_from_spectrum_fails(self):
         op = laplacian_op(16)
-        r = eigen._radius(eigen._norm_bound(op))
+        r = eigen._radius(op.norm_bound)
         for lam in (r + 100.0, np.nextafter(r, np.inf), -np.nextafter(r, np.inf), np.nan):
             with pytest.raises(ValidationError, match="spectral bound"):
                 eigenvector(op, lam)
@@ -547,8 +547,27 @@ class TestNormBound:
     def test_floor_is_the_norm_bound(self, rng):
         for op in self.ops(rng):
             norm = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off), initial=0.0)
-            assert eigen._norm_bound(op) == norm
+            assert op.norm_bound == norm
             assert eigenvalue_floor(op) == max(2e-12, 8.0 * np.finfo(float).eps * float(norm))
+
+    def test_bound_computed_once_per_operator(self, monkeypatch):
+        # nth_eigenvalue's certificate and eigenvalue_floor share the operator's one bound
+        op = assemble(build_grid(64), lambda y: 1.0 / (y + 2.0))
+        calls = []
+        real_max = np.max
+        monkeypatch.setattr(np, "max", lambda *a, **k: calls.append(1) or real_max(*a, **k))
+        lam = nth_eigenvalue(op, 1, near=2.9)
+        eigenvalue_floor(op)
+        monkeypatch.undo()
+        assert len(calls) == 2  # max |a_ii| and max |a_i,i+1|, once
+        assert lam == nth_eigenvalue(assemble(build_grid(64), lambda y: 1.0 / (y + 2.0)), 1, near=2.9)
+
+    def test_start_vector_shared_and_read_only(self):
+        v = eigen._start_vector(64)
+        assert eigen._start_vector(64) is v
+        assert np.array_equal(v, np.linspace(1.0, 2.0, 64))
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.0
 
 
 class TestKeptVector:
@@ -577,7 +596,7 @@ class TestKeptVector:
         assert lapack.whole_spectrum == (path != "certified")
         assert lam == nth_eigenvalue(op, 1, near=guesses[path])
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-        assert np.linalg.norm(op.matvec(v) - lam * v) <= 1e-9 * eigen._norm_bound(op)
+        assert np.linalg.norm(op.matvec(v) - lam * v) <= 1e-9 * op.norm_bound
         slope = -beta * np.sum((v / (grid.nodes - c)) ** 2)
         dc = 1e-4
         centred = (nth_eigenvalue(self.couette(grid, beta, c + dc), 1)

@@ -40,6 +40,13 @@ class TestBuildGrid:
         # at least a quarter of the nodes in the left tenth of the interval
         assert np.sum(nodes < -0.8) >= 16
 
+    def test_built_once_per_size_with_read_only_nodes(self):
+        grid = build_grid(64)
+        assert build_grid(64) is grid
+        with pytest.raises(ValueError, match="read-only"):
+            grid.nodes[0] = 0.0
+        assert grid.nodes[0] == -1.0 + grid.h
+
     def test_count_validation(self):
         with pytest.raises(ValidationError, match="invalid-count"):
             build_grid(2)

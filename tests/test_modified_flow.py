@@ -11,6 +11,7 @@ from betaplane import modified_flow as mf
 from betaplane.errors import NoBracketError, NoConvergenceError, ValidationError
 from betaplane.rayleigh_kuo import lambda_n_general
 from betaplane.grid import build_grid
+import oracles
 from oracles import modified_flow_jet, quad_integral, simpson_integral
 
 # frozen from the quadrature oracle (2/sqrt(pi)) int_0^1 exp(-s^2) ds
@@ -118,6 +119,27 @@ class TestCutoff:
         for x in (1.3, 1.6, -1.6):
             expected = -np.sign(x) * float(mf._bump(np.abs(np.array(x)))) / norm
             assert mf.cutoff_jet(x)[1] == pytest.approx(expected, rel=1e-14)
+
+    def test_jet_bitwise_equal_to_full_array_form(self):
+        # one |x|, one 1 < |x| < 2 mask and one table lookup give the bits of cutoff_I and
+        # eta over every point (oracles.cutoff_jet), signed zeros and 0-d inputs included
+        rng = np.random.default_rng(44)
+        edges = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 1.5, 3.0, math.inf, -math.inf]
+        edges += [s * np.nextafter(e, e + d) for e in (1.0, 2.0) for d in (-1, 1) for s in (1, -1)]
+
+        def bits(v):
+            v = np.asarray(v)
+            return v.shape, v.view(np.int64).tolist() if v.ndim else np.array([v]).view(np.int64).tolist()
+
+        for size in range(300):
+            x = np.concatenate((rng.uniform(-3.0, 3.0, size % 37), rng.choice(edges, size % 7)))
+            rng.shuffle(x)
+            for got, want in zip(mf.cutoff_jet(x), oracles.cutoff_jet(x)):
+                assert bits(got) == bits(want)
+        for x in edges:
+            got, want = mf.cutoff_jet(x), oracles.cutoff_jet(x)
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert [bits(v) for v in got] == [bits(v) for v in want]
 
     def test_derivative_matches_finite_difference(self):
         h = 1e-6

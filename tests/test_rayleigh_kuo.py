@@ -435,3 +435,98 @@ class TestBracketedLadder:
         assert abs(err - full_err) <= 2 * carried + 2 * carried_two
         if certifies is not None:
             assert certifies(value, err) and certifies(full_value, full_err)
+
+
+class TestClimbingLadder:
+    """With a tolerance the ladder climbs from its smallest base: {b, 2b, 4b} is accepted when
+    (x_b - x_2b) / (x_2b - x_4b) lies in [3.5, 4.5], or the last difference is within the
+    finer grids' floors, and the answer's bar is at most tol; else it moves to {2b, 4b, 8b}."""
+
+    @staticmethod
+    def traced(monkeypatch):
+        """The (rows, value) of every solve the ladder makes."""
+        import betaplane.rayleigh_kuo as rk
+
+        real, solves = rk.nth_eigenvalue, []
+
+        def nth_eigenvalue(op, n, near=None, vector=False):
+            value = real(op, n, near, vector)
+            solves.append((op.dim, value))
+            return value
+
+        monkeypatch.setattr(rk, "nth_eigenvalue", nth_eigenvalue)
+        return solves
+
+    @staticmethod
+    def ratios(solves):
+        xs = [x for _, x in solves]
+        return [(a - b) / (b - c) for a, b, c in zip(xs, xs[1:], xs[2:])]
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    def test_accepted_wall_ladders_certified(self, beta):
+        pair = lambda_n_couette(beta, -1.0, 1, 64, 1e-5)
+        mirror = lambda_n_couette(-beta, 1.0, 1, 64, 1e-5)
+        assert pair.base == 64
+        assert (mirror.value, mirror.error_estimate, mirror.base) == (pair.value, pair.error_estimate, 64)
+        assert oracles.frobenius_certifies(beta, pair.value, pair.error_estimate, c=-1.0)
+
+    # (beta, tol, accepted base): base 64's ratio reads 3.37 at beta 40, base 128's 3.39 at beta 80
+    @pytest.mark.parametrize("beta, tol, base", [
+        (20.0, 1e-5, 256), (20.0, 1e-1, 64), (40.0, 1e-5, 1024), (40.0, 1e-1, 128),
+        (80.0, 1e-5, 2048), (80.0, 1e-1, 256),
+    ])
+    def test_large_beta_within_bar_of_closed_form(self, beta, tol, base):
+        # lambda_1(beta, -1) = -beta^2 / 4 up to 1.3e-12 for beta >= 20
+        pair = lambda_n_couette(beta, -1.0, 1, 64, tol)
+        assert pair.base == base
+        assert pair.error_estimate <= tol
+        assert abs(pair.value + beta**2 / 4) <= pair.error_estimate
+
+    def test_short_period_climbs_to_base_256(self, monkeypatch):
+        # T = 0.3: base 64 reads ratio 3.84 and bar 8.6e-4, base 128 bar 5.7e-5; 256 meets 1e-5
+        solves = self.traced(monkeypatch)
+        pair = wall_beta(2 * np.pi / 0.3, 64, 1e-5)
+        assert pair.base == 256 and pair.error_estimate <= 1e-5
+        # each climb solves one new grid, guessed at the Richardson prediction
+        assert [rows for rows, _ in solves] == [64, 128, 256, 512, 1024]
+        assert 3.8 < self.ratios(solves)[0] < 3.9
+        assert wall_beta(2 * np.pi / 0.3, 64).error_estimate > 8e-4
+        assert wall_beta(2 * np.pi / 0.3, 128).error_estimate > 5e-5
+        assert kummer_certifies(pair.value, pair.error_estimate, 2 * np.pi / 0.3)
+
+    def test_ratio_outside_range_rejected(self, monkeypatch):
+        # T = 0.1: base 64's bar, 0.14, meets tol 1, but its ratio, 3.36, does not, so the
+        # ladder moves on to base 128
+        solves = self.traced(monkeypatch)
+        pair = wall_beta(2 * np.pi / 0.1, 64, 1.0)
+        assert 3.3 < self.ratios(solves)[0] < 3.4
+        assert wall_beta(2 * np.pi / 0.1, 64).error_estimate < 1.0
+        assert pair.base == 128
+
+    def test_floor_rule_accepts_rounding_noise(self, monkeypatch):
+        # at 16384-65536 rows the differences are rounding noise, within the grids' floors
+        solves = self.traced(monkeypatch)
+        pair = wall_beta(0.0, 16384, 1e-4)
+        assert [rows for rows, _ in solves] == [16384, 32768, 65536]
+        assert not 3.5 <= self.ratios(solves)[0] <= 4.5
+        assert (pair.value, pair.error_estimate) == (wall_beta(0.0, 16384).value,
+                                                    wall_beta(0.0, 16384).error_estimate)
+
+    def test_cap_raises(self, monkeypatch):
+        # beta*'s bar grows with the finer bases' rounding floors, so 1e-12 is never met
+        from betaplane.errors import NoConvergenceError
+
+        solves = self.traced(monkeypatch)
+        with pytest.raises(NoConvergenceError, match="exceeds tol 1e-12 .* 16384-row cap"):
+            wall_beta(0.0, 64, 1e-12)
+        assert [rows for rows, _ in solves] == [64 * 2**k for k in range(9)]
+        del solves[:]
+        # a base above a quarter of the cap solves its own ladder only
+        with pytest.raises(NoConvergenceError, match="65536-row cap"):
+            wall_beta(0.0, 16384, 1e-12)
+        assert [rows for rows, _ in solves] == [16384, 32768, 65536]
+
+    def test_fixed_ladder_without_tol(self, monkeypatch):
+        solves = self.traced(monkeypatch)
+        lambda_n_couette(80.0, -1.0, 1, 64)
+        assert [rows for rows, _ in solves] == [64, 128, 256]

@@ -92,13 +92,15 @@ class TestCache:
 
     def test_wall_entry_pinned(self, tmp_path):
         # the exact wall value, the zero of the Frobenius series phi1(2), is
-        # 1.5196841981976354: 1.2e-11 from the pinned value, inside its bar
+        # 1.5196841981976354: 3.0e-12 from the pinned value, inside its bar; the entry is
+        # keyed on the smallest base and tol, and records the accepted base
         cold = atlas.lambda1_wall(0.75, cache=CurveCache(tmp_path))
         (entry,) = tmp_path.iterdir()
-        assert entry.name == "lambda1-wall-direct-d5caf7366e2a16ec0adce97e.csv"
+        assert entry.name == "lambda1-wall-direct-fc15daec7c2a8a52a0d35416.csv"
         assert entry.read_bytes() == (
-            b"# table: lambda1-wall-direct\n# resolution: 256\nbeta,lambda1,error_estimate\n"
-            b"0.75,1.5196841981855567,2.8705909866890336e-09\n"
+            b"# table: lambda1-wall-direct\n# resolution: 64\n# tol: 1.0000000000000001e-05\n"
+            b"beta,accepted_base,lambda1,error_estimate\n"
+            b"0.75,64,1.519684198200667,9.0319980122950067e-10\n"
         )
         warm_cache = CurveCache(tmp_path)
         warm = atlas.lambda1_wall(0.75, cache=warm_cache)
